@@ -38,7 +38,7 @@ from .ingest import (
     isolated_products,
     parse_baskets,
 )
-from .neighbors import top_k_neighbors, write_neighbors
+from .neighbors import top_k_batch, write_neighbors
 
 
 def _progress(message: str) -> None:
@@ -83,7 +83,7 @@ def cmd_neighbors(args: argparse.Namespace) -> int:
                 for token in line.split()
             ]
     queries = emb.codes if args.all else [args.query]
-    lists = [top_k_neighbors(emb, q, args.k, candidates) for q in queries]
+    lists = top_k_batch(emb, queries, args.k, candidates)
     if args.output:
         with open(args.output, "w", encoding="utf-8") as stream:
             write_neighbors(lists, stream)

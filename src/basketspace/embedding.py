@@ -36,7 +36,7 @@ from .errors import (
     InvalidParameterError,
     MalformedInputError,
 )
-from .ingest import CooccurrenceGraph, Vocabulary
+from .ingest import CooccurrenceGraph, Vocabulary, nearest_codes
 
 # A multiply result with norm at or below this is treated as a cancelled row.
 ZERO_ROW_NORM = 1e-30
@@ -69,6 +69,7 @@ class EmbeddingMatrix:
     seed: int | None = None
     zero_rows_replaced: int = 0
     _index: dict = field(default=None, repr=False, compare=False)
+    _norms: np.ndarray = field(default=None, repr=False, compare=False)
 
     @property
     def dimension(self) -> int:
@@ -82,25 +83,20 @@ class EmbeddingMatrix:
             self._index = {code: i for i, code in enumerate(self.codes)}
         return self._index
 
+    def row_norms(self) -> np.ndarray:
+        """L2 norm of every row, computed once and cached like
+        :meth:`index_map`, so ``vectors`` must not be edited in place."""
+        if self._norms is None:
+            self._norms = np.linalg.norm(self.vectors, axis=1)
+        return self._norms
+
     def vector(self, code: str) -> np.ndarray:
         from .errors import UnknownProductError
 
         idx = self.index_map().get(code)
         if idx is None:
-            raise UnknownProductError(code, _nearest_by_prefix(code, self.codes))
+            raise UnknownProductError(code, nearest_codes(code, self.codes))
         return self.vectors[idx]
-
-
-def _nearest_by_prefix(code: str, known: Sequence[str], limit: int = 5) -> list:
-    def shared(a: str, b: str) -> int:
-        n = 0
-        for x, y in zip(a, b):
-            if x != y:
-                break
-            n += 1
-        return n
-
-    return sorted(known, key=lambda c: (-shared(code, c), c))[:limit]
 
 
 @dataclass
@@ -459,6 +455,11 @@ def read_embedding(stream: TextIO) -> EmbeddingMatrix:
     """Read the text format written by :func:`write_embedding`.
 
     The result carries no iteration or seed metadata.
+
+    Raises:
+        MalformedInputError: on a bad header, a short, duplicate,
+            non-numeric or non-finite row, or a row beyond the declared
+            count.
     """
     header = stream.readline()
     parts = header.split()
@@ -495,4 +496,11 @@ def read_embedding(stream: TextIO) -> EmbeddingMatrix:
             vectors[i] = np.asarray(tokens[1:], dtype=np.float64)
         except ValueError:
             raise MalformedInputError(f"line {i + 2}: non-numeric value") from None
+        if not np.isfinite(vectors[i]).all():
+            raise MalformedInputError(f"line {i + 2}: NaN or infinite value")
+    for lineno, line in enumerate(stream, start=n + 2):
+        if line.strip() and not line.lstrip().startswith("#"):
+            raise MalformedInputError(
+                f"line {lineno}: row beyond the {n} the header declares"
+            )
     return EmbeddingMatrix(codes, vectors, iterations=None, seed=None)

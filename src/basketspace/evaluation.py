@@ -551,12 +551,12 @@ def benchmark_baskets(
         order[kind]["evaluated"] += 1
 
     embedded_set = set(embedded)
-    for q in queries:
+    sub_lists = recommend_substitutes(sub_space, queries, k)
+    comp_lists = recommend_complements(comp_space, queries, k)
+    for q, sub_recs, comp_recs in zip(queries, sub_lists, comp_lists):
         t, g = membership[q]
         sub_truth = by_group[(t, g)] - {q}
         comp_truth = by_theme[t] - by_group[(t, g)]
-        sub_recs = recommend_substitutes(sub_space, q, k)
-        comp_recs = recommend_complements(comp_space, q, k)
         rand_recs = random_recommender(embedded, q, k, config.seed)
 
         s = hits_at_k(sub_recs, sub_truth, k)

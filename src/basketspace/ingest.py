@@ -16,6 +16,7 @@ from __future__ import annotations
 import itertools
 from collections import defaultdict
 from dataclasses import dataclass, field
+from os.path import commonprefix
 from typing import Iterable, TextIO
 
 import numpy as np
@@ -25,6 +26,12 @@ from .errors import MalformedInputError, UnknownProductError
 # Baskets beyond this many distinct products are rejected: clique expansion
 # grows quadratically and a line that size is almost certainly not a basket.
 DEFAULT_MAX_BASKET_PRODUCTS = 5000
+
+
+def nearest_codes(code: str, known: Iterable[str], limit: int = 5) -> list[str]:
+    """Known codes ranked by longest shared prefix with ``code``, then by
+    code; the suggestions an :class:`UnknownProductError` carries."""
+    return sorted(known, key=lambda c: (-len(commonprefix([code, c])), c))[:limit]
 
 
 class Vocabulary:
@@ -54,7 +61,7 @@ class Vocabulary:
         try:
             return self._index[code]
         except KeyError:
-            raise UnknownProductError(code, self.nearest_codes(code)) from None
+            raise UnknownProductError(code, nearest_codes(code, self._codes)) from None
 
     def code(self, index: int) -> str:
         return self._codes[index]
@@ -71,20 +78,6 @@ class Vocabulary:
 
     def __iter__(self):
         return iter(self._codes)
-
-    def nearest_codes(self, code: str, limit: int = 5) -> list[str]:
-        """Known codes ranked by longest shared prefix with ``code``."""
-
-        def shared_prefix(a: str, b: str) -> int:
-            n = 0
-            for x, y in zip(a, b):
-                if x != y:
-                    break
-                n += 1
-            return n
-
-        ranked = sorted(self._codes, key=lambda c: (-shared_prefix(code, c), c))
-        return ranked[:limit]
 
     def write(self, stream: TextIO) -> None:
         """Dump as one line per product: ``<internal_index> <external_code>``."""

@@ -18,13 +18,13 @@ from .embedding import (
     COMPLEMENT_ITERATIONS,
     SUBSTITUTE_ITERATIONS,
     EmbeddingMatrix,
-    _nearest_by_prefix,
 )
 from .errors import (
     ConfigurationMismatchWarning,
     InvalidParameterError,
     UnknownProductError,
 )
+from .ingest import nearest_codes
 
 
 @dataclass
@@ -64,6 +64,111 @@ def cosine_similarity(u: np.ndarray, v: np.ndarray) -> float:
     return float(min(1.0, max(-1.0, float(np.dot(u, v)) / (nu * nv))))
 
 
+# Similarities are computed one block of rows at a time, each block a whole
+# (rows x n) product. A block holds max(2, BLOCK_ENTRIES // n) rows, so the
+# partition depends on n alone: BLAS picks its kernel by block height (GEMV
+# for one row, GEMM for more), and a row's similarities must come from the
+# same call whichever queries ask for it.
+BLOCK_ENTRIES = 2**17  # 1 MiB of float64
+
+
+def top_k_batch(
+    embeddings: EmbeddingMatrix,
+    queries: Iterable[str],
+    k: int,
+    candidates: Iterable[str] | None = None,
+    relation_kind: str = "substitute",
+) -> list[NeighborList]:
+    """Exact top-k cosine neighbors of every query, one NeighborList per
+    query in query order.
+
+    Ties are broken by ascending row index, so results are deterministic,
+    and a query's list does not depend on which other queries share the
+    batch.
+
+    Args:
+        embeddings: the space to search.
+        queries: query product codes.
+        k: how many neighbors to return per query (fewer if the pool is
+            small).
+        candidates: optional restriction of the candidate codes (unknown
+            codes are ignored; a query is always excluded from its own list).
+        relation_kind: label recorded on the results.
+
+    Raises:
+        UnknownProductError: if a query is not embedded.
+        InvalidParameterError: if k < 1, if the space holds a NaN or
+            infinite value, or if a query or a candidate it is ranked
+            against is a zero vector.
+    """
+    if k < 1:
+        raise InvalidParameterError(f"k must be >= 1, got {k}")
+    codes = embeddings.codes
+    index = embeddings.index_map()
+    queries = list(queries)
+    rows = []
+    for query in queries:
+        row = index.get(query)
+        if row is None:
+            raise UnknownProductError(query, nearest_codes(query, codes))
+        rows.append(row)
+    n = len(codes)
+    norms = embeddings.row_norms()
+    if not np.isfinite(norms).all():
+        raise InvalidParameterError("embedding holds a NaN or infinite value")
+    if candidates is None:
+        pool = np.ones(n, dtype=bool)
+    else:
+        pool = np.zeros(n, dtype=bool)
+        pool[[index[c] for c in candidates if c in index]] = True
+    zero = pool & (norms == 0.0)
+    pool_size, zero_count = int(pool.sum()), int(zero.sum())
+    for row in rows:
+        if pool_size - int(pool[row]) and (
+            norms[row] == 0.0 or zero_count - int(zero[row])
+        ):
+            raise InvalidParameterError(
+                "cosine similarity of a zero vector is undefined"
+            )
+    vectors = embeddings.vectors
+    step = max(2, BLOCK_ENTRIES // max(n, 1))
+    by_block: dict = {}
+    for pos, row in enumerate(rows):
+        by_block.setdefault(row // step, []).append(pos)
+    results = [None] * len(queries)
+    buffer = np.empty((min(step, n), n))
+    for block, positions in by_block.items():
+        a = block * step
+        z = min(a + step, n)
+        sims = np.matmul(vectors[a:z], vectors.T, out=buffer[: z - a])
+        # A zero row that no query ranks against gives 0/0 here; those
+        # entries are masked or never read.
+        with np.errstate(invalid="ignore", divide="ignore"):
+            for i, norm in enumerate(norms[a:z]):
+                sims[i] /= norm * norms
+        np.clip(sims, -1.0, 1.0, out=sims)
+        sims[:, ~pool] = -np.inf
+        for pos in positions:
+            row = rows[pos]
+            size = min(k, pool_size - int(pool[row]))
+            if size == 0:
+                results[pos] = NeighborList(queries[pos], [], relation_kind)
+                continue
+            line = sims[row - a]
+            line[row] = -np.inf
+            # Keep every entry tied with the k-th value, then order by
+            # similarity descending and row index ascending.
+            kth = np.partition(line, n - size)[n - size]
+            top = np.flatnonzero(line >= kth)
+            top = top[np.lexsort((top, -line[top]))][:size]
+            results[pos] = NeighborList(
+                queries[pos],
+                [(codes[j], float(line[j])) for j in top],
+                relation_kind,
+            )
+    return results
+
+
 def top_k_neighbors(
     embeddings: EmbeddingMatrix,
     query: str,
@@ -71,64 +176,30 @@ def top_k_neighbors(
     candidates: Iterable[str] | None = None,
     relation_kind: str = "substitute",
 ) -> NeighborList:
-    """Exact top-k cosine neighbors of ``query`` among all other products.
+    """Exact top-k cosine neighbors of ``query``: :func:`top_k_batch` for
+    a single query, with the same arguments and errors."""
+    return top_k_batch(embeddings, [query], k, candidates, relation_kind)[0]
 
-    Ties are broken by ascending row index, so results are deterministic.
 
-    Args:
-        embeddings: the space to search.
-        query: query product code.
-        k: how many neighbors to return (fewer if the space is small).
-        candidates: optional restriction of the candidate codes (unknown
-            codes are ignored; the query is always excluded).
-        relation_kind: label recorded on the result.
-
-    Raises:
-        UnknownProductError: if the query is not embedded.
-        InvalidParameterError: if k < 1.
-    """
-    if k < 1:
-        raise InvalidParameterError(f"k must be >= 1, got {k}")
-    index = embeddings.index_map()
-    qidx = index.get(query)
-    if qidx is None:
-        raise UnknownProductError(query, _nearest_by_prefix(query, embeddings.codes))
-    if candidates is None:
-        cand = np.arange(len(embeddings.codes))
-        cand = cand[cand != qidx]
-    else:
-        keep = sorted({index[c] for c in candidates if c in index} - {qidx})
-        cand = np.asarray(keep, dtype=np.int64)
-    if cand.size == 0:
-        return NeighborList(query, [], relation_kind)
-    vectors = embeddings.vectors
-    norms = np.linalg.norm(vectors, axis=1)
-    qvec = vectors[qidx]
-    qnorm = norms[qidx]
-    if qnorm == 0.0 or (norms[cand] == 0.0).any():
-        raise InvalidParameterError("cosine similarity of a zero vector is undefined")
-    sims = (vectors[cand] @ qvec) / (norms[cand] * qnorm)
-    np.clip(sims, -1.0, 1.0, out=sims)
-    # Sort by similarity descending, then row index ascending.
-    order = np.lexsort((cand, -sims))[: min(k, cand.size)]
-    return NeighborList(
-        query,
-        [(embeddings.codes[int(cand[i])], float(sims[i])) for i in order],
-        relation_kind,
-    )
+def _recommend(space, queries, k, candidates, relation_kind):
+    if isinstance(queries, str):
+        return top_k_neighbors(space, queries, k, candidates, relation_kind)
+    return top_k_batch(space, queries, k, candidates, relation_kind)
 
 
 def recommend_substitutes(
     substitute_space: EmbeddingMatrix,
-    query: str,
+    queries: str | Sequence[str],
     k: int = 2,
     candidates: Iterable[str] | None = None,
     expected_iterations: int = SUBSTITUTE_ITERATIONS,
-) -> NeighborList:
+):
     """Top-k substitute candidates from the shared-context space.
 
-    Warns (without failing) if the space's recorded iteration count is
-    below ``expected_iterations``.
+    ``queries`` is one code, giving one NeighborList, or a sequence of
+    codes, giving a list of them in query order. Warns (without failing)
+    once per call if the space's recorded iteration count is below
+    ``expected_iterations``.
     """
     done = substitute_space.iterations
     if done is not None and done < expected_iterations:
@@ -138,20 +209,22 @@ def recommend_substitutes(
             ConfigurationMismatchWarning,
             stacklevel=2,
         )
-    return top_k_neighbors(substitute_space, query, k, candidates, "substitute")
+    return _recommend(substitute_space, queries, k, candidates, "substitute")
 
 
 def recommend_complements(
     complement_space: EmbeddingMatrix,
-    query: str,
+    queries: str | Sequence[str],
     k: int = 2,
     candidates: Iterable[str] | None = None,
     expected_iterations: int = COMPLEMENT_ITERATIONS,
-) -> NeighborList:
+):
     """Top-k complement candidates from the direct co-purchase space.
 
-    Warns (without failing) if the space's recorded iteration count does
-    not equal ``expected_iterations``.
+    ``queries`` is one code or a sequence of codes, as for
+    :func:`recommend_substitutes`. Warns (without failing) once per call if
+    the space's recorded iteration count does not equal
+    ``expected_iterations``.
     """
     done = complement_space.iterations
     if done is not None and done != expected_iterations:
@@ -161,7 +234,7 @@ def recommend_complements(
             ConfigurationMismatchWarning,
             stacklevel=2,
         )
-    return top_k_neighbors(complement_space, query, k, candidates, "complement")
+    return _recommend(complement_space, queries, k, candidates, "complement")
 
 
 def random_recommender(
@@ -169,21 +242,27 @@ def random_recommender(
 ) -> NeighborList:
     """Baseline: k distinct products sampled uniformly, excluding the query.
 
-    Deterministic per (seed, query); similarities are reported as 0.
+    ``vocabulary`` holds distinct codes. Deterministic per (seed, query);
+    similarities are reported as 0.
     """
-    others = [c for c in vocabulary if c != query]
+    n = len(vocabulary)
+    try:
+        skip = vocabulary.index(query)
+    except ValueError:
+        skip = n
+    pool = n - (skip < n)
     if k < 1:
         raise InvalidParameterError(f"k must be >= 1, got {k}")
-    if k > len(others):
-        raise InvalidParameterError(
-            f"k={k} exceeds the {len(others)} available products"
-        )
+    if k > pool:
+        raise InvalidParameterError(f"k={k} exceeds the {pool} available products")
     digest = hashlib.blake2b(
         f"{seed}\x1erandom\x1e{query}".encode("utf-8"), digest_size=16
     ).digest()
     gen = np.random.Generator(np.random.Philox(key=int.from_bytes(digest, "little")))
-    picks = gen.choice(len(others), size=k, replace=False)
-    return NeighborList(query, [(others[int(i)], 0.0) for i in picks], "random")
+    # Pick among the other products by position, stepping over the query.
+    picks = gen.choice(pool, size=k, replace=False)
+    picks += picks >= skip
+    return NeighborList(query, [(vocabulary[int(i)], 0.0) for i in picks], "random")
 
 
 def write_neighbors(lists: Iterable[NeighborList], stream: TextIO) -> None:

@@ -4,6 +4,7 @@ import json
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from basketspace.cli import main
@@ -145,6 +146,64 @@ class TestNeighbors:
     def test_requires_query_or_all(self, embedding_file):
         with pytest.raises(SystemExit):
             main(["neighbors", "--input", str(embedding_file)])
+
+
+def write_rows(path, codes, vectors):
+    """An embedding file at full double precision, so last-bit differences
+    between similarity paths can reach the printed digits."""
+    lines = [f"{len(codes)} {vectors.shape[1]}"]
+    lines += [c + " " + " ".join(repr(float(x)) for x in row) for c, row in zip(codes, vectors)]
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return path
+
+
+class TestNeighborsKernel:
+    """One blocked kernel serves --query and --all; the file is large enough
+    (n=600) for three row blocks."""
+
+    @pytest.fixture
+    def wide_embedding(self, tmp_path):
+        rng = np.random.default_rng(600)
+        codes = [f"p{i:03d}" for i in range(600)]
+        return codes, write_rows(tmp_path / "wide.emb", codes, rng.normal(size=(600, 64)))
+
+    @pytest.mark.parametrize("with_candidates", [False, True])
+    def test_query_lines_equal_all_lines(self, wide_embedding, tmp_path, capsys, with_candidates):
+        codes, path = wide_embedding
+        extra = []
+        if with_candidates:
+            pool = tmp_path / "pool.txt"
+            pool.write_text(" ".join(codes[1::4]) + "\n", encoding="utf-8")
+            extra = ["--candidates", str(pool)]
+        base = ["neighbors", "--input", str(path), "--k", "4", *extra]
+        assert main([*base, "--all"]) == 0
+        by_query = {}
+        for line in capsys.readouterr().out.splitlines(keepends=True):
+            by_query.setdefault(line.split("\t", 1)[0], []).append(line)
+        assert len(by_query) == 600
+        for i in (0, 1, 217, 218, 219, 435, 436, 598, 599):
+            assert main([*base, "--query", codes[i]]) == 0
+            assert capsys.readouterr().out == "".join(by_query[codes[i]])
+
+    def test_nan_row_and_extra_row_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "bad.emb"
+        path.write_text("3 2\np1 nan 0\np2 1 0\np3 0 1\nextra 5 5\n", encoding="utf-8")
+        assert main(["neighbors", "--input", str(path), "--query", "p2", "--k", "2"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "NaN or infinite" in captured.err
+
+    def test_inf_row_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "bad.emb"
+        path.write_text("3 2\np1 1 0\np2 inf 0\np3 0 1\n", encoding="utf-8")
+        assert main(["neighbors", "--input", str(path), "--all"]) == 2
+        assert capsys.readouterr().out == ""
+
+    def test_extra_row_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "bad.emb"
+        path.write_text("2 2\np1 1 0\np2 0 1\nextra 5 5\n", encoding="utf-8")
+        assert main(["neighbors", "--input", str(path), "--all"]) == 2
+        assert "beyond" in capsys.readouterr().err
 
 
 class TestSynth:

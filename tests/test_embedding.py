@@ -467,3 +467,16 @@ class TestEmbeddingFile:
     def test_read_rejects_non_numeric(self):
         with pytest.raises(MalformedInputError):
             read_embedding(io.StringIO("1 1\na zero\n"))
+
+    @pytest.mark.parametrize("token", ["nan", "inf", "-inf", "NaN", "infinity"])
+    def test_read_rejects_non_finite(self, token):
+        with pytest.raises(MalformedInputError, match="line 3"):
+            read_embedding(io.StringIO(f"2 2\na 0.1 0.2\nb {token} 0.2\n"))
+
+    def test_read_rejects_rows_beyond_declared_count(self):
+        with pytest.raises(MalformedInputError, match="line 3"):
+            read_embedding(io.StringIO("1 2\na 0.1 0.2\nb 0.3 0.4\n"))
+
+    def test_read_skips_trailing_blank_and_comment_lines(self):
+        back = read_embedding(io.StringIO("1 2\na 0.1 0.2\n\n# end\n"))
+        assert back.codes == ["a"]

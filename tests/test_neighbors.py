@@ -1,6 +1,7 @@
 """Cosine similarity, exact kNN, relation-specific recommenders, the random
 baseline, and the neighbor output format."""
 
+import hashlib
 import io
 import warnings
 
@@ -18,9 +19,11 @@ from basketspace import (
     random_recommender,
     recommend_complements,
     recommend_substitutes,
+    top_k_batch,
     top_k_neighbors,
     write_neighbors,
 )
+from basketspace.neighbors import BLOCK_ENTRIES
 
 
 def embedding_from(rows: dict, iterations=None) -> EmbeddingMatrix:
@@ -127,6 +130,21 @@ class TestTopK:
         # Both twins have similarity 1; the earlier row wins rank 1.
         assert result.codes() == ["twin-b", "twin-a"]
 
+    def test_cut_inside_a_tie_group_keeps_lowest_rows(self):
+        emb = embedding_from(
+            {
+                "q": [1.0, 0.0],
+                "best": [1.0, 0.0],
+                "tie_a": [4.0, 4.0],
+                "tie_b": [1.0, 1.0],
+                "tie_c": [2.0, 2.0],
+                "worst": [0.0, 1.0],
+            }
+        )
+        # Power-of-two scales keep the three cosines exactly equal.
+        result = top_k_neighbors(emb, "q", 3)
+        assert result.codes() == ["best", "tie_a", "tie_b"]
+
     def test_k_larger_than_pool_truncates(self):
         emb = embedding_from({"q": [1.0, 0.0], "a": [0.0, 1.0]})
         result = top_k_neighbors(emb, "q", 10)
@@ -186,6 +204,125 @@ class TestTopK:
         assert a.codes() == b.codes()
 
 
+def brute_force_codes(emb: EmbeddingMatrix, query: str, k: int) -> list:
+    """Rank every other row by (-cosine, row index) the slow, obvious way."""
+    qrow = emb.codes.index(query)
+    scored = [
+        (-cosine_similarity(emb.vectors[qrow], emb.vectors[j]), j)
+        for j in range(len(emb.codes))
+        if j != qrow
+    ]
+    return [emb.codes[j] for _, j in sorted(scored)[:k]]
+
+
+def block_rows(n: int) -> int:
+    return max(2, BLOCK_ENTRIES // n)
+
+
+class TestTopKBatch:
+    def test_block_partition_spans_several_blocks(self):
+        # The sizes the tests below rely on: n=600 splits into 218-row blocks.
+        assert block_rows(600) == 218
+        assert -(-600 // block_rows(600)) == 3
+
+    def test_results_follow_query_order(self):
+        rng = np.random.default_rng(3)
+        emb = EmbeddingMatrix([f"c{i}" for i in range(12)], rng.normal(size=(12, 4)))
+        batch = top_k_batch(emb, ["c7", "c0", "c7"], 3)
+        assert [nl.query for nl in batch] == ["c7", "c0", "c7"]
+        assert batch[0].neighbors == batch[2].neighbors
+        assert batch[1].neighbors == top_k_neighbors(emb, "c0", 3).neighbors
+
+    def test_empty_batch(self):
+        emb = embedding_from({"q": [1.0, 0.0], "a": [1.0, 0.1]})
+        assert top_k_batch(emb, [], 2) == []
+
+    @pytest.mark.parametrize("with_candidates", [False, True])
+    def test_single_query_equals_its_line_in_the_full_batch(self, with_candidates):
+        # Similarities must match bit for bit: a one-row product (GEMV) and a
+        # block product (GEMM) differ in the last bits for most entries.
+        rng = np.random.default_rng(21)
+        n, d = 600, 128
+        codes = [f"c{i}" for i in range(n)]
+        vectors = rng.normal(size=(n, d))
+        vectors /= np.linalg.norm(vectors, axis=1, keepdims=True)
+        emb = EmbeddingMatrix(codes, vectors)
+        pool = codes[::3] if with_candidates else None
+        full = top_k_batch(emb, codes, 5, pool)
+        step = block_rows(n)
+        picks = {0, 1, step - 1, step, step + 1, 2 * step, n - 2, n - 1}
+        picks |= {int(i) for i in rng.choice(n, 10, replace=False)}
+        for i in sorted(picks):
+            fresh = EmbeddingMatrix(codes, vectors.copy())
+            single = top_k_neighbors(fresh, codes[i], 5, pool)
+            assert single.neighbors == full[i].neighbors
+
+    def test_kth_value_inside_a_tie_group_follows_row_index(self):
+        # Small-integer rows give exact dot products, so duplicated rows tie
+        # exactly; ties straddle the k-th place in every query's ranking.
+        rng = np.random.default_rng(8)
+        n = 700
+        patterns = np.array(
+            [[1, 0, 0, 0], [1, 1, 0, 0], [0, 1, 1, 0], [1, 1, 1, 1], [0, 0, 1, 2]],
+            dtype=np.float64,
+        )
+        vectors = patterns[rng.integers(0, len(patterns), n)]
+        codes = [f"c{i}" for i in range(n)]
+        emb = EmbeddingMatrix(codes, vectors)
+        queries = [codes[i] for i in (0, 5, 217, 218, 350, 699)]
+        for k in (1, 3, 40, 150):
+            for nl in top_k_batch(emb, queries, k):
+                assert nl.codes() == brute_force_codes(emb, nl.query, k)
+                rows = [int(c[1:]) for c in nl.codes()]
+                sims = [s for _, s in nl.neighbors]
+                for (r1, s1), (r2, s2) in zip(zip(rows, sims), zip(rows[1:], sims[1:])):
+                    assert s1 > s2 or (s1 == s2 and r1 < r2)
+
+    @pytest.mark.parametrize("n", [365, 600, 1000])
+    def test_matches_brute_force_across_blocks(self, n):
+        rng = np.random.default_rng(n)
+        codes = [f"c{i}" for i in range(n)]
+        emb = EmbeddingMatrix(codes, rng.normal(size=(n, 6)))
+        step = block_rows(n)
+        assert n > step  # at least two blocks
+        rows = sorted({0, step - 1, step, n - 1} | {int(i) for i in rng.choice(n, 4)})
+        queries = [codes[i] for i in rows]
+        for k in (1, 2, 17, n // 2, n - 1, n, n + 5):
+            batch = top_k_batch(emb, queries, k)
+            for nl in batch:
+                assert nl.codes() == brute_force_codes(emb, nl.query, k)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_value_rejected(self, bad):
+        rng = np.random.default_rng(2)
+        vectors = rng.normal(size=(5, 3))
+        vectors[1, 2] = bad
+        emb = EmbeddingMatrix([f"c{i}" for i in range(5)], vectors)
+        with pytest.raises(InvalidParameterError):
+            top_k_neighbors(emb, "c0", 2)
+
+    def test_unknown_query_in_batch_rejected(self):
+        emb = embedding_from({"q": [1.0, 0.0], "a": [1.0, 0.1]})
+        with pytest.raises(UnknownProductError):
+            top_k_batch(emb, ["q", "ghost"], 1)
+
+    def test_zero_query_rejected(self):
+        emb = embedding_from({"q": [0.0, 0.0], "a": [1.0, 0.1]})
+        with pytest.raises(InvalidParameterError):
+            top_k_neighbors(emb, "q", 1)
+
+    def test_zero_candidate_rejected_only_when_ranked(self):
+        emb = embedding_from({"q": [1.0, 0.0], "z": [0.0, 0.0], "a": [1.0, 0.1]})
+        with pytest.raises(InvalidParameterError):
+            top_k_neighbors(emb, "q", 1)
+        assert top_k_neighbors(emb, "q", 1, candidates=["a"]).codes() == ["a"]
+
+    def test_row_norms_cached(self):
+        emb = embedding_from({"q": [3.0, 4.0], "a": [1.0, 0.0]})
+        assert emb.row_norms() is emb.row_norms()
+        assert emb.row_norms().tolist() == [5.0, 1.0]
+
+
 class TestRecommenders:
     def test_substitutes_use_substitute_kind(self):
         emb = embedding_from({"q": [1.0, 0.0], "a": [1.0, 0.1]}, iterations=6)
@@ -215,6 +352,21 @@ class TestRecommenders:
             result = recommend_complements(emb, "q", 1)
         assert result.relation_kind == "complement"
 
+    def test_batch_returns_lists_and_warns_once(self):
+        emb = embedding_from(
+            {"q": [1.0, 0.0], "a": [1.0, 0.1], "b": [0.0, 1.0]}, iterations=1
+        )
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            subs = recommend_substitutes(emb, ["q", "a", "b"], 1)
+        assert [w.category for w in caught] == [ConfigurationMismatchWarning]
+        assert [nl.relation_kind for nl in subs] == ["substitute"] * 3
+        assert [nl.neighbors for nl in subs] == [
+            top_k_neighbors(emb, c, 1).neighbors for c in ("q", "a", "b")
+        ]
+        comps = recommend_complements(emb, ("b", "q"), 2)
+        assert [nl.relation_kind for nl in comps] == ["complement"] * 2
+
     def test_unknown_provenance_is_quiet(self):
         # Spaces read back from files record no iteration count and must
         # not warn.
@@ -223,6 +375,17 @@ class TestRecommenders:
             warnings.simplefilter("error")
             recommend_substitutes(emb, "q", 1)
             recommend_complements(emb, "q", 1)
+
+
+def list_based_random(vocabulary, query, k, seed):
+    """The original baseline: build the list of other products, then pick."""
+    others = [c for c in vocabulary if c != query]
+    digest = hashlib.blake2b(
+        f"{seed}\x1erandom\x1e{query}".encode("utf-8"), digest_size=16
+    ).digest()
+    gen = np.random.Generator(np.random.Philox(key=int.from_bytes(digest, "little")))
+    picks = gen.choice(len(others), size=k, replace=False)
+    return [others[int(i)] for i in picks]
 
 
 class TestRandomRecommender:
@@ -253,6 +416,19 @@ class TestRandomRecommender:
     def test_k_too_large_rejected(self):
         with pytest.raises(InvalidParameterError):
             random_recommender(["a", "b"], "a", 2, seed=0)
+
+    def test_absent_query_samples_from_all_products(self):
+        assert sorted(random_recommender(["a", "b"], "z", 2, seed=0).codes()) == ["a", "b"]
+        with pytest.raises(InvalidParameterError):
+            random_recommender(["a", "b"], "z", 3, seed=0)
+
+    def test_picks_match_list_based_version(self):
+        vocab = [f"c{i}" for i in range(40)]
+        for seed in (0, 1, 7, 123, 2**31):
+            for query in ("c0", "c1", "c17", "c38", "c39", "absent"):
+                for k in (1, 2, 5, 39):
+                    got = random_recommender(vocab, query, k, seed).codes()
+                    assert got == list_based_random(vocab, query, k, seed)
 
     def test_uniform_over_hundred_products(self):
         # 1e5 draws over a 100-product pool; the fixed seed enumeration
