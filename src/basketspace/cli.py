@@ -122,7 +122,6 @@ def cmd_eval(args: argparse.Namespace) -> int:
         baskets, vocab = parse_baskets(stream)
     with open(truth_path, encoding="utf-8") as stream:
         membership = read_truth(stream)
-    code_baskets = [[vocab.code(i) for i in basket] for basket in baskets]
     config = BenchmarkConfig(
         dimension=args.dim,
         substitute_iterations=args.iterations,
@@ -132,7 +131,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
         threads=args.threads,
     )
     started = time.monotonic()
-    report = benchmark_baskets(code_baskets, membership, config)
+    report = benchmark_baskets(baskets, membership, config, vocabulary=vocab)
     elapsed = time.monotonic() - started
     _progress(f"benchmark finished in {elapsed:.2f}s over {report.n_queries} queries")
     if args.output:

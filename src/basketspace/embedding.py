@@ -6,13 +6,14 @@ The training loop:
 2. Per chunk, build the row-stochastic transition matrix
    m(a, b) = e_ab / deg_q(a), where deg_q is the weighted degree counted
    within the chunk only.
-3. Initialize one row per node from U(-1, 1), keyed by (seed, product
-   code) so the result is independent of node order, chunking, and
-   thread count; rows are L2-normalized at initialization.
-4. Iterate I times: multiply by the transition matrix, then L2-normalize
-   each row.
-5. Merge chunks per node with weights w(q, v) = deg_q(v) / deg(v) and
-   L2-normalize the merged rows.
+3. Initialize one row per non-isolated node from U(-1, 1), keyed by
+   (seed, product code) so the result is independent of node order,
+   chunking, and thread count; rows are L2-normalized at initialization.
+   Each chunk starts from its nodes' rows.
+4. Per chunk, iterate I times: multiply by the transition matrix, then
+   L2-normalize each row.
+5. Merge chunks per node with weights w(q, v) = deg_q(v) / deg(v), adding
+   each finished chunk into one sum, and L2-normalize the merged rows.
 
 Embeddings trained with a single iteration capture direct co-purchase
 structure (complements); more iterations (six by default) capture shared
@@ -22,6 +23,7 @@ purchase context (substitutes).
 from __future__ import annotations
 
 import hashlib
+import os
 import zlib
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -36,7 +38,7 @@ from .errors import (
     InvalidParameterError,
     MalformedInputError,
 )
-from .ingest import CooccurrenceGraph, Vocabulary, nearest_codes
+from .ingest import CooccurrenceGraph, nearest_codes
 
 # A multiply result with norm at or below this is treated as a cancelled row.
 ZERO_ROW_NORM = 1e-30
@@ -100,14 +102,6 @@ class EmbeddingMatrix:
 
 
 @dataclass
-class ChunkAssignment:
-    """Deterministic mapping of every graph edge to one of Q chunks."""
-
-    chunk_count: int
-    edge_to_chunk: dict
-
-
-@dataclass
 class TransitionMatrix:
     """Row-stochastic transition matrix for one chunk.
 
@@ -122,70 +116,55 @@ class TransitionMatrix:
     matrix: sp.csr_matrix
 
 
-@dataclass
-class ChunkWeights:
-    """Per-(node, chunk) merge weights w(q, v) = deg_q(v) / deg(v).
+def partition_chunks(graph: CooccurrenceGraph, chunk_count: int) -> np.ndarray:
+    """Chunk id of every edge, aligned with the graph's edge arrays.
 
-    ``weights`` is a (|vocabulary|, Q) array; rows of isolated products are
-    all zero, all other rows sum to 1.
-    """
-
-    weights: np.ndarray
-
-
-def partition_chunks(graph: CooccurrenceGraph, chunk_count: int) -> ChunkAssignment:
-    """Assign every edge to a chunk by a stable hash of its code pair.
-
-    The hash key uses external codes (not indices), so the assignment does
-    not depend on vocabulary insertion order.
+    An edge's chunk is ``crc32(code_lo + "\\x1e" + code_hi) % chunk_count``
+    over its two UTF-8 codes in sorted order, so the assignment does not
+    depend on vocabulary insertion order.
     """
     if chunk_count < 1:
         raise InvalidParameterError(f"chunk count must be >= 1, got {chunk_count}")
-    vocab = graph.vocabulary
-    edge_to_chunk = {}
-    for a, b in graph.edge_weights:
-        ca, cb = sorted((vocab.code(a), vocab.code(b)))
-        key = ca.encode("utf-8") + b"\x1e" + cb.encode("utf-8")
-        edge_to_chunk[(a, b)] = zlib.crc32(key) % chunk_count
-    return ChunkAssignment(chunk_count, edge_to_chunk)
+    if chunk_count == 1:
+        return np.zeros(graph.edge_count, dtype=np.int64)
+    codes = graph.vocabulary.codes
+    rank = np.empty(len(codes), dtype=np.int64)
+    rank[sorted(range(len(codes)), key=codes.__getitem__)] = np.arange(len(codes))
+    swap = rank[graph.a] > rank[graph.b]
+    lo = np.where(swap, graph.b, graph.a).tolist()
+    hi = np.where(swap, graph.a, graph.b).tolist()
+    encoded = [code.encode("utf-8") for code in codes]
+    # crc32 continues from a running value, so each code's prefix is hashed once.
+    head = [zlib.crc32(e + b"\x1e") for e in encoded]
+    crcs = [zlib.crc32(encoded[y], head[x]) for x, y in zip(lo, hi)]
+    return np.array(crcs, dtype=np.int64) % chunk_count
 
 
 def build_transition(
-    graph: CooccurrenceGraph, assignment: ChunkAssignment, chunk_index: int
+    graph: CooccurrenceGraph, chunk_ids: np.ndarray, chunk_index: int
 ) -> TransitionMatrix:
-    """Build chunk ``chunk_index``'s transition matrix.
+    """Build chunk ``chunk_index``'s transition matrix from the edges
+    whose entry in ``chunk_ids`` (see :func:`partition_chunks`) equals it.
 
     Rows are normalized by the chunk-local weighted degree, so every row
     over the chunk's node set sums to 1.
     """
-    if not 0 <= chunk_index < assignment.chunk_count:
-        raise InvalidParameterError(
-            f"chunk index {chunk_index} outside [0, {assignment.chunk_count})"
-        )
-    edges = [
-        (a, b, graph.edge_weights[(a, b)])
-        for (a, b), q in assignment.edge_to_chunk.items()
-        if q == chunk_index
-    ]
-    if not edges:
+    mask = chunk_ids == chunk_index
+    if not mask.any():
         raise InvalidParameterError(f"chunk {chunk_index} has no edges")
-    nodes = np.unique([v for a, b, _ in edges for v in (a, b)])
-    local = {int(v): i for i, v in enumerate(nodes)}
+    w = graph.w[mask]
+    nodes = np.unique(np.concatenate([graph.a[mask], graph.b[mask]]))
+    ia = np.searchsorted(nodes, graph.a[mask])
+    ib = np.searchsorted(nodes, graph.b[mask])
     n = len(nodes)
-    deg = np.zeros(n, dtype=np.int64)
-    for a, b, w in edges:
-        deg[local[a]] += w
-        deg[local[b]] += w
-    rows = np.empty(2 * len(edges), dtype=np.int64)
-    cols = np.empty(2 * len(edges), dtype=np.int64)
-    vals = np.empty(2 * len(edges), dtype=np.float64)
-    for i, (a, b, w) in enumerate(edges):
-        ia, ib = local[a], local[b]
-        rows[2 * i], cols[2 * i], vals[2 * i] = ia, ib, w / deg[ia]
-        rows[2 * i + 1], cols[2 * i + 1], vals[2 * i + 1] = ib, ia, w / deg[ib]
-    matrix = sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
-    matrix.sum_duplicates()
-    matrix.sort_indices()
+    deg = np.bincount(ia, weights=w, minlength=n) + np.bincount(ib, weights=w, minlength=n)
+    matrix = sp.csr_matrix(
+        (
+            np.concatenate([w / deg[ia], w / deg[ib]]),
+            (np.concatenate([ia, ib]), np.concatenate([ib, ia])),
+        ),
+        shape=(n, n),
+    )
     return TransitionMatrix(chunk_index, nodes, matrix)
 
 
@@ -230,12 +209,14 @@ def normalize_rows(a: np.ndarray) -> np.ndarray:
 
 
 def _matmul_rows(matrix: sp.csr_matrix, vectors: np.ndarray, threads: int) -> np.ndarray:
-    """matrix @ vectors, optionally split across row blocks.
+    """matrix @ vectors, optionally split across row blocks, using at most
+    ``os.cpu_count()`` threads.
 
     Each row is accumulated over its stored neighbors in a fixed order, so
     the result is identical for every thread count.
     """
     n = matrix.shape[0]
+    threads = min(threads, os.cpu_count() or 1)
     if threads <= 1 or n < 2 * threads:
         return matrix @ vectors
     out = np.empty((n, vectors.shape[1]), dtype=np.float64)
@@ -285,70 +266,18 @@ def iterate(
 
 
 def compute_chunk_weights(
-    graph: CooccurrenceGraph, assignment: ChunkAssignment
-) -> ChunkWeights:
-    """Merge weights per node: chunk-local degree over total degree."""
-    W = np.zeros((len(graph.vocabulary), assignment.chunk_count), dtype=np.float64)
-    for (a, b), q in assignment.edge_to_chunk.items():
-        w = graph.edge_weights[(a, b)]
-        W[a, q] += w
-        W[b, q] += w
+    graph: CooccurrenceGraph, chunk_ids: np.ndarray, chunk_count: int
+) -> np.ndarray:
+    """Merge weights w(q, v) = deg_q(v) / deg(v) as a (|vocabulary|, Q)
+    array: chunk-local degree over total degree. Rows of isolated products
+    are all zero, all other rows sum to 1."""
+    size = len(graph.vocabulary) * chunk_count
+    W = np.bincount(graph.a * chunk_count + chunk_ids, weights=graph.w, minlength=size)
+    W += np.bincount(graph.b * chunk_count + chunk_ids, weights=graph.w, minlength=size)
+    W = W.reshape(-1, chunk_count)
     covered = graph.degrees > 0
     W[covered] /= graph.degrees[covered, None].astype(np.float64)
-    return ChunkWeights(W)
-
-
-def merge_chunks(
-    chunk_embeddings: dict,
-    weights: ChunkWeights,
-    vocabulary: Vocabulary,
-) -> EmbeddingMatrix:
-    """Merge per-chunk embeddings into one matrix over the union node set.
-
-    Args:
-        chunk_embeddings: chunk index -> that chunk's final EmbeddingMatrix.
-        weights: merge weights over (vocabulary index, chunk index).
-        vocabulary: resolves codes to vocabulary indices.
-
-    Each node's row is the weighted sum of its rows across the chunks that
-    contain it, L2-normalized. Output rows follow vocabulary order.
-    """
-    if not chunk_embeddings:
-        raise InternalConsistencyError("no chunk embeddings to merge")
-    member: dict[int, list] = {}
-    d = None
-    iterations = None
-    seed = None
-    replaced = 0
-    for q, emb in chunk_embeddings.items():
-        d = emb.dimension if d is None else d
-        if emb.dimension != d:
-            raise InternalConsistencyError("chunk embeddings disagree on dimension")
-        iterations = emb.iterations if iterations is None else iterations
-        seed = emb.seed if seed is None else seed
-        replaced += emb.zero_rows_replaced
-        for row, code in enumerate(emb.codes):
-            member.setdefault(vocabulary.index_of(code), []).append((q, emb, row))
-    out_nodes = sorted(member)
-    vectors = np.zeros((len(out_nodes), d), dtype=np.float64)
-    for pos, v in enumerate(out_nodes):
-        total = 0.0
-        for q, emb, row in member[v]:
-            w = weights.weights[v, q]
-            vectors[pos] += w * emb.vectors[row]
-            total += w
-        if total <= 0.0:
-            raise InternalConsistencyError(
-                f"node {vocabulary.code(v)!r} has zero total chunk weight"
-            )
-    norms = np.linalg.norm(vectors, axis=1)
-    if (norms <= ZERO_ROW_NORM).any():
-        raise InternalConsistencyError("merged row cancelled to zero")
-    vectors /= norms[:, None]
-    codes = [vocabulary.code(v) for v in out_nodes]
-    return EmbeddingMatrix(
-        codes, vectors, iterations=iterations, seed=seed, zero_rows_replaced=replaced
-    )
+    return W
 
 
 def train(
@@ -361,37 +290,61 @@ def train(
 ) -> EmbeddingMatrix:
     """Train an embedding: partition, per-chunk iteration, weighted merge.
 
+    Every non-isolated product gets one initial row. Each chunk iterates
+    its nodes' rows, then adds them, scaled by w(q, v), into one
+    (nodes x d) sum in ascending chunk order, and is dropped. Merged rows
+    are L2-normalized and follow vocabulary order.
+
     Deterministic for fixed (graph, d, iterations, chunks, seed) at every
-    thread count. Isolated products are absent from the output.
+    thread count; ``threads`` above ``os.cpu_count()`` is clamped to it.
+    Isolated products are absent from the output.
 
     Raises:
-        InvalidParameterError: on non-positive d, iterations, or chunks.
+        InvalidParameterError: on non-positive d, iterations, chunks or
+            threads.
         EmptyGraphError: if the graph has no edges.
+        InternalConsistencyError: if a node's chunk weights sum to zero,
+            a merged row cancels to zero, or a value is NaN or infinite.
     """
     if d < 1:
         raise InvalidParameterError(f"dimension must be >= 1, got {d}")
     if iterations < 1:
         raise InvalidParameterError(f"iteration count must be >= 1, got {iterations}")
+    if threads < 1:
+        raise InvalidParameterError(f"thread count must be >= 1, got {threads}")
     if graph.edge_count == 0:
         raise EmptyGraphError("the co-occurrence graph has no edges")
-    assignment = partition_chunks(graph, chunks)
-    vocab = graph.vocabulary
-    present = {q for q in assignment.edge_to_chunk.values()}
-    chunk_embeddings = {}
-    for q in sorted(present):
-        M = build_transition(graph, assignment, q)
-        codes_q = [vocab.code(int(v)) for v in M.nodes]
-        T = init_embedding(codes_q, d, seed)
+    chunk_ids = partition_chunks(graph, chunks)
+    weights = compute_chunk_weights(graph, chunk_ids, chunks)
+    nodes = np.flatnonzero(graph.degrees > 0)
+    vocab_codes = graph.vocabulary.codes
+    codes = [vocab_codes[v] for v in nodes.tolist()]
+    zero = weights[nodes].sum(axis=1) <= 0.0
+    if zero.any():
+        code = codes[int(np.argmax(zero))]
+        raise InternalConsistencyError(f"node {code!r} has zero total chunk weight")
+    start = init_embedding(codes, d, seed).vectors
+    merged = np.zeros_like(start)
+    replaced = 0
+    for q in np.unique(chunk_ids).tolist():
+        M = build_transition(graph, chunk_ids, q)
+        pos = np.searchsorted(nodes, M.nodes)
+        T = EmbeddingMatrix(
+            [codes[i] for i in pos.tolist()], start[pos], iterations=0, seed=seed
+        )
         for _ in range(iterations):
             T = iterate(T, M, threads=threads)
-        chunk_embeddings[q] = T
-    weights = compute_chunk_weights(graph, assignment)
-    merged = merge_chunks(chunk_embeddings, weights, vocab)
-    if not np.isfinite(merged.vectors).all():
+        merged[pos] += weights[M.nodes, q][:, None] * T.vectors
+        replaced += T.zero_rows_replaced
+    norms = np.linalg.norm(merged, axis=1)
+    if (norms <= ZERO_ROW_NORM).any():
+        raise InternalConsistencyError("merged row cancelled to zero")
+    merged /= norms[:, None]
+    if not np.isfinite(merged).all():
         raise InternalConsistencyError("embedding contains NaN or Inf entries")
-    merged.iterations = iterations
-    merged.seed = seed
-    return merged
+    return EmbeddingMatrix(
+        codes, merged, iterations=iterations, seed=seed, zero_rows_replaced=replaced
+    )
 
 
 def dense_reference_train(
@@ -419,7 +372,7 @@ def dense_reference_train(
     local = {v: i for i, v in enumerate(nodes)}
     n = len(nodes)
     M = np.zeros((n, n), dtype=np.float64)
-    for (a, b), w in graph.edge_weights.items():
+    for a, b, w in zip(graph.a.tolist(), graph.b.tolist(), graph.w.tolist()):
         M[local[a], local[b]] = w
         M[local[b], local[a]] = w
     M /= M.sum(axis=1, keepdims=True)
@@ -447,8 +400,10 @@ def write_embedding(emb: EmbeddingMatrix, stream: TextIO) -> None:
     """
     n, d = emb.vectors.shape
     stream.write(f"{n} {d}\n")
+    # '%.9g' % x equals format(x, ".9g"); one row is converted at a time.
+    line = "%s" + " %.9g" * d + "\n"
     for code, row in zip(emb.codes, emb.vectors):
-        stream.write(code + " " + " ".join(format(x, ".9g") for x in row) + "\n")
+        stream.write(line % (code, *row.tolist()))
 
 
 def read_embedding(stream: TextIO) -> EmbeddingMatrix:

@@ -466,17 +466,22 @@ def benchmark_baskets(
     membership: dict,
     config: BenchmarkConfig,
     market_info: dict | None = None,
+    vocabulary: Vocabulary | None = None,
 ) -> EvalReport:
     """Benchmark arbitrary baskets against a code -> (theme, group) truth map.
+
+    Args:
+        baskets: product-code lists, or, when ``vocabulary`` is given,
+            baskets of its indices as :func:`parse_baskets` returns them.
 
     Raises:
         DataInconsistencyError: if a basket references a code missing from
             ``membership``.
     """
-    vocab = Vocabulary()
-    indexed = []
-    for basket in baskets:
-        indexed.append(tuple(sorted(vocab.intern(code) for code in basket)))
+    vocab = vocabulary
+    if vocab is None:
+        vocab = Vocabulary()
+        baskets = [[vocab.intern(code) for code in basket] for basket in baskets]
     missing = sorted(c for c in vocab if c not in membership)
     if missing:
         shown = ", ".join(missing[:10])
@@ -484,7 +489,7 @@ def benchmark_baskets(
         raise DataInconsistencyError(
             f"basket products missing from the truth file: {shown}{more}"
         )
-    graph = expand_hyperedges(indexed, vocab)
+    graph = expand_hyperedges(baskets, vocab)
     sub_space = train(
         graph,
         d=config.dimension,

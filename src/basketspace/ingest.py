@@ -13,9 +13,8 @@ self-loops never occur.
 
 from __future__ import annotations
 
-import itertools
 from collections import defaultdict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from os.path import commonprefix
 from typing import Iterable, TextIO
 
@@ -150,30 +149,27 @@ class CooccurrenceGraph:
 
     Attributes:
         vocabulary: the product vocabulary; indices address ``degrees``.
-        edge_weights: map from index pair (a, b) with a < b to a positive
-            co-occurrence count.
+        a, b: int64 endpoint indices of each edge, ``a < b``, sorted by
+            ``(a, b)``.
+        w: int64 positive co-occurrence count of each edge, aligned with
+            ``a`` and ``b``.
         degrees: weighted degree per product, deg(v) = sum of incident edge
             weights; zero for isolated products.
     """
 
     vocabulary: Vocabulary
-    edge_weights: dict = field(default_factory=dict)
-    degrees: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.int64))
-
-    def weight(self, a: int, b: int) -> int:
-        """Edge weight between two products, orientation-independent."""
-        if a == b:
-            return 0
-        key = (a, b) if a < b else (b, a)
-        return self.edge_weights.get(key, 0)
+    a: np.ndarray
+    b: np.ndarray
+    w: np.ndarray
+    degrees: np.ndarray
 
     @property
     def edge_count(self) -> int:
-        return len(self.edge_weights)
+        return len(self.w)
 
     @property
     def total_weight(self) -> int:
-        return sum(self.edge_weights.values())
+        return int(self.w.sum())
 
 
 def expand_hyperedges(baskets: Iterable[Basket], vocabulary: Vocabulary) -> CooccurrenceGraph:
@@ -183,16 +179,22 @@ def expand_hyperedges(baskets: Iterable[Basket], vocabulary: Vocabulary) -> Cooc
     products it contains (after de-duplication). Singleton baskets
     contribute nothing.
     """
-    weights: dict[tuple[int, int], int] = defaultdict(int)
+    n = len(vocabulary)
+    by_size: dict[int, list] = defaultdict(list)
     for basket in baskets:
         distinct = sorted(set(basket))
-        for a, b in itertools.combinations(distinct, 2):
-            weights[(a, b)] += 1
-    degrees = np.zeros(len(vocabulary), dtype=np.int64)
-    for (a, b), w in weights.items():
-        degrees[a] += w
-        degrees[b] += w
-    return CooccurrenceGraph(vocabulary, dict(weights), degrees)
+        if len(distinct) > 1:
+            by_size[len(distinct)].append(distinct)
+    # One array per basket size; pair (a, b) with a < b gets the key a*n + b.
+    keys = [np.zeros(0, dtype=np.int64)]
+    for size, group in by_size.items():
+        items = np.array(group, dtype=np.int64)
+        i, j = np.triu_indices(size, 1)
+        keys.append((items[:, i] * n + items[:, j]).ravel())
+    pairs, w = np.unique(np.concatenate(keys), return_counts=True)
+    a, b = np.divmod(pairs, n)
+    degrees = np.bincount(a, weights=w, minlength=n) + np.bincount(b, weights=w, minlength=n)
+    return CooccurrenceGraph(vocabulary, a, b, w, degrees.astype(np.int64))
 
 
 def isolated_products(graph: CooccurrenceGraph) -> list[int]:

@@ -38,11 +38,26 @@ def graph_from_edges(edges: dict) -> CooccurrenceGraph:
         a, b = vocab.intern(ca), vocab.intern(cb)
         key = (a, b) if a < b else (b, a)
         indexed[key] = indexed.get(key, 0) + w
+    keys = sorted(indexed)
+    a = np.array([k[0] for k in keys], dtype=np.int64)
+    b = np.array([k[1] for k in keys], dtype=np.int64)
+    w = np.array([indexed[k] for k in keys], dtype=np.int64)
     degrees = np.zeros(len(vocab), dtype=np.int64)
-    for (a, b), w in indexed.items():
-        degrees[a] += w
-        degrees[b] += w
-    return CooccurrenceGraph(vocab, indexed, degrees)
+    np.add.at(degrees, a, w)
+    np.add.at(degrees, b, w)
+    return CooccurrenceGraph(vocab, a, b, w, degrees)
+
+
+def edge_weights(graph: CooccurrenceGraph) -> dict:
+    """The graph's edges as {(a, b): weight} with a < b."""
+    return dict(zip(zip(graph.a.tolist(), graph.b.tolist()), graph.w.tolist()))
+
+
+def edge_weight(graph: CooccurrenceGraph, a: int, b: int) -> int:
+    """Edge weight between two products, orientation-independent."""
+    if a == b:
+        return 0
+    return edge_weights(graph).get((min(a, b), max(a, b)), 0)
 
 
 def random_graph(rng: np.random.Generator, max_nodes: int = 50, max_edges: int = 200) -> CooccurrenceGraph:

@@ -93,12 +93,12 @@ def test_criterion_2_algorithm_invariants():
     all_finite = True
     for g in graphs:
         for q in (1, 2, 4):
-            assignment = partition_chunks(g, q)
-            for chunk in sorted(set(assignment.edge_to_chunk.values())):
-                M = build_transition(g, assignment, chunk)
+            chunk_ids = partition_chunks(g, q)
+            for chunk in sorted(set(chunk_ids.tolist())):
+                M = build_transition(g, chunk_ids, chunk)
                 sums = np.asarray(M.matrix.sum(axis=1)).ravel()
                 worst_row = max(worst_row, float(np.abs(sums - 1.0).max()))
-            W = compute_chunk_weights(g, assignment).weights
+            W = compute_chunk_weights(g, chunk_ids, q)
             covered = g.degrees > 0
             worst_weight = max(
                 worst_weight, float(np.abs(W[covered].sum(axis=1) - 1.0).max())

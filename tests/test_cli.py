@@ -1,14 +1,30 @@
 """Command-line interface: subcommands, file outputs, and exit codes."""
 
+import hashlib
 import json
+import os
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
+from basketspace import (
+    BenchmarkConfig,
+    benchmark_baskets,
+    generate_synthetic_market,
+    read_truth,
+)
 from basketspace.cli import main
 from conftest import DEMO_TEXT
+
+# SHA-256 of `embed --dim 16 --iterations 6 --seed 2 --chunks Q` on the
+# planted market of test_output_bytes_are_pinned, as written by the
+# dict-of-tuples implementation that the array-native graph replaced.
+PINNED_EMBED_SHA256 = {
+    1: "c50ea1b398235a1758ec813581cb52af148821fd39e23ef5bb5e90ebea066acc",
+    3: "89d2552ea85e71f861eef60a6231509e41ffd82569557aad1c16d77d51513b87",
+}
 
 
 @pytest.fixture
@@ -46,6 +62,40 @@ class TestEmbed:
     def test_thread_count_does_not_change_bytes(self, tmp_path, demo_file):
         a = run_embed(tmp_path, demo_file, "t1.txt", ["--threads", "1"])
         b = run_embed(tmp_path, demo_file, "t8.txt", ["--threads", "8"])
+        assert a.read_bytes() == b.read_bytes()
+
+    @pytest.mark.parametrize("chunks", [1, 3])
+    def test_output_bytes_are_pinned(self, tmp_path, chunks):
+        market = generate_synthetic_market(
+            themes=4, groups_per_theme=3, group_size=5, baskets=1500, seed=11
+        )
+        baskets = tmp_path / "pin.txt"
+        with open(baskets, "w", encoding="utf-8") as fh:
+            market.write_baskets(fh)
+        out = tmp_path / "pin.emb"
+        code = main(
+            ["embed", "--input", str(baskets), "--output", str(out), "--dim", "16",
+             "--iterations", "6", "--chunks", str(chunks), "--seed", "2"]
+        )
+        assert code == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == PINNED_EMBED_SHA256[chunks]
+
+    @pytest.mark.parametrize("command", ["embed", "eval"])
+    def test_threads_below_one_exit_2(self, tmp_path, demo_file, capsys, command):
+        truth = tmp_path / "truth.txt"
+        truth.write_text("".join(f"p{i} 0 {i % 2}\n" for i in range(1, 7)), encoding="utf-8")
+        extra = {"embed": ["--output", str(tmp_path / "o.txt")], "eval": ["--truth", str(truth)]}
+        code = main(
+            [command, "--input", str(demo_file), "--dim", "4", "--threads", "0"]
+            + extra[command]
+        )
+        assert code == 2
+        assert "thread count must be >= 1" in capsys.readouterr().err
+
+    def test_threads_above_cpu_count_are_clamped(self, tmp_path, demo_file, monkeypatch):
+        a = run_embed(tmp_path, demo_file, "t1.txt", ["--threads", "1"])
+        monkeypatch.setattr(os, "cpu_count", lambda: 1)
+        b = run_embed(tmp_path, demo_file, "t3.txt", ["--threads", "3"])
         assert a.read_bytes() == b.read_bytes()
 
     def test_missing_input_exits_2(self, tmp_path, capsys):
@@ -322,7 +372,25 @@ class TestEval:
         code = main(["eval", "--input", str(market_files), "--dim", "16"])
         assert code == 4
         err = capsys.readouterr().err
+        assert "missing from the truth file" in err
         assert lines[0].split()[0] in err
+
+    def test_report_equals_library_run_on_code_baskets(self, market_files, tmp_path):
+        # The CLI hands parsed index baskets and their vocabulary through;
+        # the library interns code baskets itself. The reports must agree.
+        out = tmp_path / "report.json"
+        code = main(
+            ["eval", "--input", str(market_files), "--output", str(out), "--dim", "16",
+             "--chunks", "2", "--seed", "3"]
+        )
+        assert code == 0
+        baskets = [line.split() for line in market_files.read_text(encoding="utf-8").splitlines()]
+        with open(market_files.parent / "market.txt.truth", encoding="utf-8") as fh:
+            membership = read_truth(fh)
+        report = benchmark_baskets(
+            baskets, membership, BenchmarkConfig(dimension=16, chunks=2, seed=3)
+        )
+        assert out.read_text(encoding="utf-8") == report.to_json() + "\n"
 
     def test_explicit_truth_flag(self, market_files, tmp_path):
         moved = tmp_path / "labels.txt"

@@ -1,8 +1,10 @@
 """Chunk partitioning, transition matrices, iteration, merging, training,
 the dense reference path, and the embedding file format."""
 
+import hashlib
 import io
 import re
+import zlib
 
 import numpy as np
 import pytest
@@ -18,55 +20,72 @@ from basketspace import (
     dense_reference_train,
     init_embedding,
     iterate,
-    merge_chunks,
     normalize_rows,
     partition_chunks,
     read_embedding,
     train,
     write_embedding,
 )
-from basketspace.embedding import ChunkWeights
-from conftest import graph_from_edges, graph_from_text, random_graph
+from basketspace import embedding
+from conftest import edge_weights, graph_from_edges, graph_from_text, random_graph
 
 
 def unit_rows(vectors: np.ndarray, atol: float = 1e-9) -> bool:
     return bool(np.allclose(np.linalg.norm(vectors, axis=1), 1.0, atol=atol))
 
 
+def chunk_map(graph, chunk_ids) -> dict:
+    """{(code, code) sorted: chunk id} from the aligned edge arrays."""
+    codes = graph.vocabulary.codes
+    return {
+        tuple(sorted((codes[a], codes[b]))): q
+        for (a, b), q in zip(edge_weights(graph), chunk_ids.tolist())
+    }
+
+
 class TestPartition:
     def test_single_chunk_takes_everything(self, demo_graph):
-        assignment = partition_chunks(demo_graph, 1)
-        assert set(assignment.edge_to_chunk.values()) == {0}
-        assert set(assignment.edge_to_chunk) == set(demo_graph.edge_weights)
+        chunk_ids = partition_chunks(demo_graph, 1)
+        assert set(chunk_ids.tolist()) == {0}
+        assert len(chunk_ids) == demo_graph.edge_count == len(edge_weights(demo_graph))
 
     def test_chunk_ids_in_range(self, demo_graph):
         for q in (2, 3, 7):
-            assignment = partition_chunks(demo_graph, q)
-            assert all(0 <= c < q for c in assignment.edge_to_chunk.values())
+            chunk_ids = partition_chunks(demo_graph, q)
+            assert len(chunk_ids) == demo_graph.edge_count
+            assert all(0 <= c < q for c in chunk_ids.tolist())
 
     def test_zero_chunks_rejected(self, demo_graph):
         with pytest.raises(InvalidParameterError):
             partition_chunks(demo_graph, 0)
 
     def test_assignment_is_deterministic(self, demo_graph):
-        a1 = partition_chunks(demo_graph, 4).edge_to_chunk
-        a2 = partition_chunks(demo_graph, 4).edge_to_chunk
-        assert a1 == a2
+        a1 = partition_chunks(demo_graph, 4)
+        a2 = partition_chunks(demo_graph, 4)
+        assert np.array_equal(a1, a2)
 
     def test_assignment_keyed_by_codes_not_insertion_order(self):
         # The same labeled graph parsed in two different line orders must
         # put each code pair in the same chunk.
         g1 = graph_from_text("a b\nc d\ne f\n")
         g2 = graph_from_text("e f\nc d\na b\n")
-        by_codes_1 = {
-            tuple(sorted((g1.vocabulary.code(a), g1.vocabulary.code(b)))): q
-            for (a, b), q in partition_chunks(g1, 4).edge_to_chunk.items()
-        }
-        by_codes_2 = {
-            tuple(sorted((g2.vocabulary.code(a), g2.vocabulary.code(b)))): q
-            for (a, b), q in partition_chunks(g2, 4).edge_to_chunk.items()
-        }
+        by_codes_1 = chunk_map(g1, partition_chunks(g1, 4))
+        by_codes_2 = chunk_map(g2, partition_chunks(g2, 4))
         assert by_codes_1 == by_codes_2
+
+    def test_ids_equal_crc32_of_sorted_code_pair(self):
+        # Codes whose string order differs from their first-appearance
+        # order, including non-ASCII ones.
+        rng = np.random.default_rng(17)
+        pool = ["zeta", "alpha", "b", "B", "café", "cafe", "é", "a1", "a10", "a2", "ß", "x"]
+        lines = [" ".join(rng.choice(pool, int(rng.integers(2, 6)))) for _ in range(40)]
+        g = graph_from_text("\n".join(lines) + "\n")
+        for q in (1, 2, 3, 7, 64):
+            expected = {}
+            for ca, cb in chunk_map(g, partition_chunks(g, 1)):
+                key = ca.encode("utf-8") + b"\x1e" + cb.encode("utf-8")
+                expected[(ca, cb)] = zlib.crc32(key) % q
+            assert chunk_map(g, partition_chunks(g, q)) == expected
 
 
 class TestTransition:
@@ -114,15 +133,12 @@ class TestTransition:
         g = graph_from_text("a b\nb c\n")
         q_ab = None
         for q in range(2, 40):
-            assignment = partition_chunks(g, q)
-            chunks = set(assignment.edge_to_chunk.values())
-            if len(chunks) == 2:
-                vocab = g.vocabulary
-                ab = tuple(sorted((vocab.index_of("a"), vocab.index_of("b"))))
-                q_ab = assignment.edge_to_chunk[ab]
+            chunk_ids = partition_chunks(g, q)
+            if len(set(chunk_ids.tolist())) == 2:
+                q_ab = chunk_map(g, chunk_ids)[("a", "b")]
                 break
         assert q_ab is not None
-        M = build_transition(g, assignment, q_ab)
+        M = build_transition(g, chunk_ids, q_ab)
         # In its own chunk the a-b edge is the only one, so both rows are 1.
         assert M.matrix.shape == (2, 2)
         assert np.allclose(np.asarray(M.matrix.sum(axis=1)).ravel(), 1.0)
@@ -130,16 +146,16 @@ class TestTransition:
 
     def test_empty_chunk_rejected(self):
         g = graph_from_text("a b\n")
-        assignment = partition_chunks(g, 5)
-        used = set(assignment.edge_to_chunk.values())
+        chunk_ids = partition_chunks(g, 5)
+        used = set(chunk_ids.tolist())
         empty = next(q for q in range(5) if q not in used)
         with pytest.raises(InvalidParameterError):
-            build_transition(g, assignment, empty)
+            build_transition(g, chunk_ids, empty)
 
     def test_chunk_index_out_of_range(self, demo_graph):
-        assignment = partition_chunks(demo_graph, 2)
+        chunk_ids = partition_chunks(demo_graph, 2)
         with pytest.raises(InvalidParameterError):
-            build_transition(demo_graph, assignment, 2)
+            build_transition(demo_graph, chunk_ids, 2)
 
 
 class TestInit:
@@ -255,72 +271,125 @@ class TestIterate:
 
 class TestChunkWeights:
     def test_single_chunk_weights_are_one(self, demo_graph):
-        W = compute_chunk_weights(demo_graph, partition_chunks(demo_graph, 1)).weights
+        W = compute_chunk_weights(demo_graph, partition_chunks(demo_graph, 1), 1)
         assert np.allclose(W[:, 0], 1.0, atol=1e-15)
 
     def test_rows_sum_to_one_for_covered_nodes(self):
         rng = np.random.default_rng(41)
         for q in (1, 2, 3, 5):
             g = random_graph(rng)
-            W = compute_chunk_weights(g, partition_chunks(g, q)).weights
+            W = compute_chunk_weights(g, partition_chunks(g, q), q)
             covered = g.degrees > 0
             assert np.allclose(W[covered].sum(axis=1), 1.0, atol=1e-12)
             assert (W >= 0).all() and (W <= 1).all()
 
     def test_isolated_rows_are_zero(self):
         g = graph_from_text("a b\nlonely\n")
-        W = compute_chunk_weights(g, partition_chunks(g, 2)).weights
+        W = compute_chunk_weights(g, partition_chunks(g, 2), 2)
         row = W[g.vocabulary.index_of("lonely")]
         assert np.array_equal(row, np.zeros(2))
 
 
+def split_chunk_count(graph) -> int:
+    """The smallest Q > 1 that gives every edge its own chunk."""
+    return next(
+        q for q in range(2, 200)
+        if len(set(partition_chunks(graph, q).tolist())) == graph.edge_count
+    )
+
+
+def hand_chunks(monkeypatch, rows: dict) -> None:
+    """Make every chunk in ``train`` end on the hand-made rows
+    ``rows[tuple of its codes]`` in place of its iterations."""
+
+    def fake_iterate(T, M, threads=1):
+        return EmbeddingMatrix(T.codes, rows[tuple(T.codes)], T.iterations, T.seed)
+
+    monkeypatch.setattr(embedding, "iterate", fake_iterate)
+
+
 class TestMerge:
     def test_single_chunk_merge_is_identity_up_to_renormalize(self, demo_graph):
-        assignment = partition_chunks(demo_graph, 1)
-        M = build_transition(demo_graph, assignment, 0)
+        M = build_transition(demo_graph, partition_chunks(demo_graph, 1), 0)
         codes = [demo_graph.vocabulary.code(int(v)) for v in M.nodes]
         T = init_embedding(codes, 8, seed=0)
         for _ in range(3):
             T = iterate(T, M)
-        merged = merge_chunks({0: T}, compute_chunk_weights(demo_graph, assignment), demo_graph.vocabulary)
+        merged = train(demo_graph, d=8, iterations=3, chunks=1, seed=0)
         for code in codes:
             assert np.allclose(merged.vector(code), T.vector(code), atol=1e-12)
 
-    def test_two_chunk_hand_merge(self):
-        # Two synthetic chunk embeddings over a shared node, merged with
-        # hand-computed weights 0.25 / 0.75.
+    def test_chunks_are_summed_in_ascending_order(self):
+        # Bit for bit against an inline merge that adds each node's scaled
+        # chunk rows in ascending chunk order.
+        rng = np.random.default_rng(83)
+        for _ in range(5):
+            g = random_graph(rng, max_nodes=30, max_edges=300)
+            chunk_ids = partition_chunks(g, 5)
+            W = compute_chunk_weights(g, chunk_ids, 5)
+            sums = {}
+            for q in sorted(set(chunk_ids.tolist())):
+                M = build_transition(g, chunk_ids, q)
+                T = init_embedding([g.vocabulary.code(v) for v in M.nodes.tolist()], 32, seed=4)
+                for _ in range(3):
+                    T = iterate(T, M)
+                for v, row in zip(M.nodes.tolist(), T.vectors):
+                    sums[v] = sums.get(v, 0.0) + W[v, q] * row
+            expected = np.array([sums[v] for v in sorted(sums)])
+            expected /= np.linalg.norm(expected, axis=1)[:, None]
+            emb = train(g, d=32, iterations=3, chunks=5, seed=4)
+            assert emb.codes == [g.vocabulary.code(v) for v in sorted(sums)]
+            assert np.array_equal(emb.vectors, expected)
+
+    def test_two_chunk_hand_merge(self, monkeypatch):
+        # Two hand-made chunk embeddings over a shared node, merged by
+        # train with hand-computed weights 0.25 / 0.75.
         g = graph_from_text("a b\nc a\nc a\nc a\n")
         vocab = g.vocabulary
-        ia, ib, ic = (vocab.index_of(x) for x in "abc")
-        ab = tuple(sorted((ia, ib)))
-        ac = tuple(sorted((ia, ic)))
-        from basketspace.embedding import ChunkAssignment
-
-        assignment = ChunkAssignment(2, {ab: 0, ac: 1})
-        W = compute_chunk_weights(g, assignment).weights
-        assert W[ia, 0] == pytest.approx(0.25)
-        assert W[ia, 1] == pytest.approx(0.75)
-        e0 = EmbeddingMatrix(["a", "b"], normalize_rows(np.array([[1.0, 0.0], [0.0, 1.0]])))
-        e1 = EmbeddingMatrix(["a", "c"], normalize_rows(np.array([[0.0, 1.0], [1.0, 1.0]])))
-        merged = merge_chunks({0: e0, 1: e1}, ChunkWeights(W), vocab)
+        ia = vocab.index_of("a")
+        q = split_chunk_count(g)
+        chunk_ids = partition_chunks(g, q)
+        by_pair = chunk_map(g, chunk_ids)
+        W = compute_chunk_weights(g, chunk_ids, q)
+        assert W[ia, by_pair[("a", "b")]] == pytest.approx(0.25)
+        assert W[ia, by_pair[("a", "c")]] == pytest.approx(0.75)
+        hand_chunks(monkeypatch, {
+            ("a", "b"): normalize_rows(np.array([[1.0, 0.0], [0.0, 1.0]])),
+            ("a", "c"): normalize_rows(np.array([[0.0, 1.0], [1.0, 1.0]])),
+        })
+        merged = train(g, d=2, iterations=1, chunks=q, seed=0)
         expected_a = 0.25 * np.array([1.0, 0.0]) + 0.75 * np.array([0.0, 1.0])
         expected_a /= np.linalg.norm(expected_a)
         assert np.allclose(merged.vector("a"), expected_a, atol=1e-15)
         assert unit_rows(merged.vectors, atol=1e-12)
 
-    def test_zero_total_weight_rejected(self):
+    def test_zero_total_weight_rejected(self, monkeypatch):
         g = graph_from_text("a b\n")
-        emb = init_embedding(["a", "b"], 4, seed=0)
-        zero = ChunkWeights(np.zeros((2, 1)))
-        with pytest.raises(InternalConsistencyError):
-            merge_chunks({0: emb}, zero, g.vocabulary)
+        monkeypatch.setattr(
+            embedding,
+            "compute_chunk_weights",
+            lambda graph, chunk_ids, q: np.zeros((len(graph.vocabulary), q)),
+        )
+        with pytest.raises(InternalConsistencyError, match="zero total chunk weight"):
+            train(g, d=4, iterations=1, seed=0)
 
-    def test_dimension_mismatch_rejected(self, demo_graph):
-        e0 = init_embedding(["p1"], 4, seed=0)
-        e1 = init_embedding(["p2"], 8, seed=0)
-        W = ChunkWeights(np.ones((len(demo_graph.vocabulary), 2)))
-        with pytest.raises(InternalConsistencyError):
-            merge_chunks({0: e0, 1: e1}, W, demo_graph.vocabulary)
+    def test_cancelled_merged_row_rejected(self, monkeypatch):
+        # a's two edges carry equal weight in separate chunks; opposite
+        # chunk rows for a cancel in the merge.
+        g = graph_from_text("a b\na c\n")
+        q = split_chunk_count(g)
+        hand_chunks(monkeypatch, {
+            ("a", "b"): np.array([[1.0, 0.0], [0.0, 1.0]]),
+            ("a", "c"): np.array([[-1.0, 0.0], [0.0, 1.0]]),
+        })
+        with pytest.raises(InternalConsistencyError, match="cancelled"):
+            train(g, d=2, iterations=1, chunks=q, seed=0)
+
+    def test_non_finite_merged_row_rejected(self, monkeypatch):
+        g = graph_from_text("a b\n")
+        hand_chunks(monkeypatch, {("a", "b"): np.array([[np.nan, 0.0], [0.0, 1.0]])})
+        with pytest.raises(InternalConsistencyError, match="NaN"):
+            train(g, d=2, iterations=1, seed=0)
 
 
 class TestTrain:
@@ -392,6 +461,46 @@ class TestTrain:
         assert unit_rows(emb.vectors)
 
 
+class TestThreadBound:
+    @pytest.fixture
+    def pools(self, monkeypatch):
+        """Worker counts of the thread pools train starts."""
+        started = []
+        real = embedding.ThreadPoolExecutor
+
+        def recording(max_workers):
+            started.append(max_workers)
+            return real(max_workers=max_workers)
+
+        monkeypatch.setattr(embedding, "ThreadPoolExecutor", recording)
+        return started
+
+    def chain(self):
+        return graph_from_edges({(f"v{i}", f"v{i + 1}"): i % 3 + 1 for i in range(12)})
+
+    def test_threads_clamped_to_cpu_count(self, monkeypatch, pools):
+        g = self.chain()
+        serial = train(g, d=8, iterations=2, chunks=2, seed=1, threads=1)
+        assert pools == []
+        monkeypatch.setattr(embedding.os, "cpu_count", lambda: 2)
+        clamped = train(g, d=8, iterations=2, chunks=2, seed=1, threads=3)
+        assert pools and set(pools) == {2}
+        assert np.array_equal(serial.vectors, clamped.vectors)
+
+    @pytest.mark.parametrize("cpus", [1, None])
+    def test_one_cpu_runs_serially(self, monkeypatch, pools, cpus):
+        g = self.chain()
+        serial = train(g, d=8, iterations=2, seed=1, threads=1)
+        monkeypatch.setattr(embedding.os, "cpu_count", lambda: cpus)
+        clamped = train(g, d=8, iterations=2, seed=1, threads=3)
+        assert pools == []
+        assert np.array_equal(serial.vectors, clamped.vectors)
+
+    def test_threads_below_one_rejected(self, demo_graph):
+        with pytest.raises(InvalidParameterError, match="thread count"):
+            train(demo_graph, d=4, iterations=1, threads=0)
+
+
 class TestDenseReference:
     def test_agrees_with_train_on_demo(self, demo_graph):
         fast = train(demo_graph, d=8, iterations=6, chunks=1, seed=0)
@@ -437,6 +546,25 @@ class TestEmbeddingFile:
             for token in parts[1:]:
                 mantissa = re.sub(r"[-+.]|e[-+]?\d+$", "", token)
                 assert len(mantissa.lstrip("0")) <= 9
+
+    def test_writer_matches_format_join(self):
+        # Edge values plus random ones over many magnitudes, against the
+        # per-value format(x, ".9g") join.
+        rng = np.random.default_rng(9)
+        edge = [0.0, -0.0, 5e-324, -5e-324, 1e-300, 1e22, -1e22, 2.0**53,
+                -(2.0**53), 1 / 3, -2 / 3, 0.1, 123456789.0, 1234567890.0,
+                1e-5, 1e16, 0.999999999, 9.9999999995, float(np.nextafter(1.0, 2.0)),
+                float(np.finfo(np.float64).max), float(np.finfo(np.float64).tiny)]
+        spread = rng.standard_normal(379) * 10.0 ** rng.integers(-300, 300, 379)
+        vectors = np.concatenate([edge, spread, rng.uniform(-1, 1, 400)]).reshape(-1, 8)
+        codes = [f"r{i}" for i in range(len(vectors))]
+        out = io.StringIO()
+        write_embedding(EmbeddingMatrix(codes, vectors), out)
+        expected = f"{len(codes)} 8\n" + "".join(
+            code + " " + " ".join(format(x, ".9g") for x in row) + "\n"
+            for code, row in zip(codes, vectors)
+        )
+        assert out.getvalue() == expected
 
     def test_roundtrip_close_and_rank_preserving(self, demo_graph):
         emb = train(demo_graph, d=8, iterations=6, seed=0)

@@ -15,7 +15,7 @@ from basketspace import (
     isolated_products,
     parse_baskets,
 )
-from conftest import DEMO_DEGREES, DEMO_EDGES, DEMO_TEXT, graph_from_text
+from conftest import DEMO_DEGREES, DEMO_EDGES, DEMO_TEXT, edge_weight, edge_weights, graph_from_text
 
 
 def parse(text: str, **kwargs):
@@ -112,15 +112,15 @@ class TestExpansion:
         assert g.edge_count == len(DEMO_EDGES)
         for (ca, cb), w in DEMO_EDGES.items():
             a, b = g.vocabulary.index_of(ca), g.vocabulary.index_of(cb)
-            assert g.weight(a, b) == w
-            assert g.weight(b, a) == w
+            assert edge_weight(g, a, b) == w
+            assert edge_weight(g, b, a) == w
         for code, deg in DEMO_DEGREES.items():
             assert g.degrees[g.vocabulary.index_of(code)] == deg
 
     def test_duplicates_within_basket_collapse(self):
         g = graph_from_text("a a b\n")
         a, b = g.vocabulary.index_of("a"), g.vocabulary.index_of("b")
-        assert g.weight(a, b) == 1
+        assert edge_weight(g, a, b) == 1
         assert g.total_weight == 1
 
     def test_no_self_loops(self):
@@ -130,7 +130,7 @@ class TestExpansion:
     def test_repeated_baskets_accumulate(self):
         g = graph_from_text("a b\na b\na b\n")
         a, b = g.vocabulary.index_of("a"), g.vocabulary.index_of("b")
-        assert g.weight(a, b) == 3
+        assert edge_weight(g, a, b) == 3
 
     def test_basket_of_k_products_adds_k_choose_2(self):
         for k in range(2, 8):
@@ -146,9 +146,9 @@ class TestExpansion:
             shuffled = [lines[i] for i in rng.permutation(len(lines))]
             shuffled = [" ".join(np.array(line.split())[rng.permutation(len(line.split()))]) for line in shuffled]
             g = graph_from_text("\n".join(shuffled) + "\n")
-            for (a, b), w in reference.edge_weights.items():
+            for (a, b), w in edge_weights(reference).items():
                 ca, cb = reference.vocabulary.codes[a], reference.vocabulary.codes[b]
-                assert g.weight(g.vocabulary.index_of(ca), g.vocabulary.index_of(cb)) == w
+                assert edge_weight(g, g.vocabulary.index_of(ca), g.vocabulary.index_of(cb)) == w
             assert g.total_weight == reference.total_weight
 
     @settings(max_examples=50, deadline=None)
@@ -180,9 +180,54 @@ class TestExpansion:
         )
         assert g.total_weight == expected
 
+    def test_edge_arrays_match_brute_force_expansion(self):
+        # Random basket files with repeats, singletons, comments and blank
+        # lines, expanded by a dict loop over codes written here.
+        rng = np.random.default_rng(5)
+        for _ in range(40):
+            lines = []
+            for _ in range(int(rng.integers(1, 40))):
+                kind = rng.random()
+                if kind < 0.1:
+                    lines.append("# c1 c2 c3")
+                elif kind < 0.2:
+                    lines.append("   ")
+                else:
+                    picks = rng.integers(0, 15, int(rng.integers(1, 9)))
+                    lines.append(" ".join(f"c{int(x)}" for x in picks))
+            g = graph_from_text("\n".join(lines) + "\n")
+            expected = {}
+            degrees = {}
+            for line in lines:
+                if not line.strip() or line.startswith("#"):
+                    continue
+                distinct = sorted(set(line.split()))
+                for i, x in enumerate(distinct):
+                    for y in distinct[i + 1:]:
+                        expected[(x, y)] = expected.get((x, y), 0) + 1
+                        degrees[x] = degrees.get(x, 0) + 1
+                        degrees[y] = degrees.get(y, 0) + 1
+            codes = g.vocabulary.codes
+            got = {
+                tuple(sorted((codes[a], codes[b]))): w
+                for (a, b), w in edge_weights(g).items()
+            }
+            assert got == expected
+            assert g.edge_count == len(expected)
+            assert g.total_weight == sum(expected.values())
+            assert g.degrees.tolist() == [degrees.get(c, 0) for c in codes]
+            assert (g.a < g.b).all()
+            assert (np.diff(g.a * len(codes) + g.b) > 0).all()
+
     def test_edge_keys_are_ordered_pairs(self, demo_graph):
-        for a, b in demo_graph.edge_weights:
+        g = demo_graph
+        for a, b in edge_weights(g):
             assert a < b
+        assert g.a.dtype == g.b.dtype == g.w.dtype == np.int64
+        assert len(g.a) == len(g.b) == len(g.w) == g.edge_count
+        # Sorted by (a, b), each pair once.
+        keys = g.a * len(g.vocabulary) + g.b
+        assert (np.diff(keys) > 0).all()
 
 
 class TestIsolation:
