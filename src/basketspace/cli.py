@@ -67,6 +67,7 @@ def cmd_embed(args: argparse.Namespace) -> int:
         f"with {args.iterations} iteration(s) in {elapsed:.2f}s"
     )
     _progress(f"isolated products excluded: {len(isolated)}")
+    _progress(f"zero rows replaced: {emb.zero_rows_replaced}")
     return 0
 
 

@@ -13,17 +13,19 @@ The training loop:
 4. Per chunk, iterate I times: multiply by the transition matrix, then
    L2-normalize each row.
 5. Merge chunks per node with weights w(q, v) = deg_q(v) / deg(v), adding
-   each finished chunk into one sum, and L2-normalize the merged rows.
+   each chunk into one sum per requested iteration count, and L2-normalize
+   the merged rows.
 
 Embeddings trained with a single iteration capture direct co-purchase
 structure (complements); more iterations (six by default) capture shared
-purchase context (substitutes).
+purchase context (substitutes). One pass can yield both.
 """
 
 from __future__ import annotations
 
 import hashlib
 import os
+import struct
 import zlib
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -168,34 +170,47 @@ def build_transition(
     return TransitionMatrix(chunk_index, nodes, matrix)
 
 
-def _init_row(seed: int, code: str, d: int) -> np.ndarray:
-    """One raw U(-1, 1) row, keyed by (seed, code) only."""
-    digest = hashlib.blake2b(
-        f"{seed}\x1e{code}".encode("utf-8"), digest_size=16
-    ).digest()
-    gen = np.random.Generator(np.random.Philox(key=int.from_bytes(digest, "little")))
-    row = gen.uniform(-1.0, 1.0, d)
-    # uniform() can return its low endpoint; the open interval excludes it.
-    bad = np.abs(row) >= 1.0
-    while bad.any():
-        row[bad] = gen.uniform(-1.0, 1.0, int(bad.sum()))
-        bad = np.abs(row) >= 1.0
-    while np.linalg.norm(row) <= ZERO_ROW_NORM:
-        row = gen.uniform(-1.0, 1.0, d)
-    return row
+_ZEROS = (0, 0, 0, 0)
+
+
+def reseed_philox(gen: np.random.Generator, text: str) -> None:
+    """Reset ``gen``'s Philox bit generator to the state a fresh
+    ``Philox(key=int.from_bytes(blake2b(text, digest_size=16), "little"))``
+    starts in: a zero counter and an empty buffer. Cheaper than building
+    a new generator."""
+    digest = hashlib.blake2b(text.encode("utf-8"), digest_size=16).digest()
+    gen.bit_generator.state = {
+        "bit_generator": "Philox",
+        "state": {"counter": _ZEROS, "key": struct.unpack("<QQ", digest)},
+        "buffer": _ZEROS,
+        "buffer_pos": 4,
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
 
 
 def init_embedding(codes: Sequence[str], d: int, seed: int) -> EmbeddingMatrix:
     """Iteration-0 embedding: per-node seeded U(-1, 1) rows, L2-normalized.
 
     Entry (v, j) depends only on (seed, code of v, j), never on node order,
-    chunk membership, or thread count.
+    chunk membership, or thread count. Each call reseeds one local
+    generator per code, so concurrent calls do not share state.
     """
     if d < 1:
         raise InvalidParameterError(f"dimension must be >= 1, got {d}")
     vectors = np.empty((len(codes), d), dtype=np.float64)
+    gen = np.random.Generator(np.random.Philox(0))
     for i, code in enumerate(codes):
-        vectors[i] = _init_row(seed, code, d)
+        reseed_philox(gen, f"{seed}\x1e{code}")
+        row = gen.uniform(-1.0, 1.0, d)
+        # uniform() can return its low endpoint; the open interval excludes it.
+        bad = np.abs(row) >= 1.0
+        while bad.any():
+            row[bad] = gen.uniform(-1.0, 1.0, int(bad.sum()))
+            bad = np.abs(row) >= 1.0
+        while np.linalg.norm(row) <= ZERO_ROW_NORM:
+            row = gen.uniform(-1.0, 1.0, d)
+        vectors[i] = row
     vectors /= np.linalg.norm(vectors, axis=1, keepdims=True)
     return EmbeddingMatrix(list(codes), vectors, iterations=0, seed=seed)
 
@@ -283,11 +298,11 @@ def compute_chunk_weights(
 def train(
     graph: CooccurrenceGraph,
     d: int = DEFAULT_DIMENSION,
-    iterations: int = SUBSTITUTE_ITERATIONS,
+    iterations: int | Sequence[int] = SUBSTITUTE_ITERATIONS,
     chunks: int = 1,
     seed: int = 0,
     threads: int = 1,
-) -> EmbeddingMatrix:
+) -> EmbeddingMatrix | list[EmbeddingMatrix]:
     """Train an embedding: partition, per-chunk iteration, weighted merge.
 
     Every non-isolated product gets one initial row. Each chunk iterates
@@ -295,21 +310,32 @@ def train(
     (nodes x d) sum in ascending chunk order, and is dropped. Merged rows
     are L2-normalized and follow vocabulary order.
 
+    ``iterations`` is one count, giving one space, or a sequence of counts
+    such as ``(6, 1)``, giving a list of spaces in that order from one
+    pass: each chunk iterates up to the largest count and adds its rows
+    into each count's own sum when it reaches that count. Every space
+    equals the one a separate call with its count returns.
+
     Deterministic for fixed (graph, d, iterations, chunks, seed) at every
     thread count; ``threads`` above ``os.cpu_count()`` is clamped to it.
     Isolated products are absent from the output.
 
     Raises:
-        InvalidParameterError: on non-positive d, iterations, chunks or
-            threads.
+        InvalidParameterError: on non-positive d, iteration counts, chunks
+            or threads, or an empty sequence of counts.
         EmptyGraphError: if the graph has no edges.
         InternalConsistencyError: if a node's chunk weights sum to zero,
             a merged row cancels to zero, or a value is NaN or infinite.
     """
+    single = np.ndim(iterations) == 0
+    counts = [iterations] if single else list(iterations)
     if d < 1:
         raise InvalidParameterError(f"dimension must be >= 1, got {d}")
-    if iterations < 1:
-        raise InvalidParameterError(f"iteration count must be >= 1, got {iterations}")
+    if not counts:
+        raise InvalidParameterError("need at least one iteration count")
+    for count in counts:
+        if count < 1:
+            raise InvalidParameterError(f"iteration count must be >= 1, got {count}")
     if threads < 1:
         raise InvalidParameterError(f"thread count must be >= 1, got {threads}")
     if graph.edge_count == 0:
@@ -324,27 +350,34 @@ def train(
         code = codes[int(np.argmax(zero))]
         raise InternalConsistencyError(f"node {code!r} has zero total chunk weight")
     start = init_embedding(codes, d, seed).vectors
-    merged = np.zeros_like(start)
-    replaced = 0
+    merged = [np.zeros_like(start) for _ in counts]
+    replaced = [0] * len(counts)
     for q in np.unique(chunk_ids).tolist():
         M = build_transition(graph, chunk_ids, q)
         pos = np.searchsorted(nodes, M.nodes)
         T = EmbeddingMatrix(
             [codes[i] for i in pos.tolist()], start[pos], iterations=0, seed=seed
         )
-        for _ in range(iterations):
+        for step in range(1, max(counts) + 1):
             T = iterate(T, M, threads=threads)
-        merged[pos] += weights[M.nodes, q][:, None] * T.vectors
-        replaced += T.zero_rows_replaced
-    norms = np.linalg.norm(merged, axis=1)
-    if (norms <= ZERO_ROW_NORM).any():
-        raise InternalConsistencyError("merged row cancelled to zero")
-    merged /= norms[:, None]
-    if not np.isfinite(merged).all():
-        raise InternalConsistencyError("embedding contains NaN or Inf entries")
-    return EmbeddingMatrix(
-        codes, merged, iterations=iterations, seed=seed, zero_rows_replaced=replaced
-    )
+            for j, count in enumerate(counts):
+                if count == step:
+                    merged[j][pos] += weights[M.nodes, q][:, None] * T.vectors
+                    replaced[j] += T.zero_rows_replaced
+    spaces = []
+    for count, rows, lost in zip(counts, merged, replaced):
+        norms = np.linalg.norm(rows, axis=1)
+        if (norms <= ZERO_ROW_NORM).any():
+            raise InternalConsistencyError("merged row cancelled to zero")
+        rows /= norms[:, None]
+        if not np.isfinite(rows).all():
+            raise InternalConsistencyError("embedding contains NaN or Inf entries")
+        spaces.append(
+            EmbeddingMatrix(
+                list(codes), rows, iterations=count, seed=seed, zero_rows_replaced=lost
+            )
+        )
+    return spaces[0] if single else spaces
 
 
 def dense_reference_train(

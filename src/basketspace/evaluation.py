@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Callable, Iterable, Sequence, TextIO
 
 import numpy as np
@@ -323,18 +323,6 @@ class BenchmarkConfig:
     threads: int = 1
     query_sample: int | None = None
 
-    def to_dict(self) -> dict:
-        return {
-            "dimension": self.dimension,
-            "substitute_iterations": self.substitute_iterations,
-            "complement_iterations": self.complement_iterations,
-            "chunks": self.chunks,
-            "seed": self.seed,
-            "k": self.k,
-            "threads": self.threads,
-            "query_sample": self.query_sample,
-        }
-
 
 @dataclass
 class EvalReport:
@@ -349,20 +337,8 @@ class EvalReport:
     random_baseline: dict
     order_agreement: dict
 
-    def to_dict(self) -> dict:
-        return {
-            "config": self.config,
-            "market": self.market,
-            "n_embedded": self.n_embedded,
-            "n_queries": self.n_queries,
-            "substitutes": self.substitutes,
-            "complements": self.complements,
-            "random_baseline": self.random_baseline,
-            "order_agreement": self.order_agreement,
-        }
-
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2)
+        return json.dumps(asdict(self), indent=2)
 
     def validate(self) -> None:
         """Check report invariants; raises InternalConsistencyError on violation."""
@@ -490,18 +466,10 @@ def benchmark_baskets(
             f"basket products missing from the truth file: {shown}{more}"
         )
     graph = expand_hyperedges(baskets, vocab)
-    sub_space = train(
+    sub_space, comp_space = train(
         graph,
         d=config.dimension,
-        iterations=config.substitute_iterations,
-        chunks=config.chunks,
-        seed=config.seed,
-        threads=config.threads,
-    )
-    comp_space = train(
-        graph,
-        d=config.dimension,
-        iterations=config.complement_iterations,
+        iterations=(config.substitute_iterations, config.complement_iterations),
         chunks=config.chunks,
         seed=config.seed,
         threads=config.threads,
@@ -558,11 +526,13 @@ def benchmark_baskets(
     embedded_set = set(embedded)
     sub_lists = recommend_substitutes(sub_space, queries, k)
     comp_lists = recommend_complements(comp_space, queries, k)
-    for q, sub_recs, comp_recs in zip(queries, sub_lists, comp_lists):
+    rand_lists = random_recommender(embedded, queries, k, config.seed)
+    for q, sub_recs, comp_recs, rand_recs in zip(
+        queries, sub_lists, comp_lists, rand_lists
+    ):
         t, g = membership[q]
         sub_truth = by_group[(t, g)] - {q}
         comp_truth = by_theme[t] - by_group[(t, g)]
-        rand_recs = random_recommender(embedded, q, k, config.seed)
 
         s = hits_at_k(sub_recs, sub_truth, k)
         c = hits_at_k(comp_recs, comp_truth, k)
@@ -603,7 +573,7 @@ def benchmark_baskets(
     sub_categories = per_category(cat_sub)
     comp_categories = per_category(cat_comp)
     report = EvalReport(
-        config=config.to_dict(),
+        config=asdict(config),
         market=market_info or {"products_in_truth": len(membership)},
         n_embedded=n,
         n_queries=nq,

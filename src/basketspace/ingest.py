@@ -78,30 +78,6 @@ class Vocabulary:
     def __iter__(self):
         return iter(self._codes)
 
-    def write(self, stream: TextIO) -> None:
-        """Dump as one line per product: ``<internal_index> <external_code>``."""
-        for idx, code in enumerate(self._codes):
-            stream.write(f"{idx} {code}\n")
-
-    @classmethod
-    def read(cls, stream: TextIO) -> "Vocabulary":
-        vocab = cls()
-        for lineno, line in enumerate(stream, start=1):
-            parts = line.split()
-            if not parts:
-                continue
-            if len(parts) != 2:
-                raise MalformedInputError(
-                    f"line {lineno}: expected '<index> <code>', got {line.rstrip()!r}"
-                )
-            idx, code = parts
-            if int(idx) != len(vocab):
-                raise MalformedInputError(
-                    f"line {lineno}: non-contiguous index {idx}"
-                )
-            vocab.intern(code)
-        return vocab
-
 
 # A basket is stored canonically as a sorted tuple of internal indices,
 # duplicates preserved; two baskets are equal iff they hold the same multiset.
@@ -180,15 +156,26 @@ def expand_hyperedges(baskets: Iterable[Basket], vocabulary: Vocabulary) -> Cooc
     contribute nothing.
     """
     n = len(vocabulary)
-    by_size: dict[int, list] = defaultdict(list)
+    by_length: dict[int, list] = defaultdict(list)
     for basket in baskets:
-        distinct = sorted(set(basket))
-        if len(distinct) > 1:
-            by_size[len(distinct)].append(distinct)
+        by_length[len(basket)].append(basket)
+    # Sorted rows without an adjacent-equal pair are already de-duplicated;
+    # only rows that repeat a code go through a set.
+    by_size: dict[int, list] = defaultdict(list)
+    for length, group in by_length.items():
+        if length < 2:
+            continue
+        items = np.sort(np.array(group, dtype=np.int64), axis=1)
+        repeats = (items[:, 1:] == items[:, :-1]).any(axis=1)
+        by_size[length].append(items[~repeats])
+        for row in items[repeats].tolist():
+            distinct = sorted(set(row))
+            if len(distinct) > 1:
+                by_size[len(distinct)].append(np.array([distinct], dtype=np.int64))
     # One array per basket size; pair (a, b) with a < b gets the key a*n + b.
     keys = [np.zeros(0, dtype=np.int64)]
-    for size, group in by_size.items():
-        items = np.array(group, dtype=np.int64)
+    for size, blocks in by_size.items():
+        items = np.concatenate(blocks)
         i, j = np.triu_indices(size, 1)
         keys.append((items[:, i] * n + items[:, j]).ravel())
     pairs, w = np.unique(np.concatenate(keys), return_counts=True)

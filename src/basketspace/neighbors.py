@@ -7,7 +7,6 @@ space. A seeded random recommender provides the evaluation baseline.
 
 from __future__ import annotations
 
-import hashlib
 import warnings
 from dataclasses import dataclass
 from typing import Iterable, Sequence, TextIO
@@ -18,6 +17,7 @@ from .embedding import (
     COMPLEMENT_ITERATIONS,
     SUBSTITUTE_ITERATIONS,
     EmbeddingMatrix,
+    reseed_philox,
 )
 from .errors import (
     ConfigurationMismatchWarning,
@@ -238,31 +238,35 @@ def recommend_complements(
 
 
 def random_recommender(
-    vocabulary: Sequence[str], query: str, k: int, seed: int
-) -> NeighborList:
+    vocabulary: Sequence[str], queries: str | Sequence[str], k: int, seed: int
+) -> NeighborList | list[NeighborList]:
     """Baseline: k distinct products sampled uniformly, excluding the query.
 
-    ``vocabulary`` holds distinct codes. Deterministic per (seed, query);
+    ``vocabulary`` holds distinct codes. ``queries`` is one code, giving one
+    NeighborList, or a sequence of codes, giving a list of them in query
+    order. Deterministic per (seed, query), whatever the other queries;
     similarities are reported as 0.
     """
-    n = len(vocabulary)
-    try:
-        skip = vocabulary.index(query)
-    except ValueError:
-        skip = n
-    pool = n - (skip < n)
     if k < 1:
         raise InvalidParameterError(f"k must be >= 1, got {k}")
-    if k > pool:
-        raise InvalidParameterError(f"k={k} exceeds the {pool} available products")
-    digest = hashlib.blake2b(
-        f"{seed}\x1erandom\x1e{query}".encode("utf-8"), digest_size=16
-    ).digest()
-    gen = np.random.Generator(np.random.Philox(key=int.from_bytes(digest, "little")))
-    # Pick among the other products by position, stepping over the query.
-    picks = gen.choice(pool, size=k, replace=False)
-    picks += picks >= skip
-    return NeighborList(query, [(vocabulary[int(i)], 0.0) for i in picks], "random")
+    n = len(vocabulary)
+    position = {code: i for i, code in enumerate(vocabulary)}
+    gen = np.random.Generator(np.random.Philox(0))
+    single = isinstance(queries, str)
+    results = []
+    for query in [queries] if single else queries:
+        skip = position.get(query, n)
+        pool = n - (skip < n)
+        if k > pool:
+            raise InvalidParameterError(f"k={k} exceeds the {pool} available products")
+        reseed_philox(gen, f"{seed}\x1erandom\x1e{query}")
+        # Pick among the other products by position, stepping over the query.
+        picks = gen.choice(pool, size=k, replace=False)
+        picks += picks >= skip
+        results.append(
+            NeighborList(query, [(vocabulary[int(i)], 0.0) for i in picks], "random")
+        )
+    return results[0] if single else results
 
 
 def write_neighbors(lists: Iterable[NeighborList], stream: TextIO) -> None:

@@ -12,8 +12,11 @@ import pytest
 from basketspace import (
     BenchmarkConfig,
     benchmark_baskets,
+    expand_hyperedges,
     generate_synthetic_market,
+    parse_baskets,
     read_truth,
+    train,
 )
 from basketspace.cli import main
 from conftest import DEMO_TEXT
@@ -53,6 +56,25 @@ class TestEmbed:
         err = capsys.readouterr().err
         assert "embedded 6 products at dimension 8" in err
         assert "isolated products excluded: 0" in err
+        assert "zero rows replaced: 0" in err
+
+    def test_zero_rows_replaced_reported(self, tmp_path, capsys):
+        # Twenty paths x-m-y at d=1: rows are +-1, so m's first step
+        # cancels whenever x and y drew opposite signs.
+        path = tmp_path / "paths.txt"
+        path.write_text(
+            "".join(f"x{i} m{i}\nm{i} y{i}\n" for i in range(20)), encoding="utf-8"
+        )
+        code = main(
+            ["embed", "--input", str(path), "--output", str(tmp_path / "o.txt"),
+             "--dim", "1", "--iterations", "1"]
+        )
+        assert code == 0
+        with open(path, encoding="utf-8") as fh:
+            graph = expand_hyperedges(*parse_baskets(fh))
+        replaced = train(graph, d=1, iterations=1).zero_rows_replaced
+        assert replaced > 0
+        assert f"zero rows replaced: {replaced}\n" in capsys.readouterr().err
 
     def test_reruns_are_byte_identical(self, tmp_path, demo_file):
         a = run_embed(tmp_path, demo_file, "a.txt")

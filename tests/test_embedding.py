@@ -197,6 +197,48 @@ class TestInit:
         assert emb.iterations == 0
         assert emb.seed == 0
 
+    def test_rows_match_a_fresh_generator_per_code(self):
+        # Bit for bit against the earlier per-row path, inlined here: a new
+        # Philox keyed by blake2b(seed, code) for every row.
+        def fresh_row(seed, code, d):
+            digest = hashlib.blake2b(
+                f"{seed}\x1e{code}".encode("utf-8"), digest_size=16
+            ).digest()
+            gen = np.random.Generator(
+                np.random.Philox(key=int.from_bytes(digest, "little"))
+            )
+            row = gen.uniform(-1.0, 1.0, d)
+            bad = np.abs(row) >= 1.0
+            while bad.any():
+                row[bad] = gen.uniform(-1.0, 1.0, int(bad.sum()))
+                bad = np.abs(row) >= 1.0
+            while np.linalg.norm(row) <= embedding.ZERO_ROW_NORM:
+                row = gen.uniform(-1.0, 1.0, d)
+            return row
+
+        codes = [f"p{i}" for i in range(1920)]
+        codes += [f"café{i}" for i in range(40)] + [f"商品{i}" for i in range(40)]
+        codes += ["\u00e9", "e\u0301", "🛒", "x" * 300, "a b", "\x1e"]
+        for d in (1, 2, 3, 128, 1024):
+            for seed in (0, 5, 2**40):
+                got = init_embedding(codes, d, seed).vectors
+                expected = np.array([fresh_row(seed, c, d) for c in codes])
+                expected /= np.linalg.norm(expected, axis=1, keepdims=True)
+                assert np.array_equal(got, expected), (d, seed)
+
+    def test_concurrent_calls_give_the_same_rows(self):
+        from concurrent.futures import ThreadPoolExecutor
+
+        codes = [f"c{i}" for i in range(400)]
+        expected = init_embedding(codes, 64, seed=3).vectors
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            runs = list(
+                pool.map(lambda _: init_embedding(codes, 64, seed=3), range(6), timeout=60)
+            )
+        assert len(runs) == 6
+        for run in runs:
+            assert np.array_equal(run.vectors, expected)
+
 
 class TestNormalizeRows:
     def test_three_four_five(self):
@@ -459,6 +501,57 @@ class TestTrain:
         emb = train(demo_graph, d=8, iterations=2, chunks=64, seed=0)
         assert set(emb.codes) == set(demo_graph.vocabulary.codes)
         assert unit_rows(emb.vectors)
+
+
+def train_or_message(graph, **kwargs):
+    """``train``'s result, or the message of the consistency error it raises."""
+    try:
+        return train(graph, **kwargs)
+    except InternalConsistencyError as exc:
+        return str(exc)
+
+
+class TestCheckpoints:
+    @pytest.mark.parametrize("counts", [(6, 1), (1, 6), (2, 2), (3,)])
+    @pytest.mark.parametrize("chunks", [1, 3, 7])
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_one_pass_equals_separate_calls(self, counts, chunks, threads):
+        # d=1 rows are +-1, so path midpoints cancel and zero rows get
+        # replaced; at Q > 1 a merged row can cancel too, and then the pass
+        # must raise what the first failing separate call raises.
+        rng = np.random.default_rng([*counts, chunks])
+        replaced = 0
+        for trial in range(10):
+            g = random_graph(rng, max_nodes=40, max_edges=60)
+            d = 1 if trial < 7 else 16
+            kwargs = dict(d=d, chunks=chunks, seed=trial, threads=threads)
+            separate = [train_or_message(g, iterations=c, **kwargs) for c in counts]
+            errors = [s for s in separate if isinstance(s, str)]
+            together = train_or_message(g, iterations=counts, **kwargs)
+            if errors:
+                assert together == errors[0]
+                continue
+            assert isinstance(together, list) and len(together) == len(counts)
+            for count, one, alone in zip(counts, together, separate):
+                assert one.codes == alone.codes
+                assert np.array_equal(one.vectors, alone.vectors)
+                assert one.iterations == alone.iterations == count
+                assert one.seed == alone.seed
+                assert one.zero_rows_replaced == alone.zero_rows_replaced
+                replaced += one.zero_rows_replaced
+        assert replaced > 0
+
+    def test_single_count_returns_one_space(self, demo_graph):
+        one = train(demo_graph, d=8, iterations=3, seed=1)
+        listed = train(demo_graph, d=8, iterations=[3], seed=1)
+        assert isinstance(one, EmbeddingMatrix)
+        assert isinstance(listed, list) and len(listed) == 1
+        assert np.array_equal(one.vectors, listed[0].vectors)
+
+    @pytest.mark.parametrize("counts", [(), [], (0,), (6, 0), (-1, 2), (1, -6)])
+    def test_bad_counts_rejected(self, demo_graph, counts):
+        with pytest.raises(InvalidParameterError, match="iteration count"):
+            train(demo_graph, d=4, iterations=counts)
 
 
 class TestThreadBound:

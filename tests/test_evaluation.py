@@ -354,6 +354,55 @@ class TestBenchmark:
         again = run_benchmark(market, BenchmarkConfig(dimension=64, seed=0))
         assert again.to_json() == report.to_json()
 
+    def test_one_training_pass_and_one_init(self, market, monkeypatch):
+        from basketspace import embedding, evaluation
+
+        calls = []
+        rows = []
+        real_train = evaluation.train
+        real_init = embedding.init_embedding
+
+        def counting_train(graph, **kwargs):
+            calls.append(kwargs["iterations"])
+            return real_train(graph, **kwargs)
+
+        def counting_init(codes, d, seed):
+            rows.append(len(codes))
+            return real_init(codes, d, seed)
+
+        monkeypatch.setattr(evaluation, "train", counting_train)
+        monkeypatch.setattr(embedding, "init_embedding", counting_init)
+        report = run_benchmark(market, BenchmarkConfig(dimension=16, chunks=3))
+        assert calls == [(6, 1)]
+        assert rows == [report.n_embedded]
+
+    def test_report_equals_separate_trainings(self, market, monkeypatch):
+        # The one-pass report against one train call per relation.
+        from basketspace import evaluation
+
+        config = BenchmarkConfig(dimension=16, chunks=3, seed=2, substitute_iterations=7)
+        one_pass = run_benchmark(market, config)
+        monkeypatch.setattr(
+            evaluation,
+            "train",
+            lambda graph, iterations, **kw: [train(graph, iterations=c, **kw) for c in iterations],
+        )
+        assert run_benchmark(market, config).to_json() == one_pass.to_json()
+
+    def test_report_key_order(self, report):
+        import json
+
+        payload = json.loads(report.to_json())
+        assert list(payload) == [
+            "config", "market", "n_embedded", "n_queries", "substitutes",
+            "complements", "random_baseline", "order_agreement",
+        ]
+        assert list(payload["config"]) == [
+            "dimension", "substitute_iterations", "complement_iterations",
+            "chunks", "seed", "k", "threads", "query_sample",
+        ]
+        assert payload["config"]["query_sample"] is None
+
     def test_market_echoed_in_report(self, market, report):
         assert report.market["themes"] == market.themes
         assert report.market["seed"] == market.seed

@@ -82,29 +82,6 @@ class TestVocabulary:
         assert "banana" in message
         assert exc.value.exit_code == 3
 
-    def test_dump_roundtrip(self, tmp_path):
-        v = Vocabulary()
-        for code in ("p1", "café", "p2"):
-            v.intern(code)
-        path = tmp_path / "vocab.txt"
-        with open(path, "w", encoding="utf-8") as fh:
-            v.write(fh)
-        with open(path, encoding="utf-8") as fh:
-            back = Vocabulary.read(fh)
-        assert list(back.codes) == list(v.codes)
-
-    def test_dump_format(self):
-        v = Vocabulary()
-        v.intern("a")
-        v.intern("b")
-        out = io.StringIO()
-        v.write(out)
-        assert out.getvalue() == "0 a\n1 b\n"
-
-    def test_read_rejects_gap_in_indices(self):
-        with pytest.raises(MalformedInputError):
-            Vocabulary.read(io.StringIO("0 a\n2 b\n"))
-
 
 class TestExpansion:
     def test_demo_corpus_edges_and_degrees(self, demo_graph):
@@ -180,6 +157,32 @@ class TestExpansion:
         )
         assert g.total_weight == expected
 
+    @staticmethod
+    def assert_matches_brute_force(lines, g):
+        """``g`` equals a dict loop over the codes of ``lines``."""
+        expected = {}
+        degrees = {}
+        for line in lines:
+            if not line.strip() or line.startswith("#"):
+                continue
+            distinct = sorted(set(line.split()))
+            for i, x in enumerate(distinct):
+                for y in distinct[i + 1:]:
+                    expected[(x, y)] = expected.get((x, y), 0) + 1
+                    degrees[x] = degrees.get(x, 0) + 1
+                    degrees[y] = degrees.get(y, 0) + 1
+        codes = g.vocabulary.codes
+        got = {
+            tuple(sorted((codes[a], codes[b]))): w
+            for (a, b), w in edge_weights(g).items()
+        }
+        assert got == expected
+        assert g.edge_count == len(expected)
+        assert g.total_weight == sum(expected.values())
+        assert g.degrees.tolist() == [degrees.get(c, 0) for c in codes]
+        assert (g.a < g.b).all()
+        assert (np.diff(g.a * len(codes) + g.b) > 0).all()
+
     def test_edge_arrays_match_brute_force_expansion(self):
         # Random basket files with repeats, singletons, comments and blank
         # lines, expanded by a dict loop over codes written here.
@@ -195,29 +198,33 @@ class TestExpansion:
                 else:
                     picks = rng.integers(0, 15, int(rng.integers(1, 9)))
                     lines.append(" ".join(f"c{int(x)}" for x in picks))
-            g = graph_from_text("\n".join(lines) + "\n")
-            expected = {}
-            degrees = {}
-            for line in lines:
-                if not line.strip() or line.startswith("#"):
-                    continue
-                distinct = sorted(set(line.split()))
-                for i, x in enumerate(distinct):
-                    for y in distinct[i + 1:]:
-                        expected[(x, y)] = expected.get((x, y), 0) + 1
-                        degrees[x] = degrees.get(x, 0) + 1
-                        degrees[y] = degrees.get(y, 0) + 1
-            codes = g.vocabulary.codes
-            got = {
-                tuple(sorted((codes[a], codes[b]))): w
-                for (a, b), w in edge_weights(g).items()
-            }
-            assert got == expected
-            assert g.edge_count == len(expected)
-            assert g.total_weight == sum(expected.values())
-            assert g.degrees.tolist() == [degrees.get(c, 0) for c in codes]
-            assert (g.a < g.b).all()
-            assert (np.diff(g.a * len(codes) + g.b) > 0).all()
+            self.assert_matches_brute_force(lines, graph_from_text("\n".join(lines) + "\n"))
+
+    def test_repeated_codes_in_every_size_group(self):
+        # Every line length from 1 to 9 holds rows of distinct codes and
+        # rows that repeat a code (down to one distinct code), shuffled, so
+        # each size group mixes rows that skip and rows that need the set.
+        rng = np.random.default_rng(11)
+        for _ in range(20):
+            lines = []
+            for length in range(1, 10):
+                for _ in range(int(rng.integers(1, 6))):
+                    distinct = rng.choice(20, size=length, replace=False)
+                    lines.append(" ".join(f"c{int(x)}" for x in distinct))
+                for _ in range(int(rng.integers(1, 6)) if length > 1 else 0):
+                    pool = rng.choice(20, size=int(rng.integers(1, length)), replace=False)
+                    picks = np.concatenate([pool, rng.choice(pool, length - len(pool))])
+                    lines.append(" ".join(f"c{int(x)}" for x in rng.permutation(picks)))
+            lines = [lines[i] for i in rng.permutation(len(lines))]
+            baskets, vocab = parse("\n".join(lines) + "\n")
+            g = expand_hyperedges(baskets, vocab)
+            self.assert_matches_brute_force(lines, g)
+            # Unsorted rows of indices, as code baskets intern them, expand
+            # to the same arrays.
+            unsorted = [[vocab.index_of(c) for c in line.split()] for line in lines]
+            h = expand_hyperedges(unsorted, vocab)
+            for name in ("a", "b", "w", "degrees"):
+                assert np.array_equal(getattr(g, name), getattr(h, name))
 
     def test_edge_keys_are_ordered_pairs(self, demo_graph):
         g = demo_graph

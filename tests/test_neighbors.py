@@ -430,6 +430,26 @@ class TestRandomRecommender:
                     got = random_recommender(vocab, query, k, seed).codes()
                     assert got == list_based_random(vocab, query, k, seed)
 
+    def test_batch_equals_single_calls_and_list_based_version(self):
+        vocab = [f"c{i}" for i in range(60)] + ["café", "商品", "🛒"]
+        queries = vocab[::-1] + ["absent", "c3", "c3", "商品"]
+        for seed in (0, 9, 2**33):
+            for k in (1, 2, 7, 59):
+                batch = random_recommender(vocab, queries, k, seed)
+                assert isinstance(batch, list) and len(batch) == len(queries)
+                for query, got in zip(queries, batch):
+                    single = random_recommender(vocab, query, k, seed)
+                    assert got.query == query and got.relation_kind == "random"
+                    assert got.neighbors == single.neighbors
+                    assert got.codes() == list_based_random(vocab, query, k, seed)
+
+    def test_batch_of_no_queries_is_empty(self):
+        assert random_recommender(["a", "b"], [], 1, seed=0) == []
+
+    def test_batch_rejects_k_beyond_any_pool(self):
+        with pytest.raises(InvalidParameterError):
+            random_recommender(["a", "b", "c"], ["z", "a"], 3, seed=0)
+
     def test_uniform_over_hundred_products(self):
         # 1e5 draws over a 100-product pool; the fixed seed enumeration
         # makes the outcome deterministic, checked with a chi-square
