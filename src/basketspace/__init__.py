@@ -13,11 +13,9 @@ from .embedding import (
     EmbeddingMatrix,
     TransitionMatrix,
     build_transition,
-    compute_chunk_weights,
     dense_reference_train,
     init_embedding,
     iterate,
-    normalize_rows,
     partition_chunks,
     read_embedding,
     train,
@@ -38,7 +36,6 @@ from .evaluation import (
     EvalReport,
     SyntheticMarket,
     benchmark_baskets,
-    first_recommendation_hit_rate,
     generate_synthetic_market,
     hits_at_k,
     pair_order_agreement,
@@ -48,6 +45,7 @@ from .evaluation import (
     weighted_accuracy,
 )
 from .ingest import (
+    Baskets,
     CooccurrenceGraph,
     Vocabulary,
     expand_hyperedges,
@@ -56,7 +54,6 @@ from .ingest import (
 )
 from .neighbors import (
     NeighborList,
-    cosine_similarity,
     random_recommender,
     recommend_complements,
     recommend_substitutes,
@@ -68,6 +65,7 @@ from .neighbors import (
 __version__ = "0.1.0"
 
 __all__ = [
+    "Baskets",
     "BasketspaceError",
     "BenchmarkConfig",
     "ConfigurationMismatchWarning",
@@ -89,17 +87,13 @@ __all__ = [
     "Vocabulary",
     "benchmark_baskets",
     "build_transition",
-    "compute_chunk_weights",
-    "cosine_similarity",
     "dense_reference_train",
     "expand_hyperedges",
-    "first_recommendation_hit_rate",
     "generate_synthetic_market",
     "hits_at_k",
     "init_embedding",
     "isolated_products",
     "iterate",
-    "normalize_rows",
     "pair_order_agreement",
     "parse_baskets",
     "partition_chunks",

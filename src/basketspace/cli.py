@@ -123,6 +123,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
         baskets, vocab = parse_baskets(stream)
     with open(truth_path, encoding="utf-8") as stream:
         membership = read_truth(stream)
+    graph = expand_hyperedges(baskets, vocab)
     config = BenchmarkConfig(
         dimension=args.dim,
         substitute_iterations=args.iterations,
@@ -132,7 +133,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
         threads=args.threads,
     )
     started = time.monotonic()
-    report = benchmark_baskets(baskets, membership, config, vocabulary=vocab)
+    report = benchmark_baskets(graph, membership, config)
     elapsed = time.monotonic() - started
     _progress(f"benchmark finished in {elapsed:.2f}s over {report.n_queries} queries")
     if args.output:

@@ -39,6 +39,7 @@ from .errors import (
     InternalConsistencyError,
     InvalidParameterError,
     MalformedInputError,
+    UnknownProductError,
 )
 from .ingest import CooccurrenceGraph, nearest_codes
 
@@ -95,8 +96,6 @@ class EmbeddingMatrix:
         return self._norms
 
     def vector(self, code: str) -> np.ndarray:
-        from .errors import UnknownProductError
-
         idx = self.index_map().get(code)
         if idx is None:
             raise UnknownProductError(code, nearest_codes(code, self.codes))
@@ -111,11 +110,14 @@ class TransitionMatrix:
         chunk_index: which chunk this matrix belongs to.
         nodes: global vocabulary indices of the chunk's nodes, ascending.
         matrix: (n_q, n_q) CSR matrix with m(a, b) = e_ab / deg_q(a).
+        degrees: float64 chunk-local weighted degree deg_q of each node,
+            aligned with ``nodes``.
     """
 
     chunk_index: int
     nodes: np.ndarray
     matrix: sp.csr_matrix
+    degrees: np.ndarray
 
 
 def partition_chunks(graph: CooccurrenceGraph, chunk_count: int) -> np.ndarray:
@@ -167,7 +169,7 @@ def build_transition(
         ),
         shape=(n, n),
     )
-    return TransitionMatrix(chunk_index, nodes, matrix)
+    return TransitionMatrix(chunk_index, nodes, matrix, deg)
 
 
 _ZEROS = (0, 0, 0, 0)
@@ -215,14 +217,6 @@ def init_embedding(codes: Sequence[str], d: int, seed: int) -> EmbeddingMatrix:
     return EmbeddingMatrix(list(codes), vectors, iterations=0, seed=seed)
 
 
-def normalize_rows(a: np.ndarray) -> np.ndarray:
-    """Return ``a`` with every row scaled to unit L2 norm."""
-    norms = np.linalg.norm(a, axis=1, keepdims=True)
-    if (norms <= ZERO_ROW_NORM).any():
-        raise InvalidParameterError("cannot normalize a zero row")
-    return a / norms
-
-
 def _matmul_rows(matrix: sp.csr_matrix, vectors: np.ndarray, threads: int) -> np.ndarray:
     """matrix @ vectors, optionally split across row blocks, using at most
     ``os.cpu_count()`` threads.
@@ -246,20 +240,6 @@ def _matmul_rows(matrix: sp.csr_matrix, vectors: np.ndarray, threads: int) -> np
     return out
 
 
-def _iterate_rows(
-    vectors: np.ndarray, matrix: sp.csr_matrix, threads: int
-) -> tuple[np.ndarray, int]:
-    raw = _matmul_rows(matrix, vectors, threads)
-    norms = np.linalg.norm(raw, axis=1)
-    zero = norms <= ZERO_ROW_NORM
-    replaced = int(zero.sum())
-    if replaced:
-        # Exact cancellation: keep the previous (already unit-norm) row.
-        raw[zero] = vectors[zero]
-        norms[zero] = 1.0
-    return raw / norms[:, None], replaced
-
-
 def iterate(
     T_prev: EmbeddingMatrix, M: TransitionMatrix, threads: int = 1
 ) -> EmbeddingMatrix:
@@ -269,30 +249,23 @@ def iterate(
             f"embedding has {T_prev.vectors.shape[0]} rows, "
             f"transition matrix expects {M.matrix.shape[0]}"
         )
-    vectors, replaced = _iterate_rows(T_prev.vectors, M.matrix, threads)
+    raw = _matmul_rows(M.matrix, T_prev.vectors, threads)
+    norms = np.linalg.norm(raw, axis=1)
+    zero = norms <= ZERO_ROW_NORM
+    replaced = int(zero.sum())
+    if replaced:
+        # Exact cancellation: keep the previous (already unit-norm) row.
+        raw[zero] = T_prev.vectors[zero]
+        norms[zero] = 1.0
+    raw /= norms[:, None]
     done = None if T_prev.iterations is None else T_prev.iterations + 1
     return EmbeddingMatrix(
         T_prev.codes,
-        vectors,
+        raw,
         iterations=done,
         seed=T_prev.seed,
         zero_rows_replaced=T_prev.zero_rows_replaced + replaced,
     )
-
-
-def compute_chunk_weights(
-    graph: CooccurrenceGraph, chunk_ids: np.ndarray, chunk_count: int
-) -> np.ndarray:
-    """Merge weights w(q, v) = deg_q(v) / deg(v) as a (|vocabulary|, Q)
-    array: chunk-local degree over total degree. Rows of isolated products
-    are all zero, all other rows sum to 1."""
-    size = len(graph.vocabulary) * chunk_count
-    W = np.bincount(graph.a * chunk_count + chunk_ids, weights=graph.w, minlength=size)
-    W += np.bincount(graph.b * chunk_count + chunk_ids, weights=graph.w, minlength=size)
-    W = W.reshape(-1, chunk_count)
-    covered = graph.degrees > 0
-    W[covered] /= graph.degrees[covered, None].astype(np.float64)
-    return W
 
 
 def train(
@@ -324,8 +297,8 @@ def train(
         InvalidParameterError: on non-positive d, iteration counts, chunks
             or threads, or an empty sequence of counts.
         EmptyGraphError: if the graph has no edges.
-        InternalConsistencyError: if a node's chunk weights sum to zero,
-            a merged row cancels to zero, or a value is NaN or infinite.
+        InternalConsistencyError: if a merged row cancels to zero or a
+            value is NaN or infinite.
     """
     single = np.ndim(iterations) == 0
     counts = [iterations] if single else list(iterations)
@@ -341,20 +314,16 @@ def train(
     if graph.edge_count == 0:
         raise EmptyGraphError("the co-occurrence graph has no edges")
     chunk_ids = partition_chunks(graph, chunks)
-    weights = compute_chunk_weights(graph, chunk_ids, chunks)
     nodes = np.flatnonzero(graph.degrees > 0)
     vocab_codes = graph.vocabulary.codes
     codes = [vocab_codes[v] for v in nodes.tolist()]
-    zero = weights[nodes].sum(axis=1) <= 0.0
-    if zero.any():
-        code = codes[int(np.argmax(zero))]
-        raise InternalConsistencyError(f"node {code!r} has zero total chunk weight")
     start = init_embedding(codes, d, seed).vectors
     merged = [np.zeros_like(start) for _ in counts]
     replaced = [0] * len(counts)
     for q in np.unique(chunk_ids).tolist():
         M = build_transition(graph, chunk_ids, q)
         pos = np.searchsorted(nodes, M.nodes)
+        weights = (M.degrees / graph.degrees[M.nodes])[:, None]
         T = EmbeddingMatrix(
             [codes[i] for i in pos.tolist()], start[pos], iterations=0, seed=seed
         )
@@ -362,7 +331,7 @@ def train(
             T = iterate(T, M, threads=threads)
             for j, count in enumerate(counts):
                 if count == step:
-                    merged[j][pos] += weights[M.nodes, q][:, None] * T.vectors
+                    merged[j][pos] += weights * T.vectors
                     replaced[j] += T.zero_rows_replaced
     spaces = []
     for count, rows, lost in zip(counts, merged, replaced):

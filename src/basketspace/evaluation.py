@@ -26,13 +26,18 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import asdict, dataclass, field
-from typing import Callable, Iterable, Sequence, TextIO
+from typing import Sequence, TextIO
 
 import numpy as np
 
 from .embedding import train
-from .errors import DataInconsistencyError, InvalidParameterError, MalformedInputError
-from .ingest import Vocabulary, expand_hyperedges
+from .errors import (
+    DataInconsistencyError,
+    InternalConsistencyError,
+    InvalidParameterError,
+    MalformedInputError,
+)
+from .ingest import CooccurrenceGraph, expand_hyperedges, parse_baskets
 from .neighbors import (
     NeighborList,
     random_recommender,
@@ -82,10 +87,7 @@ class SyntheticMarket:
     def membership(self) -> dict:
         """code -> (theme index, group index)."""
         if self._membership is None:
-            self._membership = {}
-            for code in self.product_codes:
-                t, g, _ = _parse_code(code)
-                self._membership[code] = (t, g)
+            self._membership = {c: _parse_code(c)[:2] for c in self.product_codes}
         return self._membership
 
     def theme_of(self, code: str) -> int:
@@ -219,8 +221,13 @@ def read_truth(stream: TextIO) -> dict:
 
     Returns code -> (theme index, group index). Blank and ``#`` lines are
     skipped.
+
+    Raises:
+        MalformedInputError: on a line that is not three fields, a
+            non-integer label, or a code listed twice.
     """
     membership: dict = {}
+    first_line: dict = {}
     for lineno, line in enumerate(stream, start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
@@ -231,6 +238,12 @@ def read_truth(stream: TextIO) -> dict:
                 f"line {lineno}: expected '<code> <theme> <group>', got {stripped!r}"
             )
         code, t, g = parts
+        if code in first_line:
+            raise MalformedInputError(
+                f"line {lineno}: duplicate code {code!r}, first listed on line "
+                f"{first_line[code]}"
+            )
+        first_line[code] = lineno
         try:
             membership[code] = (int(t), int(g))
         except ValueError:
@@ -291,25 +304,6 @@ def pair_order_agreement(algorithm_pair: Sequence, expert_pair: Sequence) -> str
     return "mismatch"
 
 
-def first_recommendation_hit_rate(
-    queries_with_truth: Sequence, recommender: Callable
-) -> float:
-    """Fraction of queries whose rank-1 recommendation is in the truth set.
-
-    Args:
-        queries_with_truth: (query code, truth set) pairs.
-        recommender: callable mapping a query code to a NeighborList.
-    """
-    if not queries_with_truth:
-        raise InvalidParameterError("need at least one query")
-    hits = 0
-    for query, truth in queries_with_truth:
-        recs = recommender(query)
-        if recs.neighbors and recs.neighbors[0][0] in truth:
-            hits += 1
-    return hits / len(queries_with_truth)
-
-
 @dataclass
 class BenchmarkConfig:
     """Knobs for :func:`run_benchmark`. Defaults run in seconds."""
@@ -342,8 +336,6 @@ class EvalReport:
 
     def validate(self) -> None:
         """Check report invariants; raises InternalConsistencyError on violation."""
-        from .errors import InternalConsistencyError
-
         for section in (self.substitutes, self.complements):
             rates = [section["hits_at_k"], section["first_hit_rate"],
                      section["weighted_accuracy"]]
@@ -432,40 +424,56 @@ def run_benchmark(market: SyntheticMarket, config: BenchmarkConfig) -> EvalRepor
         "affinity": market.affinity,
         "seed": market.seed,
     }
-    return benchmark_baskets(
-        market.baskets, market.membership(), config, market_info=market_info
-    )
+    baskets, vocab = parse_baskets(" ".join(basket) for basket in market.baskets)
+    graph = expand_hyperedges(baskets, vocab)
+    return benchmark_baskets(graph, market.membership(), config, market_info=market_info)
+
+
+def _listed(codes: list) -> str:
+    """The first ten codes, comma-separated, with a count of the rest."""
+    more = f" (+{len(codes) - 10} more)" if len(codes) > 10 else ""
+    return ", ".join(codes[:10]) + more
 
 
 def benchmark_baskets(
-    baskets: Iterable,
+    graph: CooccurrenceGraph,
     membership: dict,
     config: BenchmarkConfig,
     market_info: dict | None = None,
-    vocabulary: Vocabulary | None = None,
 ) -> EvalReport:
-    """Benchmark arbitrary baskets against a code -> (theme, group) truth map.
-
-    Args:
-        baskets: product-code lists, or, when ``vocabulary`` is given,
-            baskets of its indices as :func:`parse_baskets` returns them.
+    """Benchmark a basket graph against a code -> (theme, group) truth map.
 
     Raises:
-        DataInconsistencyError: if a basket references a code missing from
+        DataInconsistencyError: if a product of the graph is missing from
             ``membership``.
+        InvalidParameterError: if a non-isolated product has no substitute
+            truth (no other product in its group) or no complement truth
+            (no other group in its theme).
     """
-    vocab = vocabulary
-    if vocab is None:
-        vocab = Vocabulary()
-        baskets = [[vocab.intern(code) for code in basket] for basket in baskets]
-    missing = sorted(c for c in vocab if c not in membership)
+    missing = sorted(c for c in graph.vocabulary if c not in membership)
     if missing:
-        shown = ", ".join(missing[:10])
-        more = f" (+{len(missing) - 10} more)" if len(missing) > 10 else ""
         raise DataInconsistencyError(
-            f"basket products missing from the truth file: {shown}{more}"
+            f"basket products missing from the truth file: {_listed(missing)}"
         )
-    graph = expand_hyperedges(baskets, vocab)
+    by_group: dict = {}
+    by_theme: dict = {}
+    for code, (t, g) in membership.items():
+        by_group.setdefault((t, g), set()).add(code)
+        by_theme.setdefault(t, set()).add(code)
+    codes = graph.vocabulary.codes
+    no_substitute, no_complement = [], []
+    for v in np.flatnonzero(graph.degrees > 0).tolist():
+        t, g = membership[codes[v]]
+        if len(by_group[(t, g)]) == 1:
+            no_substitute.append(codes[v])
+        if len(by_theme[t]) == len(by_group[(t, g)]):
+            no_complement.append(codes[v])
+    for lacking, relation, why in (
+        (no_substitute, "substitute", "no other product in its group"),
+        (no_complement, "complement", "no other group in its theme"),
+    ):
+        if lacking:
+            raise InvalidParameterError(f"no {relation} truth for {_listed(lacking)}: {why}")
     sub_space, comp_space = train(
         graph,
         d=config.dimension,
@@ -477,12 +485,6 @@ def benchmark_baskets(
     embedded = sub_space.codes
     n = len(embedded)
 
-    by_group: dict = {}
-    by_theme: dict = {}
-    for code, (t, g) in membership.items():
-        by_group.setdefault((t, g), set()).add(code)
-        by_theme.setdefault(t, set()).add(code)
-
     queries = list(embedded)
     if config.query_sample is not None and config.query_sample < len(queries):
         picker = np.random.default_rng(config.seed)
@@ -490,23 +492,14 @@ def benchmark_baskets(
         queries = [queries[int(i)] for i in idx]
 
     k = config.k
-    counts = {
-        "sub_hits": 0,
-        "comp_hits": 0,
-        "sub_hits_comp_space": 0,
-        "rand_sub_hits": 0,
-        "rand_comp_hits": 0,
-        "sub_first": 0,
-        "comp_first": 0,
-        "rand_sub_first": 0,
-        "rand_comp_first": 0,
-    }
-    exp_sub = 0.0
-    var_sub = 0.0
-    exp_comp = 0.0
-    var_comp = 0.0
-    cat_sub: dict = {}
-    cat_comp: dict = {}
+    counts = dict.fromkeys(
+        ("sub_hits", "comp_hits", "sub_hits_comp_space", "rand_sub_hits", "rand_comp_hits",
+         "sub_first", "comp_first", "rand_sub_first", "rand_comp_first"),
+        0,
+    )
+    exp_sub = var_sub = exp_comp = var_comp = 0.0
+    # theme -> [substitute hits, complement hits, answers]
+    categories: dict = {}
     order = {
         "substitute": {"correct": 0, "reversed": 0, "mismatch": 0, "evaluated": 0},
         "complement": {"correct": 0, "reversed": 0, "mismatch": 0, "evaluated": 0},
@@ -555,23 +548,21 @@ def benchmark_baskets(
         var_comp += e * (1.0 - e)
         order_count("substitute", sub_recs, sub_truth)
         order_count("complement", comp_recs, comp_truth)
-        sub_acc = cat_sub.setdefault(t, [0, 0])
-        sub_acc[0] += s
-        sub_acc[1] += 1
-        comp_acc = cat_comp.setdefault(t, [0, 0])
-        comp_acc[0] += c
-        comp_acc[1] += 1
+        category = categories.setdefault(t, [0, 0, 0])
+        category[0] += s
+        category[1] += c
+        category[2] += 1
 
     nq = len(queries)
 
-    def per_category(cat: dict) -> list:
+    def per_category(column: int) -> list:
         return [
-            {"category": f"theme-{t}", "accuracy": hits / m, "answers": m}
-            for t, (hits, m) in sorted(cat.items())
+            {"category": f"theme-{t}", "accuracy": acc[column] / acc[2], "answers": acc[2]}
+            for t, acc in sorted(categories.items())
         ]
 
-    sub_categories = per_category(cat_sub)
-    comp_categories = per_category(cat_comp)
+    sub_categories = per_category(0)
+    comp_categories = per_category(1)
     report = EvalReport(
         config=asdict(config),
         market=market_info or {"products_in_truth": len(membership)},

@@ -4,23 +4,23 @@ A basket file is plain UTF-8 text with one transaction per line: product
 codes separated by whitespace. Blank lines and lines starting with ``#``
 are skipped. Product order inside a line carries no meaning.
 
-Baskets are hyperedges over products; they are expanded into a weighted
-pairwise co-occurrence graph by clique expansion: within each basket,
-after de-duplicating repeated codes, every unordered pair of distinct
-products gains one unit of edge weight. Quantities are not used and
+Baskets are hyperedges over products, parsed into ragged index arrays
+with repeated codes dropped; they are expanded into a weighted pairwise
+co-occurrence graph by clique expansion: within each basket, every
+unordered pair of distinct products gains one unit of edge weight. Quantities are not used and
 self-loops never occur.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
+from array import array
 from dataclasses import dataclass
 from os.path import commonprefix
-from typing import Iterable, TextIO
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
-from .errors import MalformedInputError, UnknownProductError
+from .errors import InvalidParameterError, MalformedInputError, UnknownProductError
 
 # Baskets beyond this many distinct products are rejected: clique expansion
 # grows quadratically and a line that size is almost certainly not a basket.
@@ -79,44 +79,56 @@ class Vocabulary:
         return iter(self._codes)
 
 
-# A basket is stored canonically as a sorted tuple of internal indices,
-# duplicates preserved; two baskets are equal iff they hold the same multiset.
-Basket = tuple
+class Baskets(NamedTuple):
+    """Baskets as ragged rows of vocabulary indices: row ``r`` is
+    ``items[offsets[r]:offsets[r + 1]]``, int64 both.
+
+    Rows that :func:`parse_baskets` returns hold each line's distinct
+    codes in first-appearance order.
+    """
+
+    offsets: np.ndarray
+    items: np.ndarray
 
 
 def parse_baskets(
-    stream: TextIO,
+    lines: Iterable[str],
     max_basket_products: int = DEFAULT_MAX_BASKET_PRODUCTS,
-) -> tuple[list[Basket], Vocabulary]:
-    """Parse a basket stream into baskets and a vocabulary.
+) -> tuple[Baskets, Vocabulary]:
+    """Parse basket lines into baskets and a vocabulary.
 
     Args:
-        stream: text stream of basket lines.
+        lines: text lines, such as an open file or a list of strings.
         max_basket_products: reject lines with more distinct products than
             this bound.
 
     Returns:
-        (baskets, vocabulary): baskets in file order, each a sorted tuple of
-        internal indices; vocabulary in first-appearance order.
+        (baskets, vocabulary): one row per basket line, in file order;
+        vocabulary in first-appearance order.
 
     Raises:
         MalformedInputError: on lines exceeding the product bound.
         OSError: if the stream cannot be read.
     """
-    vocab = Vocabulary()
-    baskets: list[Basket] = []
-    for lineno, line in enumerate(stream, start=1):
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
+    index: dict[str, int] = {}
+    offsets = array("q", [0])
+    items = array("q")
+    for lineno, line in enumerate(lines, start=1):
+        tokens = line.split()
+        if not tokens or tokens[0].startswith("#"):
             continue
-        tokens = stripped.split()
-        if len(set(tokens)) > max_basket_products:
+        distinct = dict.fromkeys(tokens)
+        if len(distinct) > max_basket_products:
             raise MalformedInputError(
-                f"line {lineno}: basket has {len(set(tokens))} distinct products, "
+                f"line {lineno}: basket has {len(distinct)} distinct products, "
                 f"exceeding the limit of {max_basket_products}"
             )
-        baskets.append(tuple(sorted(vocab.intern(tok) for tok in tokens)))
-    return baskets, vocab
+        # len(index) is read before setdefault inserts, so a new code gets
+        # the next index.
+        items.extend([index.setdefault(tok, len(index)) for tok in distinct])
+        offsets.append(len(items))
+    baskets = Baskets(np.frombuffer(offsets, np.int64), np.frombuffer(items, np.int64))
+    return baskets, Vocabulary(index)
 
 
 @dataclass
@@ -148,36 +160,30 @@ class CooccurrenceGraph:
         return int(self.w.sum())
 
 
-def expand_hyperedges(baskets: Iterable[Basket], vocabulary: Vocabulary) -> CooccurrenceGraph:
+def expand_hyperedges(baskets: Baskets, vocabulary: Vocabulary) -> CooccurrenceGraph:
     """Clique-expand baskets into a weighted co-occurrence graph.
 
-    Each basket contributes +1 weight to every unordered pair of distinct
-    products it contains (after de-duplication). Singleton baskets
-    contribute nothing.
+    Each basket contributes +1 weight to every unordered pair of its
+    products. Singleton baskets contribute nothing.
+
+    Raises:
+        InvalidParameterError: if a row repeats a code; rows from
+            :func:`parse_baskets` never do.
     """
     n = len(vocabulary)
-    by_length: dict[int, list] = defaultdict(list)
-    for basket in baskets:
-        by_length[len(basket)].append(basket)
-    # Sorted rows without an adjacent-equal pair are already de-duplicated;
-    # only rows that repeat a code go through a set.
-    by_size: dict[int, list] = defaultdict(list)
-    for length, group in by_length.items():
-        if length < 2:
-            continue
-        items = np.sort(np.array(group, dtype=np.int64), axis=1)
-        repeats = (items[:, 1:] == items[:, :-1]).any(axis=1)
-        by_size[length].append(items[~repeats])
-        for row in items[repeats].tolist():
-            distinct = sorted(set(row))
-            if len(distinct) > 1:
-                by_size[len(distinct)].append(np.array([distinct], dtype=np.int64))
-    # One array per basket size; pair (a, b) with a < b gets the key a*n + b.
+    offsets, items = baskets
+    sizes = np.diff(offsets)
+    # One block of rows per basket size; pair (a, b) with a < b gets the key
+    # a*n + b.
     keys = [np.zeros(0, dtype=np.int64)]
-    for size, blocks in by_size.items():
-        items = np.concatenate(blocks)
+    for size in np.unique(sizes[sizes > 1]).tolist():
+        starts = offsets[:-1][sizes == size]
+        rows = items[starts[:, None] + np.arange(size)]
+        rows.sort(axis=1)
+        if (rows[:, 1:] == rows[:, :-1]).any():
+            raise InvalidParameterError("a basket row repeats a product index")
         i, j = np.triu_indices(size, 1)
-        keys.append((items[:, i] * n + items[:, j]).ravel())
+        keys.append((rows[:, i] * n + rows[:, j]).ravel())
     pairs, w = np.unique(np.concatenate(keys), return_counts=True)
     a, b = np.divmod(pairs, n)
     degrees = np.bincount(a, weights=w, minlength=n) + np.bincount(b, weights=w, minlength=n)

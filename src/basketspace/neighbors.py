@@ -49,21 +49,6 @@ class NeighborList:
         return len(self.neighbors)
 
 
-def cosine_similarity(u: np.ndarray, v: np.ndarray) -> float:
-    """Cosine of the angle between two vectors, clamped to [-1, 1]."""
-    u = np.asarray(u, dtype=np.float64)
-    v = np.asarray(v, dtype=np.float64)
-    if u.shape != v.shape:
-        raise InvalidParameterError(
-            f"dimension mismatch: {u.shape} vs {v.shape}"
-        )
-    nu = np.linalg.norm(u)
-    nv = np.linalg.norm(v)
-    if nu == 0.0 or nv == 0.0:
-        raise InvalidParameterError("cosine similarity of a zero vector is undefined")
-    return float(min(1.0, max(-1.0, float(np.dot(u, v)) / (nu * nv))))
-
-
 # Similarities are computed one block of rows at a time, each block a whole
 # (rows x n) product. A block holds max(2, BLOCK_ENTRIES // n) rows, so the
 # partition depends on n alone: BLAS picks its kernel by block height (GEMV

@@ -6,7 +6,13 @@ import io
 import numpy as np
 import pytest
 
-from basketspace import CooccurrenceGraph, Vocabulary, expand_hyperedges, parse_baskets
+from basketspace import (
+    CooccurrenceGraph,
+    InvalidParameterError,
+    Vocabulary,
+    expand_hyperedges,
+    parse_baskets,
+)
 
 # Three-basket demo corpus used throughout the tests.
 DEMO_TEXT = "p1 p3 p4\np2 p4\np5 p6 p3\n"
@@ -28,6 +34,46 @@ DEMO_DEGREES = {"p1": 2, "p2": 1, "p3": 4, "p4": 3, "p5": 2, "p6": 2}
 def graph_from_text(text: str) -> CooccurrenceGraph:
     baskets, vocab = parse_baskets(io.StringIO(text))
     return expand_hyperedges(baskets, vocab)
+
+
+def basket_rows(baskets) -> list:
+    """The rows of a :class:`basketspace.Baskets` as lists of indices."""
+    offsets, items = baskets
+    return [items[s:e].tolist() for s, e in zip(offsets[:-1].tolist(), offsets[1:].tolist())]
+
+
+def cosine_similarity(u: np.ndarray, v: np.ndarray) -> float:
+    """Oracle: cosine of the angle between two vectors, clamped to [-1, 1]."""
+    u = np.asarray(u, dtype=np.float64)
+    v = np.asarray(v, dtype=np.float64)
+    if u.shape != v.shape:
+        raise InvalidParameterError(f"dimension mismatch: {u.shape} vs {v.shape}")
+    nu = np.linalg.norm(u)
+    nv = np.linalg.norm(v)
+    if nu == 0.0 or nv == 0.0:
+        raise InvalidParameterError("cosine similarity of a zero vector is undefined")
+    return float(min(1.0, max(-1.0, float(np.dot(u, v)) / (nu * nv))))
+
+
+def normalize_rows(a: np.ndarray) -> np.ndarray:
+    """Oracle: ``a`` with every row scaled to unit L2 norm."""
+    norms = np.linalg.norm(a, axis=1, keepdims=True)
+    if (norms <= 1e-30).any():
+        raise InvalidParameterError("cannot normalize a zero row")
+    return a / norms
+
+
+def first_recommendation_hit_rate(queries_with_truth, recommender) -> float:
+    """Oracle: fraction of (query, truth set) pairs whose rank-1
+    recommendation from ``recommender(query)`` is in the truth set."""
+    if not queries_with_truth:
+        raise InvalidParameterError("need at least one query")
+    hits = 0
+    for query, truth in queries_with_truth:
+        recs = recommender(query)
+        if recs.neighbors and recs.neighbors[0][0] in truth:
+            hits += 1
+    return hits / len(queries_with_truth)
 
 
 def graph_from_edges(edges: dict) -> CooccurrenceGraph:

@@ -398,8 +398,8 @@ class TestEval:
         assert lines[0].split()[0] in err
 
     def test_report_equals_library_run_on_code_baskets(self, market_files, tmp_path):
-        # The CLI hands parsed index baskets and their vocabulary through;
-        # the library interns code baskets itself. The reports must agree.
+        # The CLI parses the basket file; here the library parses the same
+        # baskets given as lists of codes. The reports must agree.
         out = tmp_path / "report.json"
         code = main(
             ["eval", "--input", str(market_files), "--output", str(out), "--dim", "16",
@@ -409,10 +409,48 @@ class TestEval:
         baskets = [line.split() for line in market_files.read_text(encoding="utf-8").splitlines()]
         with open(market_files.parent / "market.txt.truth", encoding="utf-8") as fh:
             membership = read_truth(fh)
+        graph = expand_hyperedges(*parse_baskets(" ".join(b) for b in baskets))
         report = benchmark_baskets(
-            baskets, membership, BenchmarkConfig(dimension=16, chunks=2, seed=3)
+            graph, membership, BenchmarkConfig(dimension=16, chunks=2, seed=3)
         )
         assert out.read_text(encoding="utf-8") == report.to_json() + "\n"
+
+    def test_repeated_truth_code_exits_2(self, tmp_path, capsys):
+        baskets = tmp_path / "b.txt"
+        baskets.write_text("a b\n", encoding="utf-8")
+        truth = tmp_path / "t.txt"
+        truth.write_text("a 0 0\nb 0 1\n# moved\na 1 1\n", encoding="utf-8")
+        code = main(["eval", "--input", str(baskets), "--truth", str(truth), "--dim", "4"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "line 4" in err and "line 1" in err and "'a'" in err
+
+    @pytest.mark.parametrize(
+        "truth, relation, named",
+        [
+            ("a 0 0\nb 0 0\nc 0 1\nd 0 2\n", "substitute", "c, d"),
+            ("a 0 0\nb 0 0\nc 0 0\nd 0 0\n", "complement", "a, b, c, d"),
+        ],
+        ids=["substitute", "complement"],
+    )
+    def test_empty_truth_set_exits_2_before_training(
+        self, tmp_path, capsys, monkeypatch, truth, relation, named
+    ):
+        from basketspace import evaluation
+
+        def no_train(*args, **kwargs):
+            raise AssertionError("train must not run")
+
+        monkeypatch.setattr(evaluation, "train", no_train)
+        baskets = tmp_path / "b.txt"
+        baskets.write_text("a b c\na c\nb d\nc d\n", encoding="utf-8")
+        truth_path = tmp_path / "t.txt"
+        truth_path.write_text(truth, encoding="utf-8")
+        code = main(["eval", "--input", str(baskets), "--truth", str(truth_path), "--dim", "4"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"no {relation} truth" in err
+        assert named in err
 
     def test_explicit_truth_flag(self, market_files, tmp_path):
         moved = tmp_path / "labels.txt"

@@ -1,8 +1,10 @@
 """Chunk partitioning, transition matrices, iteration, merging, training,
 the dense reference path, and the embedding file format."""
 
+import dataclasses
 import hashlib
 import io
+import tracemalloc
 import re
 import zlib
 
@@ -16,18 +18,16 @@ from basketspace import (
     InvalidParameterError,
     MalformedInputError,
     build_transition,
-    compute_chunk_weights,
     dense_reference_train,
     init_embedding,
     iterate,
-    normalize_rows,
     partition_chunks,
     read_embedding,
     train,
     write_embedding,
 )
 from basketspace import embedding
-from conftest import edge_weights, graph_from_edges, graph_from_text, random_graph
+from conftest import edge_weights, graph_from_edges, graph_from_text, normalize_rows, random_graph
 
 
 def unit_rows(vectors: np.ndarray, atol: float = 1e-9) -> bool:
@@ -311,23 +311,43 @@ class TestIterate:
             assert np.array_equal(a.vectors, b.vectors)
 
 
+def chunk_weights(graph, chunk_count: int) -> np.ndarray:
+    """Merge weights w(q, v) = deg_q(v) / deg(v) as a (|vocabulary|, Q)
+    array, counted edge by edge."""
+    chunk_ids = partition_chunks(graph, chunk_count)
+    W = np.zeros((len(graph.vocabulary), chunk_count))
+    for a, b, w, q in zip(graph.a.tolist(), graph.b.tolist(), graph.w.tolist(), chunk_ids.tolist()):
+        W[a, q] += w
+        W[b, q] += w
+    covered = graph.degrees > 0
+    W[covered] /= graph.degrees[covered, None]
+    return W
+
+
 class TestChunkWeights:
     def test_single_chunk_weights_are_one(self, demo_graph):
-        W = compute_chunk_weights(demo_graph, partition_chunks(demo_graph, 1), 1)
+        M = build_transition(demo_graph, partition_chunks(demo_graph, 1), 0)
+        assert np.array_equal(M.degrees, demo_graph.degrees[M.nodes])
+        W = chunk_weights(demo_graph, 1)
         assert np.allclose(W[:, 0], 1.0, atol=1e-15)
 
     def test_rows_sum_to_one_for_covered_nodes(self):
         rng = np.random.default_rng(41)
         for q in (1, 2, 3, 5):
             g = random_graph(rng)
-            W = compute_chunk_weights(g, partition_chunks(g, q), q)
+            W = chunk_weights(g, q)
             covered = g.degrees > 0
             assert np.allclose(W[covered].sum(axis=1), 1.0, atol=1e-12)
             assert (W >= 0).all() and (W <= 1).all()
+            # train scales chunk rows by each transition matrix's degrees.
+            chunk_ids = partition_chunks(g, q)
+            for chunk in np.unique(chunk_ids).tolist():
+                M = build_transition(g, chunk_ids, chunk)
+                assert np.array_equal(M.degrees / g.degrees[M.nodes], W[M.nodes, chunk])
 
     def test_isolated_rows_are_zero(self):
         g = graph_from_text("a b\nlonely\n")
-        W = compute_chunk_weights(g, partition_chunks(g, 2), 2)
+        W = chunk_weights(g, 2)
         row = W[g.vocabulary.index_of("lonely")]
         assert np.array_equal(row, np.zeros(2))
 
@@ -368,7 +388,7 @@ class TestMerge:
         for _ in range(5):
             g = random_graph(rng, max_nodes=30, max_edges=300)
             chunk_ids = partition_chunks(g, 5)
-            W = compute_chunk_weights(g, chunk_ids, 5)
+            W = chunk_weights(g, 5)
             sums = {}
             for q in sorted(set(chunk_ids.tolist())):
                 M = build_transition(g, chunk_ids, q)
@@ -392,7 +412,7 @@ class TestMerge:
         q = split_chunk_count(g)
         chunk_ids = partition_chunks(g, q)
         by_pair = chunk_map(g, chunk_ids)
-        W = compute_chunk_weights(g, chunk_ids, q)
+        W = chunk_weights(g, q)
         assert W[ia, by_pair[("a", "b")]] == pytest.approx(0.25)
         assert W[ia, by_pair[("a", "c")]] == pytest.approx(0.75)
         hand_chunks(monkeypatch, {
@@ -406,13 +426,17 @@ class TestMerge:
         assert unit_rows(merged.vectors, atol=1e-12)
 
     def test_zero_total_weight_rejected(self, monkeypatch):
+        # A node whose chunk weights are all zero merges to a zero row.
         g = graph_from_text("a b\n")
+        build = embedding.build_transition
         monkeypatch.setattr(
             embedding,
-            "compute_chunk_weights",
-            lambda graph, chunk_ids, q: np.zeros((len(graph.vocabulary), q)),
+            "build_transition",
+            lambda graph, chunk_ids, q: dataclasses.replace(
+                build(graph, chunk_ids, q), degrees=np.zeros(2)
+            ),
         )
-        with pytest.raises(InternalConsistencyError, match="zero total chunk weight"):
+        with pytest.raises(InternalConsistencyError, match="cancelled to zero"):
             train(g, d=4, iterations=1, seed=0)
 
     def test_cancelled_merged_row_rejected(self, monkeypatch):
@@ -501,6 +525,16 @@ class TestTrain:
         emb = train(demo_graph, d=8, iterations=2, chunks=64, seed=0)
         assert set(emb.codes) == set(demo_graph.vocabulary.codes)
         assert unit_rows(emb.vectors)
+
+    def test_memory_does_not_grow_with_chunk_count(self, demo_graph):
+        # Six products in a million chunks: nothing may be sized products x Q.
+        tracemalloc.start()
+        try:
+            train(demo_graph, d=4, iterations=1, chunks=10**6, seed=0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
 
 
 def train_or_message(graph, **kwargs):

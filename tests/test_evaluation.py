@@ -12,7 +12,6 @@ from basketspace import (
     InvalidParameterError,
     NeighborList,
     benchmark_baskets,
-    first_recommendation_hit_rate,
     generate_synthetic_market,
     hits_at_k,
     pair_order_agreement,
@@ -24,7 +23,8 @@ from basketspace import (
     train,
     weighted_accuracy,
 )
-from basketspace.ingest import Vocabulary, expand_hyperedges
+from basketspace.ingest import expand_hyperedges, parse_baskets
+from conftest import first_recommendation_hit_rate, graph_from_text
 
 
 def small_market(**overrides):
@@ -156,6 +156,12 @@ class TestTruthReader:
 
         with pytest.raises(MalformedInputError):
             read_truth(io.StringIO("t0g0m0 zero 0\n"))
+
+    def test_rejects_repeated_code(self):
+        from basketspace import MalformedInputError
+
+        with pytest.raises(MalformedInputError, match="line 3.*'a'.*line 1"):
+            read_truth(io.StringIO("a 0 0\nb 0 1\na 1 1\n"))
 
 
 class TestHitsAtK:
@@ -423,7 +429,7 @@ class TestBenchmark:
     def test_missing_truth_code_rejected(self):
         with pytest.raises(DataInconsistencyError) as exc:
             benchmark_baskets(
-                [["a", "b"]], {"a": (0, 0)}, BenchmarkConfig(dimension=4)
+                graph_from_text("a b\n"), {"a": (0, 0)}, BenchmarkConfig(dimension=4)
             )
         assert "b" in str(exc.value)
 
@@ -431,9 +437,7 @@ class TestBenchmark:
         # A planted market where the rank-1 substitute suggestion lands in
         # the truth group at least ten times as often as chance.
         m = generate_synthetic_market(seed=0)
-        vocab = Vocabulary()
-        baskets = [tuple(sorted(vocab.intern(c) for c in b)) for b in m.baskets]
-        graph = expand_hyperedges(baskets, vocab)
+        graph = expand_hyperedges(*parse_baskets(" ".join(b) for b in m.baskets))
         space = train(graph, d=128, iterations=6, seed=0)
         rng = np.random.default_rng(0)
         picks = rng.choice(len(space.codes), size=200, replace=False)

@@ -8,6 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from basketspace import (
+    Baskets,
+    InvalidParameterError,
     MalformedInputError,
     UnknownProductError,
     Vocabulary,
@@ -15,7 +17,15 @@ from basketspace import (
     isolated_products,
     parse_baskets,
 )
-from conftest import DEMO_DEGREES, DEMO_EDGES, DEMO_TEXT, edge_weight, edge_weights, graph_from_text
+from conftest import (
+    DEMO_DEGREES,
+    DEMO_EDGES,
+    DEMO_TEXT,
+    basket_rows,
+    edge_weight,
+    edge_weights,
+    graph_from_text,
+)
 
 
 def parse(text: str, **kwargs):
@@ -25,29 +35,48 @@ def parse(text: str, **kwargs):
 class TestParsing:
     def test_demo_corpus(self):
         baskets, vocab = parse(DEMO_TEXT)
-        assert len(baskets) == 3
+        assert basket_rows(baskets) == [[0, 1, 2], [3, 2], [4, 5, 1]]
         assert len(vocab) == 6
         # First-appearance order.
         assert list(vocab.codes) == ["p1", "p3", "p4", "p2", "p5", "p6"]
 
+    def test_ragged_int64_arrays(self):
+        baskets, _ = parse("a b c\n# skipped\nd\nb e\n")
+        assert isinstance(baskets, Baskets)
+        assert baskets.offsets.dtype == baskets.items.dtype == np.int64
+        assert len(baskets.offsets) == 3 + 1
+        assert baskets.offsets.tolist() == [0, 3, 4, 6]
+        assert baskets.items.tolist() == [0, 1, 2, 3, 1, 4]
+
+    def test_list_of_strings_parses_like_a_stream(self):
+        text = "# header\nx y x\n\nz  y\ncafé x\n"
+        from_stream, stream_vocab = parse(text)
+        from_list, list_vocab = parse_baskets(text.splitlines(keepends=True))
+        bare, bare_vocab = parse_baskets(text.splitlines())
+        for baskets, vocab in ((from_list, list_vocab), (bare, bare_vocab)):
+            assert np.array_equal(baskets.offsets, from_stream.offsets)
+            assert np.array_equal(baskets.items, from_stream.items)
+            assert vocab.codes == stream_vocab.codes
+
     def test_token_order_within_basket_is_irrelevant(self):
-        b1, _ = parse("a b c\n")
-        b2, _ = parse("c a b\n")
-        assert b1 == b2
+        b1, v1 = parse("a b c\n")
+        b2, v2 = parse("c a b\n")
+        assert basket_rows(b1) == basket_rows(b2)
+        assert sorted(v1.codes) == sorted(v2.codes)
 
     def test_comments_and_blank_lines_skipped(self):
         baskets, vocab = parse("# header\n\na b\n   \n# tail\nc d\n")
-        assert len(baskets) == 2
+        assert len(basket_rows(baskets)) == 2
         assert len(vocab) == 4
 
-    def test_duplicates_within_basket_preserved_by_parser(self):
-        baskets, vocab = parse("a a b\n")
-        assert len(baskets[0]) == 3
-        assert len(vocab) == 2
+    def test_rows_hold_distinct_codes_in_first_appearance_order(self):
+        baskets, vocab = parse("a a b\nc b c a b\n")
+        assert basket_rows(baskets) == [[0, 1], [2, 1, 0]]
+        assert vocab.codes == ["a", "b", "c"]
 
     def test_singleton_basket_accepted(self):
         baskets, vocab = parse("solo\n")
-        assert len(baskets) == 1
+        assert basket_rows(baskets) == [[0]]
         assert len(vocab) == 1
 
     def test_oversize_basket_names_line(self):
@@ -58,7 +87,7 @@ class TestParsing:
     def test_oversize_counts_distinct_products(self):
         # Repeats of one product do not count against the cap.
         baskets, _ = parse("a a a a b c\n", max_basket_products=3)
-        assert len(baskets) == 1
+        assert basket_rows(baskets) == [[0, 1, 2]]
 
     def test_unicode_codes(self):
         baskets, vocab = parse("café thé\n")
@@ -203,7 +232,8 @@ class TestExpansion:
     def test_repeated_codes_in_every_size_group(self):
         # Every line length from 1 to 9 holds rows of distinct codes and
         # rows that repeat a code (down to one distinct code), shuffled, so
-        # each size group mixes rows that skip and rows that need the set.
+        # each size group mixes lines the parser keeps whole and lines it
+        # shortens.
         rng = np.random.default_rng(11)
         for _ in range(20):
             lines = []
@@ -219,12 +249,18 @@ class TestExpansion:
             baskets, vocab = parse("\n".join(lines) + "\n")
             g = expand_hyperedges(baskets, vocab)
             self.assert_matches_brute_force(lines, g)
-            # Unsorted rows of indices, as code baskets intern them, expand
-            # to the same arrays.
-            unsorted = [[vocab.index_of(c) for c in line.split()] for line in lines]
-            h = expand_hyperedges(unsorted, vocab)
+            # Hand-built rows in another order expand to the same arrays.
+            rows = [rng.permutation(row) for row in basket_rows(baskets)]
+            offsets = np.cumsum([0] + [len(row) for row in rows])
+            h = expand_hyperedges(Baskets(offsets, np.concatenate(rows)), vocab)
             for name in ("a", "b", "w", "degrees"):
                 assert np.array_equal(getattr(g, name), getattr(h, name))
+
+    def test_row_with_repeated_index_rejected(self):
+        _, vocab = parse("a b c\n")
+        rows = Baskets(np.array([0, 2, 5]), np.array([0, 1, 2, 0, 2]))
+        with pytest.raises(InvalidParameterError):
+            expand_hyperedges(rows, vocab)
 
     def test_edge_keys_are_ordered_pairs(self, demo_graph):
         g = demo_graph

@@ -15,7 +15,6 @@ from basketspace import (
     EmbeddingMatrix,
     InvalidParameterError,
     UnknownProductError,
-    cosine_similarity,
     random_recommender,
     recommend_complements,
     recommend_substitutes,
@@ -24,6 +23,7 @@ from basketspace import (
     write_neighbors,
 )
 from basketspace.neighbors import BLOCK_ENTRIES
+from conftest import cosine_similarity
 
 
 def embedding_from(rows: dict, iterations=None) -> EmbeddingMatrix:
