@@ -10,7 +10,9 @@ from __future__ import annotations
 import argparse
 import sys
 import time
+from contextlib import contextmanager
 from pathlib import Path
+from typing import Iterator, TextIO
 
 from .embedding import (
     DEFAULT_DIMENSION,
@@ -19,7 +21,7 @@ from .embedding import (
     train,
     write_embedding,
 )
-from .errors import BasketspaceError
+from .errors import BasketspaceError, MalformedInputError
 from .evaluation import (
     DEFAULT_AFFINITY,
     DEFAULT_BASKETS,
@@ -45,9 +47,23 @@ def _progress(message: str) -> None:
     print(message, file=sys.stderr)
 
 
+@contextmanager
+def _open_input(path: str) -> Iterator[TextIO]:
+    """Open an input file as UTF-8 text; bytes that do not decode end in a
+    :class:`MalformedInputError` that names the file."""
+    with open(path, encoding="utf-8") as stream:
+        try:
+            yield stream
+        except UnicodeDecodeError as exc:
+            raise MalformedInputError(
+                f"{path}: not UTF-8 text: cannot decode byte "
+                f"0x{exc.object[exc.start]:02x} ({exc.reason})"
+            ) from None
+
+
 def cmd_embed(args: argparse.Namespace) -> int:
     started = time.monotonic()
-    with open(args.input, encoding="utf-8") as stream:
+    with _open_input(args.input) as stream:
         baskets, vocab = parse_baskets(stream, args.max_basket_size)
     graph = expand_hyperedges(baskets, vocab)
     isolated = isolated_products(graph)
@@ -72,11 +88,11 @@ def cmd_embed(args: argparse.Namespace) -> int:
 
 
 def cmd_neighbors(args: argparse.Namespace) -> int:
-    with open(args.input, encoding="utf-8") as stream:
+    with _open_input(args.input) as stream:
         emb = read_embedding(stream)
     candidates = None
     if args.candidates:
-        with open(args.candidates, encoding="utf-8") as stream:
+        with _open_input(args.candidates) as stream:
             candidates = [
                 token
                 for line in stream
@@ -119,9 +135,9 @@ def cmd_synth(args: argparse.Namespace) -> int:
 
 def cmd_eval(args: argparse.Namespace) -> int:
     truth_path = args.truth or args.input + ".truth"
-    with open(args.input, encoding="utf-8") as stream:
+    with _open_input(args.input) as stream:
         baskets, vocab = parse_baskets(stream)
-    with open(truth_path, encoding="utf-8") as stream:
+    with _open_input(truth_path) as stream:
         membership = read_truth(stream)
     graph = expand_hyperedges(baskets, vocab)
     config = BenchmarkConfig(

@@ -204,8 +204,16 @@ def init_embedding(codes: Sequence[str], d: int, seed: int) -> EmbeddingMatrix:
     gen = np.random.Generator(np.random.Philox(0))
     for i, code in enumerate(codes):
         reseed_philox(gen, f"{seed}\x1e{code}")
+        vectors[i] = gen.uniform(-1.0, 1.0, d)
+    # uniform() can return its low endpoint, which the open interval
+    # excludes, and a row can be too short to normalize. Such rows are drawn
+    # again from their own seed and fixed by redrawing. A row's norm is at
+    # least its largest entry up to rounding, so the doubled bound flags
+    # every row whose norm can be at most ZERO_ROW_NORM.
+    peak = np.abs(vectors).max(axis=1)
+    for i in np.flatnonzero((peak >= 1.0) | (peak <= 2 * ZERO_ROW_NORM)).tolist():
+        reseed_philox(gen, f"{seed}\x1e{codes[i]}")
         row = gen.uniform(-1.0, 1.0, d)
-        # uniform() can return its low endpoint; the open interval excludes it.
         bad = np.abs(row) >= 1.0
         while bad.any():
             row[bad] = gen.uniform(-1.0, 1.0, int(bad.sum()))
@@ -434,7 +442,7 @@ def read_embedding(stream: TextIO) -> EmbeddingMatrix:
         raise MalformedInputError(f"invalid embedding shape {n} x {d}")
     codes = []
     vectors = np.empty((n, d), dtype=np.float64)
-    seen = set()
+    first_line: dict = {}
     for i in range(n):
         line = stream.readline()
         if not line:
@@ -445,9 +453,12 @@ def read_embedding(stream: TextIO) -> EmbeddingMatrix:
                 f"line {i + 2}: expected a code and {d} values, got {len(tokens)} tokens"
             )
         code = tokens[0]
-        if code in seen:
-            raise MalformedInputError(f"line {i + 2}: duplicate code {code!r}")
-        seen.add(code)
+        if code in first_line:
+            raise MalformedInputError(
+                f"line {i + 2}: duplicate code {code!r}, first listed on line "
+                f"{first_line[code]}"
+            )
+        first_line[code] = i + 2
         codes.append(code)
         try:
             vectors[i] = np.asarray(tokens[1:], dtype=np.float64)

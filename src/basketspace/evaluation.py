@@ -508,24 +508,40 @@ def benchmark_baskets(
     def first_hit(recs: NeighborList, truth: set) -> int:
         return int(bool(recs.neighbors) and recs.neighbors[0][0] in truth)
 
-    def order_count(kind: str, recs: NeighborList, truth: set) -> None:
-        if len(recs.neighbors) < 2 or len(truth) < 2:
+    def order_count(kind: str, recs: NeighborList, expert: tuple) -> None:
+        if len(recs.neighbors) < 2 or len(expert) < 2:
             return
-        expert = tuple(sorted(truth)[:2])
         verdict = pair_order_agreement(tuple(recs.codes()[:2]), expert)
         order[kind][verdict] += 1
         order[kind]["evaluated"] += 1
 
-    embedded_set = set(embedded)
     sub_lists = recommend_substitutes(sub_space, queries, k)
     comp_lists = recommend_complements(comp_space, queries, k)
     rand_lists = random_recommender(embedded, queries, k, config.seed)
+    # Per queried group: its first three members in code order, its
+    # complement truth with that truth's first two codes, and the random
+    # recommender's expected hits for a member and for the complement. A
+    # query is an embedded member of its own group, so its substitute truth
+    # holds one embedded product fewer than the group.
+    embedded_set = set(embedded)
+    group_truth = {}
+    for key in dict.fromkeys(membership[q] for q in queries):
+        members = by_group[key]
+        comp_truth = by_theme[key[0]] - members
+        group_truth[key] = (
+            sorted(members)[:3],
+            comp_truth,
+            tuple(sorted(comp_truth)[:2]),
+            random_hit_expectation(n, len(members & embedded_set) - 1, k),
+            random_hit_expectation(n, len(comp_truth & embedded_set), k),
+        )
+
     for q, sub_recs, comp_recs, rand_recs in zip(
         queries, sub_lists, comp_lists, rand_lists
     ):
         t, g = membership[q]
+        first_members, comp_truth, comp_expert, sub_e, comp_e = group_truth[(t, g)]
         sub_truth = by_group[(t, g)] - {q}
-        comp_truth = by_theme[t] - by_group[(t, g)]
 
         s = hits_at_k(sub_recs, sub_truth, k)
         c = hits_at_k(comp_recs, comp_truth, k)
@@ -540,14 +556,13 @@ def benchmark_baskets(
         counts["comp_first"] += first_hit(comp_recs, comp_truth)
         counts["rand_sub_first"] += first_hit(rand_recs, sub_truth)
         counts["rand_comp_first"] += first_hit(rand_recs, comp_truth)
-        e = random_hit_expectation(n, len(sub_truth & embedded_set), k)
-        exp_sub += e
-        var_sub += e * (1.0 - e)
-        e = random_hit_expectation(n, len(comp_truth & embedded_set), k)
-        exp_comp += e
-        var_comp += e * (1.0 - e)
-        order_count("substitute", sub_recs, sub_truth)
-        order_count("complement", comp_recs, comp_truth)
+        exp_sub += sub_e
+        var_sub += sub_e * (1.0 - sub_e)
+        exp_comp += comp_e
+        var_comp += comp_e * (1.0 - comp_e)
+        sub_expert = tuple([code for code in first_members if code != q][:2])
+        order_count("substitute", sub_recs, sub_expert)
+        order_count("complement", comp_recs, comp_expert)
         category = categories.setdefault(t, [0, 0, 0])
         category[0] += s
         category[1] += c

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass
+from itertools import compress, count, filterfalse, islice, repeat
 from os.path import commonprefix
 from typing import Iterable, NamedTuple
 
@@ -25,6 +26,11 @@ from .errors import InvalidParameterError, MalformedInputError, UnknownProductEr
 # Baskets beyond this many distinct products are rejected: clique expansion
 # grows quadratically and a line that size is almost certainly not a basket.
 DEFAULT_MAX_BASKET_PRODUCTS = 5000
+
+# Lines that parse_baskets splits and interns together. A batch's tokens stay
+# alive until it is done, and the vocabulary keeps some of them, so this
+# bounds peak memory rather than speed.
+_BATCH_LINES = 1024
 
 
 def nearest_codes(code: str, known: Iterable[str], limit: int = 5) -> list[str]:
@@ -113,20 +119,42 @@ def parse_baskets(
     index: dict[str, int] = {}
     offsets = array("q", [0])
     items = array("q")
-    for lineno, line in enumerate(lines, start=1):
-        tokens = line.split()
-        if not tokens or tokens[0].startswith("#"):
-            continue
-        distinct = dict.fromkeys(tokens)
-        if len(distinct) > max_basket_products:
+    lines = iter(lines)
+    lineno = 0  # lines read before the current batch
+    while batch := list(islice(lines, _BATCH_LINES)):
+        counts = np.fromiter(map(len, map(str.split, batch)), np.int64, len(batch))
+        text = " ".join(batch)
+        tokens = text.split()
+        filled = np.flatnonzero(counts)
+        sizes = counts[filled]
+        if "#" in text:
+            firsts = map(tokens.__getitem__, (np.cumsum(sizes) - sizes).tolist())
+            comment = np.fromiter(map(str.startswith, firsts, repeat("#")), bool, len(sizes))
+            if comment.any():
+                tokens = list(compress(tokens, np.repeat(~comment, sizes).tolist()))
+                filled, sizes = filled[~comment], sizes[~comment]
+        # New codes get the next indices in first-appearance order.
+        index.update(zip(dict.fromkeys(filterfalse(index.__contains__, tokens)), count(len(index))))
+        ids = np.fromiter(map(index.__getitem__, tokens), np.int64, len(tokens))
+        row = np.repeat(np.arange(len(sizes)), sizes)
+        keys = row * len(index) + ids
+        ordered = np.sort(keys)
+        if (ordered[1:] == ordered[:-1]).any():
+            # Keep the first occurrence of a code repeated within its line.
+            _, first = np.unique(keys, return_index=True)
+            first.sort()
+            ids = ids[first]
+            sizes = np.bincount(row[first], minlength=len(sizes))
+        over = np.flatnonzero(sizes > max_basket_products)
+        if len(over):
+            r = int(over[0])
             raise MalformedInputError(
-                f"line {lineno}: basket has {len(distinct)} distinct products, "
-                f"exceeding the limit of {max_basket_products}"
+                f"line {lineno + int(filled[r]) + 1}: basket has {int(sizes[r])} distinct "
+                f"products, exceeding the limit of {max_basket_products}"
             )
-        # len(index) is read before setdefault inserts, so a new code gets
-        # the next index.
-        items.extend([index.setdefault(tok, len(index)) for tok in distinct])
-        offsets.append(len(items))
+        offsets.frombytes((len(items) + np.cumsum(sizes)).tobytes())
+        items.frombytes(ids.tobytes())
+        lineno += len(batch)
     baskets = Baskets(np.frombuffer(offsets, np.int64), np.frombuffer(items, np.int64))
     return baskets, Vocabulary(index)
 

@@ -2,13 +2,16 @@
 plus random-graph helpers used by oracle and invariant tests."""
 
 import io
+from array import array
 
 import numpy as np
 import pytest
 
 from basketspace import (
+    Baskets,
     CooccurrenceGraph,
     InvalidParameterError,
+    MalformedInputError,
     Vocabulary,
     expand_hyperedges,
     parse_baskets,
@@ -34,6 +37,29 @@ DEMO_DEGREES = {"p1": 2, "p2": 1, "p3": 4, "p4": 3, "p5": 2, "p6": 2}
 def graph_from_text(text: str) -> CooccurrenceGraph:
     baskets, vocab = parse_baskets(io.StringIO(text))
     return expand_hyperedges(baskets, vocab)
+
+
+def reference_parse_baskets(lines, max_basket_products: int = 5000):
+    """Oracle: :func:`basketspace.parse_baskets` as one Python loop per line."""
+    index: dict = {}
+    offsets = array("q", [0])
+    items = array("q")
+    for lineno, line in enumerate(lines, start=1):
+        tokens = line.split()
+        if not tokens or tokens[0].startswith("#"):
+            continue
+        distinct = dict.fromkeys(tokens)
+        if len(distinct) > max_basket_products:
+            raise MalformedInputError(
+                f"line {lineno}: basket has {len(distinct)} distinct products, "
+                f"exceeding the limit of {max_basket_products}"
+            )
+        # len(index) is read before setdefault inserts, so a new code gets
+        # the next index.
+        items.extend([index.setdefault(tok, len(index)) for tok in distinct])
+        offsets.append(len(items))
+    baskets = Baskets(np.frombuffer(offsets, np.int64), np.frombuffer(items, np.int64))
+    return baskets, Vocabulary(index)
 
 
 def basket_rows(baskets) -> list:

@@ -461,6 +461,51 @@ class TestEval:
         assert code == 0
 
 
+class TestInvalidUtf8:
+    """An input file that is not UTF-8 exits 2 with its name, whichever
+    reader meets it."""
+
+    GOOD = {
+        "baskets.txt": b"a b\nc d\na c\nb d\n",
+        "truth.txt": b"a 0 0\nb 0 0\nc 0 1\nd 0 1\n",
+        "space.emb": b"2 2\na 0.1 0.2\nb 0.3 0.4\n",
+        "candidates.txt": b"a\nb\n",
+    }
+    BAD = {
+        "baskets.txt": b"a b\n\xff c\n",
+        "truth.txt": b"a 0 0\n\xff 0 0\n",
+        "space.emb": b"2 2\na 0.1 0.2\n\xff 0.3 0.4\n",
+        "candidates.txt": b"a\n\xff\n",
+    }
+
+    @pytest.mark.parametrize(
+        "command, bad",
+        [
+            ("embed", "baskets.txt"),
+            ("eval", "baskets.txt"),
+            ("eval", "truth.txt"),
+            ("neighbors", "space.emb"),
+            ("neighbors", "candidates.txt"),
+        ],
+    )
+    def test_exits_2_naming_the_file(self, tmp_path, capsys, command, bad):
+        for name, data in self.GOOD.items():
+            (tmp_path / name).write_bytes(self.BAD[name] if name == bad else data)
+        path = {name: str(tmp_path / name) for name in self.GOOD}
+        argv = {
+            "embed": ["embed", "--input", path["baskets.txt"], "--output", str(tmp_path / "o.emb")],
+            "eval": ["eval", "--input", path["baskets.txt"], "--truth", path["truth.txt"], "--dim", "4"],
+            "neighbors": [
+                "neighbors", "--input", path["space.emb"], "--all",
+                "--candidates", path["candidates.txt"],
+            ],
+        }[command]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path[bad]}: not UTF-8 text")
+        assert "0xff" in err
+
+
 class TestEntryPoint:
     def test_module_invocation(self):
         result = subprocess.run(

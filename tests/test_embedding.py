@@ -226,6 +226,58 @@ class TestInit:
                 expected /= np.linalg.norm(expected, axis=1, keepdims=True)
                 assert np.array_equal(got, expected), (d, seed)
 
+    def test_rows_that_draw_an_endpoint_or_a_zero_row_are_redrawn(self, monkeypatch):
+        # A generator whose first draw after each reseed puts the excluded
+        # endpoint -1.0 into a row that starts below -0.5 and returns a zero
+        # row where the row starts above 0.5; later draws are untouched.
+        # The rows must equal a per-row loop that checks each draw as it
+        # comes, under the same generator.
+        real = np.random.Generator
+        rigged = {"endpoint": 0, "zero": 0}
+
+        class Rigged:
+            def __init__(self, bit_generator):
+                self.bit_generator = bit_generator
+                self._gen = real(bit_generator)
+
+            def uniform(self, low, high, size):
+                fresh = not any(self.bit_generator.state["state"]["counter"])
+                row = self._gen.uniform(low, high, size)
+                if fresh and row[0] < -0.5:
+                    row[0] = -1.0
+                    rigged["endpoint"] += 1
+                elif fresh and row[0] > 0.5:
+                    row[:] = 0.0
+                    rigged["zero"] += 1
+                return row
+
+        def per_row_loop(codes, d, seed):
+            gen = Rigged(np.random.Philox(0))
+            rows = []
+            for code in codes:
+                embedding.reseed_philox(gen, f"{seed}\x1e{code}")
+                row = gen.uniform(-1.0, 1.0, d)
+                bad = np.abs(row) >= 1.0
+                while bad.any():
+                    row[bad] = gen.uniform(-1.0, 1.0, int(bad.sum()))
+                    bad = np.abs(row) >= 1.0
+                while np.linalg.norm(row) <= embedding.ZERO_ROW_NORM:
+                    row = gen.uniform(-1.0, 1.0, d)
+                rows.append(row)
+            rows = np.array(rows)
+            return rows / np.linalg.norm(rows, axis=1, keepdims=True)
+
+        codes = [f"c{i}" for i in range(200)]
+        for d in (1, 3, 16):
+            expected = per_row_loop(codes, d, seed=4)
+            rigged.update(endpoint=0, zero=0)
+            with monkeypatch.context() as patch:
+                patch.setattr(np.random, "Generator", Rigged)
+                got = init_embedding(codes, d, seed=4).vectors
+            assert rigged["endpoint"] > 20 and rigged["zero"] > 20
+            assert np.array_equal(got, expected), d
+            assert np.abs(got).max() < 1.0 or d == 1
+
     def test_concurrent_calls_give_the_same_rows(self):
         from concurrent.futures import ThreadPoolExecutor
 
@@ -718,6 +770,10 @@ class TestEmbeddingFile:
     def test_read_rejects_duplicate_code(self):
         with pytest.raises(MalformedInputError):
             read_embedding(io.StringIO("2 1\na 0.1\na 0.2\n"))
+        with pytest.raises(
+            MalformedInputError, match="^line 4: duplicate code 'a', first listed on line 2$"
+        ):
+            read_embedding(io.StringIO("3 1\na 0.1\nb 0.2\na 0.3\n"))
 
     def test_read_rejects_non_numeric(self):
         with pytest.raises(MalformedInputError):

@@ -1,6 +1,8 @@
 """Basket parsing, vocabulary interning, and clique expansion."""
 
 import io
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -17,6 +19,7 @@ from basketspace import (
     isolated_products,
     parse_baskets,
 )
+from basketspace import ingest
 from conftest import (
     DEMO_DEGREES,
     DEMO_EDGES,
@@ -25,7 +28,37 @@ from conftest import (
     edge_weight,
     edge_weights,
     graph_from_text,
+    reference_parse_baskets,
 )
+
+# Whitespace that str.split() separates on, beyond the ASCII kinds.
+SEPARATORS = (" ", "  ", "\t", "\x1c", "\xa0", "\u3000")
+# Few codes, so lines repeat them; "#" opens a comment only as a line's
+# first token.
+TOKENS = ("a", "b", "c", "dd", "é", "#", "#a", "a#")
+
+
+def basket_lines():
+    """Lines of a basket file: blank, comment and basket lines, with and
+    without a line ending."""
+    return st.lists(
+        st.builds(
+            lambda lead, words, end: lead + "".join(w + sep for w, sep in words) + end,
+            st.sampled_from(("",) + SEPARATORS),
+            st.lists(st.tuples(st.sampled_from(TOKENS), st.sampled_from(SEPARATORS)), max_size=7),
+            st.sampled_from(("", "\n", "\r\n")),
+        ),
+        max_size=12,
+    )
+
+
+def parse_outcome(parse, lines, limit):
+    """What a parser returns for ``lines``, or the message it raises."""
+    try:
+        (offsets, items), vocab = parse(iter(lines), limit)
+    except MalformedInputError as exc:
+        return str(exc)
+    return offsets.dtype, items.dtype, offsets.tolist(), items.tolist(), vocab.codes
 
 
 def parse(text: str, **kwargs):
@@ -92,6 +125,51 @@ class TestParsing:
     def test_unicode_codes(self):
         baskets, vocab = parse("café thé\n")
         assert "café" in vocab
+
+    @settings(max_examples=200, deadline=None)
+    @given(basket_lines(), st.integers(1, 8))
+    def test_batches_parse_like_the_per_line_reference(self, lines, limit):
+        # Batches of one and three lines put every line boundary on a batch
+        # boundary somewhere.
+        expected = parse_outcome(reference_parse_baskets, lines, limit)
+        for batch in (1, 3, ingest._BATCH_LINES):
+            with mock.patch.object(ingest, "_BATCH_LINES", batch):
+                assert parse_outcome(parse_baskets, lines, limit) == expected, batch
+
+    @pytest.mark.parametrize("batch", [3, ingest._BATCH_LINES])
+    def test_oversize_line_in_a_later_batch_names_its_line(self, monkeypatch, batch):
+        monkeypatch.setattr(ingest, "_BATCH_LINES", batch)
+        lines = ["a b\n", "\n", "# c d e\n"] * batch + ["a b a c\n", "x y z\n"]
+        with pytest.raises(MalformedInputError) as exc:
+            parse_baskets(lines, max_basket_products=2)
+        assert str(exc.value) == (
+            f"line {3 * batch + 1}: basket has 3 distinct products, exceeding the limit of 2"
+        )
+
+    @pytest.mark.parametrize("lines", [[], iter(()), ["\n", "# only\n", " \u3000 "]])
+    def test_no_baskets(self, lines):
+        baskets, vocab = parse_baskets(lines)
+        assert baskets.offsets.dtype == baskets.items.dtype == np.int64
+        assert baskets.offsets.tolist() == [0]
+        assert baskets.items.tolist() == []
+        assert len(vocab) == 0
+
+    def test_memory_is_bounded_by_a_batch_not_the_input(self):
+        def lines():
+            for i in range(50_000):
+                yield " ".join(f"product{(i * 7 + j * 13) % 2000:04d}" for j in range(1 + i % 5)) + "\n"
+
+        tracemalloc.start()
+        try:
+            baskets, vocab = parse_baskets(lines())
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(baskets.offsets) == 50_001
+        assert len(vocab) == 2000
+        # The result holds about 1.6 MB. Splitting all 50,000 lines at once
+        # peaks near 25 MB; batches of 1,024 lines peaked at 2.4 MB.
+        assert peak < 5 * 2**20
 
 
 class TestVocabulary:
