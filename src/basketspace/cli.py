@@ -63,9 +63,9 @@ def _open_input(path: str) -> Iterator[TextIO]:
 
 def cmd_embed(args: argparse.Namespace) -> int:
     started = time.monotonic()
+    # The baskets are dropped once expanded, before training sets the peak.
     with _open_input(args.input) as stream:
-        baskets, vocab = parse_baskets(stream, args.max_basket_size)
-    graph = expand_hyperedges(baskets, vocab)
+        graph = expand_hyperedges(*parse_baskets(stream, args.max_basket_size))
     isolated = isolated_products(graph)
     emb = train(
         graph,
@@ -136,10 +136,9 @@ def cmd_synth(args: argparse.Namespace) -> int:
 def cmd_eval(args: argparse.Namespace) -> int:
     truth_path = args.truth or args.input + ".truth"
     with _open_input(args.input) as stream:
-        baskets, vocab = parse_baskets(stream)
+        graph = expand_hyperedges(*parse_baskets(stream))
     with _open_input(truth_path) as stream:
         membership = read_truth(stream)
-    graph = expand_hyperedges(baskets, vocab)
     config = BenchmarkConfig(
         dimension=args.dim,
         substitute_iterations=args.iterations,

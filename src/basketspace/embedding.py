@@ -442,7 +442,7 @@ def read_embedding(stream: TextIO) -> EmbeddingMatrix:
         raise MalformedInputError(f"invalid embedding shape {n} x {d}")
     codes = []
     vectors = np.empty((n, d), dtype=np.float64)
-    first_line: dict = {}
+    seen = set()
     for i in range(n):
         line = stream.readline()
         if not line:
@@ -453,12 +453,14 @@ def read_embedding(stream: TextIO) -> EmbeddingMatrix:
                 f"line {i + 2}: expected a code and {d} values, got {len(tokens)} tokens"
             )
         code = tokens[0]
-        if code in first_line:
+        if code in seen:
+            # Row j sits on line j + 2; a code -> line dict would cost
+            # memory on every read, the search only on this error.
             raise MalformedInputError(
                 f"line {i + 2}: duplicate code {code!r}, first listed on line "
-                f"{first_line[code]}"
+                f"{codes.index(code) + 2}"
             )
-        first_line[code] = i + 2
+        seen.add(code)
         codes.append(code)
         try:
             vectors[i] = np.asarray(tokens[1:], dtype=np.float64)

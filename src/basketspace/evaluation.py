@@ -424,8 +424,7 @@ def run_benchmark(market: SyntheticMarket, config: BenchmarkConfig) -> EvalRepor
         "affinity": market.affinity,
         "seed": market.seed,
     }
-    baskets, vocab = parse_baskets(" ".join(basket) for basket in market.baskets)
-    graph = expand_hyperedges(baskets, vocab)
+    graph = expand_hyperedges(*parse_baskets(" ".join(basket) for basket in market.baskets))
     return benchmark_baskets(graph, market.membership(), config, market_info=market_info)
 
 

@@ -27,10 +27,10 @@ from .errors import InvalidParameterError, MalformedInputError, UnknownProductEr
 # grows quadratically and a line that size is almost certainly not a basket.
 DEFAULT_MAX_BASKET_PRODUCTS = 5000
 
-# Lines that parse_baskets splits and interns together. A batch's tokens stay
-# alive until it is done, and the vocabulary keeps some of them, so this
-# bounds peak memory rather than speed.
-_BATCH_LINES = 1024
+# Lines that parse_baskets splits and interns together. A batch's tokens and
+# arrays stay alive until it is done and the vocabulary keeps some of its
+# strings, so the size was chosen by peak memory rather than speed.
+_BATCH_LINES = 256
 
 
 def nearest_codes(code: str, known: Iterable[str], limit: int = 5) -> list[str]:
@@ -50,6 +50,15 @@ class Vocabulary:
         self._index: dict[str, int] = {}
         for code in codes:
             self.intern(code)
+
+    @classmethod
+    def _from_index(cls, index: dict[str, int]) -> Vocabulary:
+        """The vocabulary whose index is ``index`` itself, not a copy; its
+        codes must be non-empty and map to 0, 1, ... in insertion order."""
+        vocab = cls()
+        vocab._codes = list(index)
+        vocab._index = index
+        return vocab
 
     def intern(self, code: str) -> int:
         """Return the index of ``code``, assigning a new one if unseen."""
@@ -122,29 +131,25 @@ def parse_baskets(
     lines = iter(lines)
     lineno = 0  # lines read before the current batch
     while batch := list(islice(lines, _BATCH_LINES)):
+        # A line is a comment when its first token starts with "#", that is
+        # when its first non-whitespace character is "#".
+        comment = np.fromiter(
+            map(str.startswith, map(str.lstrip, batch), repeat("#")), bool, len(batch)
+        )
         counts = np.fromiter(map(len, map(str.split, batch)), np.int64, len(batch))
-        text = " ".join(batch)
-        tokens = text.split()
+        counts[comment] = 0
+        tokens = " ".join(compress(batch, (~comment).tolist())).split()
         filled = np.flatnonzero(counts)
         sizes = counts[filled]
-        if "#" in text:
-            firsts = map(tokens.__getitem__, (np.cumsum(sizes) - sizes).tolist())
-            comment = np.fromiter(map(str.startswith, firsts, repeat("#")), bool, len(sizes))
-            if comment.any():
-                tokens = list(compress(tokens, np.repeat(~comment, sizes).tolist()))
-                filled, sizes = filled[~comment], sizes[~comment]
         # New codes get the next indices in first-appearance order.
         index.update(zip(dict.fromkeys(filterfalse(index.__contains__, tokens)), count(len(index))))
         ids = np.fromiter(map(index.__getitem__, tokens), np.int64, len(tokens))
+        # Keep the first occurrence of a code repeated within its line.
         row = np.repeat(np.arange(len(sizes)), sizes)
-        keys = row * len(index) + ids
-        ordered = np.sort(keys)
-        if (ordered[1:] == ordered[:-1]).any():
-            # Keep the first occurrence of a code repeated within its line.
-            _, first = np.unique(keys, return_index=True)
-            first.sort()
-            ids = ids[first]
-            sizes = np.bincount(row[first], minlength=len(sizes))
+        _, first = np.unique(row * len(index) + ids, return_index=True)
+        first.sort()
+        ids = ids[first]
+        sizes = np.bincount(row[first], minlength=len(sizes))
         over = np.flatnonzero(sizes > max_basket_products)
         if len(over):
             r = int(over[0])
@@ -156,7 +161,7 @@ def parse_baskets(
         items.frombytes(ids.tobytes())
         lineno += len(batch)
     baskets = Baskets(np.frombuffer(offsets, np.int64), np.frombuffer(items, np.int64))
-    return baskets, Vocabulary(index)
+    return baskets, Vocabulary._from_index(index)
 
 
 @dataclass
