@@ -57,6 +57,28 @@ class NeighborList:
 BLOCK_ENTRIES = 2**17  # 1 MiB of float64
 
 
+# Up to this many neighbours per query, a block's picks come from k argmax
+# passes over its rows; beyond it, each queried row is partitioned instead.
+_ARGMAX_MAX_K = 8
+
+
+def _argmax_picks(sims: np.ndarray, passes: int) -> tuple[list, list]:
+    """Column indices and values of each row's ``passes`` largest entries,
+    by similarity descending and column ascending, one list per row.
+
+    Each pass takes every row's maximum (``argmax`` returns the lowest
+    column among equal maxima) and overwrites it with -inf, in place.
+    """
+    every = np.arange(len(sims))
+    picks = np.empty((passes, len(sims)), dtype=np.intp)
+    values = np.empty((passes, len(sims)))
+    for i in range(passes):
+        picks[i] = sims.argmax(axis=1)
+        values[i] = sims[every, picks[i]]
+        sims[every, picks[i]] = -np.inf
+    return picks.T.tolist(), values.T.tolist()
+
+
 def top_k_batch(
     embeddings: EmbeddingMatrix,
     queries: Iterable[str],
@@ -133,9 +155,22 @@ def top_k_batch(
                 sims[i] /= norm * norms
         np.clip(sims, -1.0, 1.0, out=sims)
         sims[:, ~pool] = -np.inf
-        for pos in positions:
-            row = rows[pos]
-            size = min(k, pool_size - int(pool[row]))
+        targets = [rows[pos] for pos in positions]
+        sizes = [min(k, pool_size - int(pool[row])) for row in targets]
+        most = max(sizes)
+        if most <= _ARGMAX_MAX_K:
+            # Drop each query's own entry, then scan the rows from the first
+            # queried one to the last.
+            sims[[row - a for row in targets], targets] = -np.inf
+            lo = min(targets)
+            picks, values = _argmax_picks(sims[lo - a : max(targets) + 1 - a], most)
+            for pos, row, size in zip(positions, targets, sizes):
+                pairs = zip(picks[row - lo][:size], values[row - lo])
+                results[pos] = NeighborList(
+                    queries[pos], [(codes[j], v) for j, v in pairs], relation_kind
+                )
+            continue
+        for pos, row, size in zip(positions, targets, sizes):
             if size == 0:
                 results[pos] = NeighborList(queries[pos], [], relation_kind)
                 continue

@@ -19,6 +19,7 @@ from basketspace import (
     train,
 )
 from basketspace.cli import main
+from basketspace.neighbors import _ARGMAX_MAX_K
 from conftest import DEMO_TEXT
 
 # SHA-256 of `embed --dim 16 --iterations 6 --seed 2 --chunks Q` on the
@@ -28,6 +29,18 @@ PINNED_EMBED_SHA256 = {
     1: "c50ea1b398235a1758ec813581cb52af148821fd39e23ef5bb5e90ebea066acc",
     3: "89d2552ea85e71f861eef60a6231509e41ffd82569557aad1c16d77d51513b87",
 }
+
+# SHA-256 of `neighbors --all --k K [--candidates]` and of the `eval` JSON
+# report on the 400-product market of TestPinnedOutputs, as written by the
+# kernel that partitioned every queried row. k=2 takes the argmax passes,
+# k=9 the per-row partition.
+PINNED_NEIGHBORS_SHA256 = {
+    (2, False): "6463f44c1cac87f549814a7e9849f415e6beedf422ee3bc02657c8f9036cdd00",
+    (2, True): "bb414b59d2e96a4bde9e8a5d6cd517241207923a3aca574ae2bf9b4a7a20d3ea",
+    (9, False): "2d03d6d0419aaecec25ac760de32ce84e949de4323d737c41f788c3b214f5e0c",
+    (9, True): "98abbab5ad770257a52cabd67e467944a8ef2731ef4cf432c6621b31aa22f1d5",
+}
+PINNED_EVAL_SHA256 = "00c08acdd9757dbe74d1f5da3983abab15faf2bdd978fff319af0685497c93eb"
 
 
 @pytest.fixture
@@ -204,6 +217,21 @@ class TestNeighbors:
         neighbors = {line.split("\t")[2] for line in capsys.readouterr().out.splitlines()}
         assert neighbors <= {"p3", "p4"}
 
+    def test_code_starting_with_hash_round_trips(self, tmp_path, capsys):
+        # Only whole lines that start with '#' are comments; '#b' inside a
+        # basket line is a product code, and its embedding row starts with '#'.
+        baskets = tmp_path / "b.txt"
+        baskets.write_text("a #b\nc #b\na c\n# a comment\n", encoding="utf-8")
+        space = tmp_path / "b.emb"
+        assert main(["embed", "--input", str(baskets), "--output", str(space), "--dim", "4"]) == 0
+        rows = space.read_text(encoding="utf-8").splitlines()[1:]
+        assert sorted(row.split()[0] for row in rows) == ["#b", "a", "c"]
+        capsys.readouterr()
+        assert main(["neighbors", "--input", str(space), "--query", "#b", "--k", "2"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split("\t")[:2] for line in lines] == [["#b", "1"], ["#b", "2"]]
+        assert {line.split("\t")[2] for line in lines} == {"a", "c"}
+
     def test_unknown_query_exits_3(self, embedding_file, capsys):
         code = main(["neighbors", "--input", str(embedding_file), "--query", "p9"])
         assert code == 3
@@ -276,6 +304,53 @@ class TestNeighborsKernel:
         path.write_text("2 2\np1 1 0\np2 0 1\nextra 5 5\n", encoding="utf-8")
         assert main(["neighbors", "--input", str(path), "--all"]) == 2
         assert "beyond" in capsys.readouterr().err
+
+
+class TestPinnedOutputs:
+    """Output bytes of `neighbors --all` and `eval` on a fixed planted
+    market: 400 products, so the kernel runs two row blocks."""
+
+    @pytest.fixture(scope="class")
+    def market(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("pinned")
+        baskets = root / "m.txt"
+        assert main(
+            ["synth", "--output", str(baskets), "--themes", "8", "--groups", "5",
+             "--group-size", "10", "--baskets", "4000", "--seed", "5"]
+        ) == 0
+        space = root / "m.emb"
+        assert main(
+            ["embed", "--input", str(baskets), "--output", str(space), "--dim", "16",
+             "--seed", "1"]
+        ) == 0
+        codes = [line.split()[0] for line in space.read_text(encoding="utf-8").splitlines()[1:]]
+        pool = root / "pool.txt"
+        pool.write_text(" ".join(codes[::3]) + "\n", encoding="utf-8")
+        return baskets, space, pool
+
+    @pytest.mark.parametrize("k, with_candidates", sorted(PINNED_NEIGHBORS_SHA256))
+    def test_neighbors_bytes_are_pinned(self, market, tmp_path, k, with_candidates):
+        assert 2 <= _ARGMAX_MAX_K < 9
+        _, space, pool = market
+        out = tmp_path / "nn.tsv"
+        extra = ["--candidates", str(pool)] if with_candidates else []
+        code = main(
+            ["neighbors", "--input", str(space), "--all", "--k", str(k),
+             "--output", str(out), *extra]
+        )
+        assert code == 0
+        digest = hashlib.sha256(out.read_bytes()).hexdigest()
+        assert digest == PINNED_NEIGHBORS_SHA256[k, with_candidates]
+
+    def test_eval_report_bytes_are_pinned(self, market, tmp_path):
+        baskets, _, _ = market
+        out = tmp_path / "report.json"
+        code = main(
+            ["eval", "--input", str(baskets), "--output", str(out), "--dim", "16",
+             "--seed", "1"]
+        )
+        assert code == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == PINNED_EVAL_SHA256
 
 
 class TestSynth:

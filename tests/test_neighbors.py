@@ -22,7 +22,8 @@ from basketspace import (
     top_k_neighbors,
     write_neighbors,
 )
-from basketspace.neighbors import BLOCK_ENTRIES
+from basketspace import neighbors
+from basketspace.neighbors import _ARGMAX_MAX_K, BLOCK_ENTRIES
 from conftest import cosine_similarity
 
 
@@ -204,13 +205,14 @@ class TestTopK:
         assert a.codes() == b.codes()
 
 
-def brute_force_codes(emb: EmbeddingMatrix, query: str, k: int) -> list:
-    """Rank every other row by (-cosine, row index) the slow, obvious way."""
+def brute_force_codes(emb: EmbeddingMatrix, query: str, k: int, candidates=None) -> list:
+    """Rank every other row (of the candidates, if given) by (-cosine, row
+    index) the slow, obvious way."""
     qrow = emb.codes.index(query)
     scored = [
         (-cosine_similarity(emb.vectors[qrow], emb.vectors[j]), j)
         for j in range(len(emb.codes))
-        if j != qrow
+        if j != qrow and (candidates is None or emb.codes[j] in candidates)
     ]
     return [emb.codes[j] for _, j in sorted(scored)[:k]]
 
@@ -321,6 +323,73 @@ class TestTopKBatch:
         emb = embedding_from({"q": [3.0, 4.0], "a": [1.0, 0.0]})
         assert emb.row_norms() is emb.row_norms()
         assert emb.row_norms().tolist() == [5.0, 1.0]
+
+
+TINY = 5e-324  # the smallest subnormal double
+
+
+@st.composite
+def kernel_cases(draw):
+    """A space, a block height, a candidate pool and a query list.
+
+    Rows are small integers, so equal cosines tie exactly, or
+    ``[m * TINY, 0, c]``. Against a row whose last entry is 0, such a row's
+    dot product is a subnormal that the norms divide down to -0.0 or +0.0.
+    Every dot product is exact or has at most two nonzero terms, so BLAS
+    and the oracle round it alike, whatever order they sum in. Zero-norm
+    rows (``c == 0``, or all zeros) are never queried or candidates, so
+    their NaN rows are scanned but never read.
+    """
+    small = st.integers(-2, 2).map(float)
+    tiny_row = st.tuples(st.sampled_from([-2, -1, 1, 2]).map(TINY.__mul__), st.just(0.0), small)
+    vectors = np.array(draw(st.lists(st.one_of(st.tuples(small, small, small), tiny_row),
+                                     min_size=3, max_size=20)))
+    n = len(vectors)
+    live = [i for i in range(n) if np.linalg.norm(vectors[i]) > 0.0]
+    if not live:
+        vectors[0, 0] = 1.0
+        live = [0]
+    codes = [f"c{i}" for i in range(n)]
+    if len(live) == n and draw(st.booleans()):
+        pool = None
+    else:
+        pool = [codes[i] for i in sorted(draw(st.sets(st.sampled_from(live))))]
+    queries = [codes[i] for i in draw(st.lists(st.sampled_from(live), min_size=1, max_size=2 * n))]
+    step = draw(st.integers(2, n))
+    return EmbeddingMatrix(codes, vectors), step, pool, queries
+
+
+class TestArgmaxPasses:
+    """The argmax passes (k <= _ARGMAX_MAX_K) and the per-row partition
+    (larger k) both rank like the brute-force oracle."""
+
+    @pytest.mark.parametrize("k", [1, 2, _ARGMAX_MAX_K, _ARGMAX_MAX_K + 1])
+    @settings(max_examples=150, deadline=None)
+    @given(case=kernel_cases())
+    def test_matches_brute_force(self, k, case):
+        emb, step, pool, queries = case
+        n = len(emb.codes)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(neighbors, "BLOCK_ENTRIES", step * n)
+            batch = top_k_batch(emb, queries, k, pool)
+        assert [nl.query for nl in batch] == queries
+        for nl in batch:
+            assert nl.codes() == brute_force_codes(emb, nl.query, k, pool)
+            q = emb.vector(nl.query)
+            assert [s for _, s in nl.neighbors] == [
+                cosine_similarity(q, emb.vector(c)) for c in nl.codes()
+            ]
+
+    def test_signed_zero_similarities_tie_by_row_index(self):
+        # c1 scores -0.0 against the query and c2 +0.0; they tie.
+        emb = EmbeddingMatrix(
+            ["q", "c1", "c2", "c3"],
+            np.array([[1.0, 1.0, 0.0], [-TINY, 0.0, 2.0], [0.0, 0.0, 1.0], [-1.0, 0.0, 0.0]]),
+        )
+        for k in (2, _ARGMAX_MAX_K + 1):
+            result = top_k_neighbors(emb, "q", k)
+            assert result.codes()[:2] == ["c1", "c2"]
+            assert [str(s) for _, s in result.neighbors[:2]] == ["-0.0", "0.0"]
 
 
 class TestRecommenders:
