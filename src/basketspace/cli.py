@@ -92,13 +92,17 @@ def cmd_neighbors(args: argparse.Namespace) -> int:
         emb = read_embedding(stream)
     candidates = None
     if args.candidates:
+        candidates = []
         with _open_input(args.candidates) as stream:
-            candidates = [
-                token
-                for line in stream
-                if line.strip() and not line.lstrip().startswith("#")
-                for token in line.split()
-            ]
+            for lineno, line in enumerate(stream, start=1):
+                tokens = line.split()
+                if not tokens or not tokens[0].startswith("#"):
+                    candidates += tokens
+                elif tokens[0] in emb.index_map():
+                    _progress(
+                        f"warning: {args.candidates}: line {lineno} skipped as a comment, "
+                        f"but its first token {tokens[0]!r} is an embedded product code"
+                    )
     queries = emb.codes if args.all else [args.query]
     lists = top_k_batch(emb, queries, args.k, candidates)
     if args.output:

@@ -10,6 +10,7 @@ import pytest
 from basketspace import (
     Baskets,
     CooccurrenceGraph,
+    EmbeddingMatrix,
     InvalidParameterError,
     MalformedInputError,
     Vocabulary,
@@ -60,6 +61,56 @@ def reference_parse_baskets(lines, max_basket_products: int = 5000):
         offsets.append(len(items))
     baskets = Baskets(np.frombuffer(offsets, np.int64), np.frombuffer(items, np.int64))
     return baskets, Vocabulary(index)
+
+
+def reference_read_embedding(stream) -> EmbeddingMatrix:
+    """Oracle: :func:`basketspace.read_embedding` as one Python loop per line."""
+    header = stream.readline()
+    parts = header.split()
+    if len(parts) != 2:
+        raise MalformedInputError(
+            f"embedding header must be '<row_count> <d>', got {header.rstrip()!r}"
+        )
+    try:
+        n, d = int(parts[0]), int(parts[1])
+    except ValueError:
+        raise MalformedInputError(
+            f"embedding header must be two integers, got {header.rstrip()!r}"
+        ) from None
+    if n < 0 or d < 1:
+        raise MalformedInputError(f"invalid embedding shape {n} x {d}")
+    codes = []
+    vectors = np.empty((n, d), dtype=np.float64)
+    seen = set()
+    for i in range(n):
+        line = stream.readline()
+        if not line:
+            raise MalformedInputError(f"expected {n} embedding rows, found {i}")
+        tokens = line.split()
+        if len(tokens) != d + 1:
+            raise MalformedInputError(
+                f"line {i + 2}: expected a code and {d} values, got {len(tokens)} tokens"
+            )
+        code = tokens[0]
+        if code in seen:
+            raise MalformedInputError(
+                f"line {i + 2}: duplicate code {code!r}, first listed on line "
+                f"{codes.index(code) + 2}"
+            )
+        seen.add(code)
+        codes.append(code)
+        try:
+            vectors[i] = np.asarray(tokens[1:], dtype=np.float64)
+        except ValueError:
+            raise MalformedInputError(f"line {i + 2}: non-numeric value") from None
+        if not np.isfinite(vectors[i]).all():
+            raise MalformedInputError(f"line {i + 2}: NaN or infinite value")
+    for lineno, line in enumerate(stream, start=n + 2):
+        if line.strip() and not line.lstrip().startswith("#"):
+            raise MalformedInputError(
+                f"line {lineno}: row beyond the {n} the header declares"
+            )
+    return EmbeddingMatrix(codes, vectors)
 
 
 def basket_rows(baskets) -> list:

@@ -232,6 +232,30 @@ class TestNeighbors:
         assert [line.split("\t")[:2] for line in lines] == [["#b", "1"], ["#b", "2"]]
         assert {line.split("\t")[2] for line in lines} == {"a", "c"}
 
+    def test_candidate_comment_line_naming_an_embedded_code_warns(self, tmp_path, capsys):
+        # The line '#b c' stays a comment, so the pool is empty and stdout
+        # is unchanged, but '#b' is a product of the space: say so once.
+        baskets = tmp_path / "b.txt"
+        baskets.write_text("a #b\nc #b\na c\nd a\n", encoding="utf-8")
+        space = tmp_path / "b.emb"
+        assert main(["embed", "--input", str(baskets), "--output", str(space), "--dim", "4"]) == 0
+        pool = tmp_path / "pool.txt"
+        pool.write_text("# not a code\n#b c\n", encoding="utf-8")
+        capsys.readouterr()
+        args = ["neighbors", "--input", str(space), "--query", "a", "--k", "3"]
+        assert main(args + ["--candidates", str(pool)]) == 0
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"warning: {pool}: line 2 skipped as a comment, "
+            "but its first token '#b' is an embedded product code\n"
+        )
+        pool.write_text("c #b\n", encoding="utf-8")
+        assert main(args + ["--candidates", str(pool)]) == 0
+        captured = capsys.readouterr()
+        assert sorted(line.split("\t")[2] for line in captured.out.splitlines()) == ["#b", "c"]
+        assert captured.err == ""
+
     def test_unknown_query_exits_3(self, embedding_file, capsys):
         code = main(["neighbors", "--input", str(embedding_file), "--query", "p9"])
         assert code == 3

@@ -7,9 +7,12 @@ import io
 import tracemalloc
 import re
 import zlib
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from basketspace import (
     EmbeddingMatrix,
@@ -27,7 +30,14 @@ from basketspace import (
     write_embedding,
 )
 from basketspace import embedding
-from conftest import edge_weights, graph_from_edges, graph_from_text, normalize_rows, random_graph
+from conftest import (
+    edge_weights,
+    graph_from_edges,
+    graph_from_text,
+    normalize_rows,
+    random_graph,
+    reference_read_embedding,
+)
 
 
 def unit_rows(vectors: np.ndarray, atol: float = 1e-9) -> bool:
@@ -712,6 +722,65 @@ class TestDenseReference:
             dense_reference_train(g, d=2, iterations=1, seed=0)
 
 
+# Row values: plain decimals, tokens the C parser refuses but np.asarray
+# takes (1_000, the Arabic-Indic digit one), non-finite ones and a word.
+PLAIN_VALUES = ("0.5", "-1", "2.5e-3", "+.5", "-0", "1e-320", "0.1234567891")
+TRICKY_VALUES = PLAIN_VALUES + ("1_000", "\u0661")
+BAD_VALUES = ("nan", "-inf", "1e400", "x")
+# Whitespace that str.split() and np.loadtxt both separate on.
+SEPARATORS = (" ", "  ", "\t", " \t ", "\x1c", "\xa0", "\u3000")
+
+
+def row_code(i: int) -> str:
+    """The code of row ``i``; every third starts with '#' and is no comment."""
+    return ("#" if i % 3 == 1 else "") + f"r{i}"
+
+
+@st.composite
+def embedding_row(draw, d, i):
+    """Line ``i`` among an embedding file's rows: mostly a clean row, else a
+    row with tokens only np.asarray parses, a bad value, the code of an
+    earlier row, one value short, one extra (the usecols trap), a blank
+    line or a comment."""
+    kinds = ("clean",) * 12 + ("tricky",) * 3 + ("bad", "dup") * 2
+    kind = draw(st.sampled_from(kinds + ("short", "long", "blank", "comment")))
+    if kind == "blank":
+        return draw(st.sampled_from(("\n", "  \n", "\t\n")))
+    if kind == "comment":
+        return "# note\n"
+    width = {"short": d - 1, "long": d + 1}.get(kind, d)
+    pool = TRICKY_VALUES if kind == "tricky" else PLAIN_VALUES
+    code = row_code(draw(st.integers(0, i - 1)) if kind == "dup" and i else i)
+    tokens = [code] + draw(st.lists(st.sampled_from(pool), min_size=width, max_size=width))
+    if kind == "bad":
+        tokens[draw(st.integers(1, width))] = draw(st.sampled_from(BAD_VALUES))
+    seps = draw(st.lists(st.sampled_from(SEPARATORS), min_size=len(tokens), max_size=len(tokens)))
+    lead = draw(st.sampled_from(("", " ", "\t")))
+    return lead + "".join(t + sep for t, sep in zip(tokens, seps)) + "\n"
+
+
+@st.composite
+def embedding_files(draw):
+    """(text, batch rows, d): a header declaring 0, 1, B-1, B, B+1 or 2B+1
+    rows for batches of B rows, followed by one row fewer than declared,
+    as many, or up to two beyond."""
+    d = draw(st.integers(1, 3))
+    batch = draw(st.integers(1, 3))
+    n = draw(st.sampled_from(sorted({0, 1, batch - 1, batch, batch + 1, 2 * batch + 1})))
+    count = max(0, n + draw(st.sampled_from((-1, 0, 0, 0, 0, 1, 2))))
+    rows = [draw(embedding_row(d, i)) for i in range(count)]
+    return f"{n} {d}\n" + "".join(rows), batch, d
+
+
+def read_outcome(read, text):
+    """What a reader returns for ``text``, or the error it raises."""
+    try:
+        emb = read(io.StringIO(text))
+    except MalformedInputError as exc:
+        return type(exc), str(exc)
+    return emb.codes, emb.vectors.dtype, emb.vectors.shape, emb.vectors.tobytes()
+
+
 class TestEmbeddingFile:
     def test_header_and_digits(self, demo_graph):
         emb = train(demo_graph, d=8, iterations=6, seed=0)
@@ -787,6 +856,57 @@ class TestEmbeddingFile:
     def test_read_rejects_rows_beyond_declared_count(self):
         with pytest.raises(MalformedInputError, match="line 3"):
             read_embedding(io.StringIO("1 2\na 0.1 0.2\nb 0.3 0.4\n"))
+
+    @settings(max_examples=300, deadline=None)
+    @given(embedding_files())
+    def test_batches_read_like_the_per_line_reference(self, drawn):
+        text, batch, d = drawn
+        expected = read_outcome(reference_read_embedding, text)
+        for values in (batch * d, embedding._READ_VALUES):
+            with mock.patch.object(embedding, "_READ_VALUES", values):
+                assert read_outcome(read_embedding, text) == expected, values
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            # np.loadtxt(usecols=...) would drop the extra value.
+            ("1 2\na 0.1 0.2 0.3\n", "^line 2: expected a code and 2 values, got 4 tokens$"),
+            # np.loadtxt skips the blank line, leaving two rows of two.
+            ("3 2\na 0.1 0.2\n\nb 0.3 0.4\n", "^line 3: expected a code and 2 values, got 0 tokens$"),
+            ("2 1\na x\na 0.1\n", "^line 2: non-numeric value$"),
+            ("2 1\na 1e400\na 0.1\n", "^line 2: NaN or infinite value$"),
+            ("3 1\na 0.1\nb nan\na 0.1\n", "^line 3: NaN or infinite value$"),
+            ("3 1\na 0.1\na nan\nb 0.1\n", "^line 3: duplicate code 'a', first listed on line 2$"),
+            ("2 1\na 0.1\n", "^expected 2 embedding rows, found 1$"),
+            ("3 1\na 0.1\nb 0.2\na 0.3\n", "^line 4: duplicate code 'a', first listed on line 2$"),
+        ],
+    )
+    @pytest.mark.parametrize("values", [1, embedding._READ_VALUES])
+    def test_read_reports_the_first_error_in_file_order(self, monkeypatch, values, text, message):
+        # One value per batch puts every row in a batch of its own.
+        monkeypatch.setattr(embedding, "_READ_VALUES", values)
+        with pytest.raises(MalformedInputError, match=message):
+            read_embedding(io.StringIO(text))
+
+    def test_read_accepts_tokens_the_c_parser_refuses(self):
+        back = read_embedding(io.StringIO("2 2\na 1_000 \u0661\nb +.5 -0\n"))
+        assert back.codes == ["a", "b"]
+        assert back.vectors.tolist() == [[1000.0, 1.0], [0.5, -0.0]]
+
+    def test_round_trip_at_d_1024_is_bit_identical_to_asarray(self):
+        # Batches at d=1024 hold 8 rows: this file has two full ones and a
+        # short last one. Row scales reach the subnormal range.
+        d = 1024
+        n = 2 * max(1, embedding._READ_VALUES // d) + 3
+        rng = np.random.default_rng(4)
+        vectors = rng.standard_normal((n, d)) * np.logspace(-310, 300, n)[:, None]
+        out = io.StringIO()
+        write_embedding(EmbeddingMatrix([f"p{i}" for i in range(n)], vectors), out)
+        back = read_embedding(io.StringIO(out.getvalue()))
+        rows = out.getvalue().splitlines()[1:]
+        expected = np.array([np.asarray(row.split()[1:], dtype=np.float64) for row in rows])
+        assert back.codes == [row.split()[0] for row in rows]
+        assert back.vectors.tobytes() == expected.tobytes()
 
     def test_read_skips_trailing_blank_and_comment_lines(self):
         back = read_embedding(io.StringIO("1 2\na 0.1 0.2\n\n# end\n"))
