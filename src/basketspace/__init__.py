@@ -49,7 +49,6 @@ from .ingest import (
     CooccurrenceGraph,
     Vocabulary,
     expand_hyperedges,
-    isolated_products,
     parse_baskets,
 )
 from .neighbors import (
@@ -92,7 +91,6 @@ __all__ = [
     "generate_synthetic_market",
     "hits_at_k",
     "init_embedding",
-    "isolated_products",
     "iterate",
     "pair_order_agreement",
     "parse_baskets",

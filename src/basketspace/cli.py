@@ -34,12 +34,7 @@ from .evaluation import (
     generate_synthetic_market,
     read_truth,
 )
-from .ingest import (
-    DEFAULT_MAX_BASKET_PRODUCTS,
-    expand_hyperedges,
-    isolated_products,
-    parse_baskets,
-)
+from .ingest import DEFAULT_MAX_BASKET_PRODUCTS, expand_hyperedges, parse_baskets
 from .neighbors import top_k_batch, write_neighbors
 
 
@@ -66,7 +61,7 @@ def cmd_embed(args: argparse.Namespace) -> int:
     # The baskets are dropped once expanded, before training sets the peak.
     with _open_input(args.input) as stream:
         graph = expand_hyperedges(*parse_baskets(stream, args.max_basket_size))
-    isolated = isolated_products(graph)
+    isolated = int((graph.degrees == 0).sum())
     emb = train(
         graph,
         d=args.dim,
@@ -82,7 +77,7 @@ def cmd_embed(args: argparse.Namespace) -> int:
         f"embedded {len(emb)} products at dimension {emb.dimension} "
         f"with {args.iterations} iteration(s) in {elapsed:.2f}s"
     )
-    _progress(f"isolated products excluded: {len(isolated)}")
+    _progress(f"isolated products excluded: {isolated}")
     _progress(f"zero rows replaced: {emb.zero_rows_replaced}")
     return 0
 
@@ -130,7 +125,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
     with open(truth_path, "w", encoding="utf-8") as stream:
         market.write_truth(stream)
     _progress(
-        f"wrote {len(market.baskets)} baskets over {len(market.product_codes)} "
+        f"wrote {len(market.picks)} baskets over {len(market.product_codes)} "
         f"products to {args.output}"
     )
     _progress(f"wrote ground truth to {truth_path}")

@@ -112,14 +112,12 @@ class TransitionMatrix:
     """Row-stochastic transition matrix for one chunk.
 
     Attributes:
-        chunk_index: which chunk this matrix belongs to.
         nodes: global vocabulary indices of the chunk's nodes, ascending.
         matrix: (n_q, n_q) CSR matrix with m(a, b) = e_ab / deg_q(a).
         degrees: float64 chunk-local weighted degree deg_q of each node,
             aligned with ``nodes``.
     """
 
-    chunk_index: int
     nodes: np.ndarray
     matrix: sp.csr_matrix
     degrees: np.ndarray
@@ -174,7 +172,7 @@ def build_transition(
         ),
         shape=(n, n),
     )
-    return TransitionMatrix(chunk_index, nodes, matrix, deg)
+    return TransitionMatrix(nodes, matrix, deg)
 
 
 _ZEROS = (0, 0, 0, 0)
@@ -431,9 +429,9 @@ def read_embedding(stream: TextIO) -> EmbeddingMatrix:
     file order. The result carries no iteration or seed metadata.
 
     Raises:
-        MalformedInputError: on a bad header, a short, duplicate,
-            non-numeric or non-finite row, or a row beyond the declared
-            count.
+        MalformedInputError: on a bad header or one declaring a shape too
+            large for memory, a short, duplicate, non-numeric or non-finite
+            row, or a row beyond the declared count.
     """
     header = stream.readline()
     parts = header.split()
@@ -450,7 +448,12 @@ def read_embedding(stream: TextIO) -> EmbeddingMatrix:
     if n < 0 or d < 1:
         raise MalformedInputError(f"invalid embedding shape {n} x {d}")
     codes = []
-    vectors = np.empty((n, d), dtype=np.float64)
+    try:
+        vectors = np.empty((n, d), dtype=np.float64)
+    except (MemoryError, ValueError):
+        raise MalformedInputError(
+            f"embedding shape {n} x {d} from the header does not fit in memory"
+        ) from None
     seen = set()
     batch = max(1, _READ_VALUES // d)
     for start in range(0, n, batch):

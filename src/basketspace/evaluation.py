@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from typing import Sequence, TextIO
 
 import numpy as np
@@ -37,7 +37,7 @@ from .errors import (
     InvalidParameterError,
     MalformedInputError,
 )
-from .ingest import CooccurrenceGraph, expand_hyperedges, parse_baskets
+from .ingest import Baskets, CooccurrenceGraph, Vocabulary, expand_hyperedges
 from .neighbors import (
     NeighborList,
     random_recommender,
@@ -57,6 +57,10 @@ DEFAULT_AFFINITY = 0.53
 class SyntheticMarket:
     """A generated basket corpus with planted substitute/complement truth.
 
+    Product ``p`` is member ``p % group_size`` of group
+    ``p // group_size % groups_per_theme`` of theme
+    ``p // (groups_per_theme * group_size)``; its code is ``t<t>g<g>m<m>``.
+
     Attributes:
         themes: number of themes.
         groups_per_theme: substitute groups per theme.
@@ -66,8 +70,9 @@ class SyntheticMarket:
         affinity: probability that an included group contributes the
             trip's style-matched member instead of a uniform one.
         seed: generator seed.
-        product_codes: all products, theme-major order.
-        baskets: generated baskets as lists of product codes.
+        product_codes: the code of every product id.
+        picks: int64 (baskets, groups_per_theme) product ids, -1 where the
+            basket skipped the group.
         theme_draws: theme draw counts, including draws rejected for
             producing an empty basket (kept for unbiased rate estimates).
     """
@@ -80,60 +85,25 @@ class SyntheticMarket:
     affinity: float
     seed: int
     product_codes: list
-    baskets: list
+    picks: np.ndarray
     theme_draws: np.ndarray
-    _membership: dict = field(default=None, repr=False, compare=False)
 
     def membership(self) -> dict:
         """code -> (theme index, group index)."""
-        if self._membership is None:
-            self._membership = {c: _parse_code(c)[:2] for c in self.product_codes}
-        return self._membership
-
-    def theme_of(self, code: str) -> int:
-        return self.membership()[code][0]
-
-    def group_of(self, code: str) -> tuple:
-        return self.membership()[code]
-
-    def substitute_truth(self, code: str) -> set:
-        """Same-group products other than ``code``."""
-        t, g = self.membership()[code]
-        return {
-            c for c, tg in self.membership().items() if tg == (t, g) and c != code
-        }
-
-    def complement_truth(self, code: str) -> set:
-        """Same-theme products from other groups."""
-        t, g = self.membership()[code]
-        return {
-            c
-            for c, (tc, gc) in self.membership().items()
-            if tc == t and gc != g
-        }
+        groups = np.arange(len(self.product_codes)) // self.group_size
+        theme, group = np.divmod(groups, self.groups_per_theme)
+        return dict(zip(self.product_codes, zip(theme.tolist(), group.tolist())))
 
     def write_baskets(self, stream: TextIO) -> None:
-        for basket in self.baskets:
-            stream.write(" ".join(basket) + "\n")
+        """One line per basket: its codes in group order."""
+        codes = self.product_codes
+        for row in self.picks.tolist():
+            stream.write(" ".join([codes[p] for p in row if p >= 0]) + "\n")
 
     def write_truth(self, stream: TextIO) -> None:
         """One line per product: ``<code> <theme_index> <group_index>``."""
-        for code in self.product_codes:
-            t, g = self.membership()[code]
+        for code, (t, g) in self.membership().items():
             stream.write(f"{code} {t} {g}\n")
-
-
-def _product_code(theme: int, group: int, member: int) -> str:
-    return f"t{theme}g{group}m{member}"
-
-
-def _parse_code(code: str) -> tuple:
-    try:
-        t_part, rest = code[1:].split("g", 1)
-        g_part, m_part = rest.split("m", 1)
-        return int(t_part), int(g_part), int(m_part)
-    except (ValueError, IndexError):
-        raise MalformedInputError(f"not a synthetic product code: {code!r}") from None
 
 
 def generate_synthetic_market(
@@ -169,19 +139,16 @@ def generate_synthetic_market(
     if not 0.0 <= affinity <= 1.0:
         raise InvalidParameterError(f"affinity must be in [0, 1], got {affinity}")
 
-    codes = [
-        [
-            [_product_code(t, g, m) for m in range(group_size)]
-            for g in range(groups_per_theme)
-        ]
+    product_codes = [
+        f"t{t}g{g}m{m}"
         for t in range(themes)
+        for g in range(groups_per_theme)
+        for m in range(group_size)
     ]
-    product_codes = [c for theme in codes for group in theme for c in group]
-
     rng = np.random.default_rng(seed)
     G = groups_per_theme
     p_nonempty = 1.0 - (1.0 - pick_prob) ** G
-    out: list = []
+    chunks: list = []
     theme_draws = np.zeros(themes, dtype=np.int64)
     remaining = baskets
     while remaining > 0:
@@ -196,12 +163,9 @@ def generate_synthetic_market(
         cum = np.cumsum(nonempty)
         cut = int(np.searchsorted(cum, remaining)) + 1 if cum[-1] >= remaining else batch
         theme_draws += np.bincount(th[:cut], minlength=themes)
-        for i in np.flatnonzero(nonempty[:cut]):
-            t = int(th[i])
-            out.append(
-                [codes[t][g][int(members[i, g])] for g in range(G) if included[i, g]]
-            )
-        remaining = baskets - len(out)
+        ids = (th[:cut, None] * G + np.arange(G)) * group_size + members[:cut]
+        chunks.append(np.where(included[:cut], ids, -1)[nonempty[:cut]])
+        remaining -= len(chunks[-1])
     return SyntheticMarket(
         themes,
         groups_per_theme,
@@ -211,7 +175,7 @@ def generate_synthetic_market(
         affinity,
         seed,
         product_codes,
-        out,
+        np.concatenate(chunks),
         theme_draws,
     )
 
@@ -411,10 +375,10 @@ class EvalReport:
 def run_benchmark(market: SyntheticMarket, config: BenchmarkConfig) -> EvalReport:
     """Train both spaces on the market and score them against planted truth.
 
-    Deterministic for a fixed market and config, byte-for-byte.
+    Deterministic for a fixed market and config, byte-for-byte, and equal
+    to :func:`benchmark_baskets` on the parsed output of
+    :meth:`SyntheticMarket.write_baskets`.
     """
-    if not market.baskets:
-        raise InvalidParameterError("market has no baskets")
     market_info = {
         "themes": market.themes,
         "groups_per_theme": market.groups_per_theme,
@@ -424,7 +388,17 @@ def run_benchmark(market: SyntheticMarket, config: BenchmarkConfig) -> EvalRepor
         "affinity": market.affinity,
         "seed": market.seed,
     }
-    graph = expand_hyperedges(*parse_baskets(" ".join(basket) for basket in market.baskets))
+    # The rows and the first-appearance vocabulary that parsing the
+    # market's basket file would give; a row never repeats a product.
+    picked = market.picks >= 0
+    flat = market.picks[picked]
+    _, first = np.unique(flat, return_index=True)
+    ids = flat[np.sort(first)]
+    index = np.empty(len(market.product_codes), dtype=np.int64)
+    index[ids] = np.arange(len(ids))
+    offsets = np.concatenate([[0], np.cumsum(picked.sum(axis=1))])
+    vocabulary = Vocabulary(market.product_codes[p] for p in ids.tolist())
+    graph = expand_hyperedges(Baskets(offsets, index[flat]), vocabulary)
     return benchmark_baskets(graph, market.membership(), config, market_info=market_info)
 
 

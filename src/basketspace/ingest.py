@@ -222,10 +222,3 @@ def expand_hyperedges(baskets: Baskets, vocabulary: Vocabulary) -> CooccurrenceG
     degrees = np.bincount(a, weights=w, minlength=n) + np.bincount(b, weights=w, minlength=n)
     return CooccurrenceGraph(vocabulary, a, b, w, degrees.astype(np.int64))
 
-
-def isolated_products(graph: CooccurrenceGraph) -> list[int]:
-    """Indices of degree-0 products, in vocabulary order.
-
-    These have no co-occurrence evidence and are excluded from embedding.
-    """
-    return [int(i) for i in np.flatnonzero(graph.degrees == 0)]

@@ -12,6 +12,7 @@ unit in its last published place (+/- 0.005). The companion test pins the
 exact 415/1380, so the arithmetic itself is covered too. See the README.
 """
 
+import io
 import math
 import resource
 import time
@@ -43,7 +44,9 @@ def check(ok: bool, name: str, detail: str) -> None:
 
 
 def market_graph(market):
-    return expand_hyperedges(*parse_baskets(" ".join(b) for b in market.baskets))
+    lines = io.StringIO()
+    market.write_baskets(lines)
+    return expand_hyperedges(*parse_baskets(lines.getvalue().splitlines()))
 
 
 @pytest.fixture(scope="module")

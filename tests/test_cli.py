@@ -271,6 +271,19 @@ class TestNeighbors:
         with pytest.raises(SystemExit):
             main(["neighbors", "--input", str(embedding_file)])
 
+    @pytest.mark.parametrize("header", ["3000000 1024", "10000000000 10000000000"])
+    def test_huge_header_without_rows_exits_2(self, tmp_path, capsys, header):
+        # The declared shape either cannot be allocated, which the reader
+        # reports with the shape, or is reserved lazily and the missing rows
+        # are reported; neither is an internal error.
+        path = tmp_path / "huge.emb"
+        path.write_text(header + "\n", encoding="utf-8")
+        code = main(["neighbors", "--input", str(path), "--all"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "internal error" not in err
+        assert err.startswith("error: ")
+
 
 def write_rows(path, codes, vectors):
     """An embedding file at full double precision, so last-bit differences

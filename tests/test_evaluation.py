@@ -1,5 +1,6 @@
 """Synthetic market generation, scoring metrics, and the benchmark report."""
 
+import hashlib
 import io
 import math
 
@@ -35,45 +36,75 @@ def small_market(**overrides):
     return generate_synthetic_market(**params)
 
 
+def written(market, writer: str) -> str:
+    out = io.StringIO()
+    getattr(market, writer)(out)
+    return out.getvalue()
+
+
+def sha256(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def theme_group_member(m, ids):
+    """Theme, group and member index of product ids, by the documented
+    id arithmetic."""
+    S, G = m.group_size, m.groups_per_theme
+    return ids // (G * S), ids // S % G, ids % S
+
+
+def pick_rows(m):
+    """The market's baskets as lists of product ids, skipped groups dropped."""
+    return [[p for p in row if p >= 0] for row in m.picks.tolist()]
+
+
 class TestGenerator:
     def test_exact_basket_count_and_catalog(self):
         m = small_market()
-        assert len(m.baskets) == 4000
+        assert m.picks.shape == (4000, 4)
+        assert m.picks.dtype == np.int64
         assert len(m.product_codes) == 4 * 4 * 8
         assert len(set(m.product_codes)) == len(m.product_codes)
+        assert m.picks.min() >= -1 and m.picks.max() < len(m.product_codes)
 
     def test_deterministic(self):
         a = small_market(seed=3)
         b = small_market(seed=3)
-        assert a.baskets == b.baskets
+        assert np.array_equal(a.picks, b.picks)
         assert np.array_equal(a.theme_draws, b.theme_draws)
 
     def test_seed_changes_baskets(self):
-        assert small_market(seed=0).baskets != small_market(seed=1).baskets
+        assert not np.array_equal(small_market(seed=0).picks, small_market(seed=1).picks)
 
     def test_single_theme_per_basket(self):
         m = small_market(baskets=500)
-        for basket in m.baskets:
-            assert len({m.theme_of(code) for code in basket}) == 1
+        for row in pick_rows(m):
+            themes, _, _ = theme_group_member(m, np.array(row))
+            assert len(row) >= 1
+            assert len(set(themes.tolist())) == 1
 
     def test_at_most_one_product_per_group(self):
         m = small_market(baskets=500)
-        for basket in m.baskets:
-            groups = [m.group_of(code) for code in basket]
-            assert len(set(groups)) == len(groups)
+        # Column g holds group g's pick, so a basket has one slot per group.
+        for g, column in enumerate(m.picks.T):
+            _, groups, _ = theme_group_member(m, column[column >= 0])
+            assert (groups == g).all()
+        for row in pick_rows(m):
+            _, groups, _ = theme_group_member(m, np.array(row))
+            assert len(set(groups.tolist())) == len(row)
 
     def test_full_pick_prob_includes_every_group(self):
         m = small_market(pick_prob=1.0, baskets=500)
-        for basket in m.baskets:
-            assert len(basket) == m.groups_per_theme
+        for row in pick_rows(m):
+            assert len(row) == m.groups_per_theme
         # No draw can come up empty, so none are rejected.
         assert int(m.theme_draws.sum()) == 500
 
     def test_full_affinity_aligns_members(self):
         m = small_market(affinity=1.0, baskets=500)
-        for basket in m.baskets:
-            members = {int(code.split("m")[1]) for code in basket}
-            assert len(members) == 1
+        for row in pick_rows(m):
+            _, _, members = theme_group_member(m, np.array(row))
+            assert len(set(members.tolist())) == 1
 
     def test_rejection_rate_matches_empty_probability(self):
         m = small_market(baskets=20_000)
@@ -89,8 +120,9 @@ class TestGenerator:
         m = small_market(themes=2, baskets=8000)
         G = m.groups_per_theme
         pair_count = 0
-        for basket in m.baskets:
-            present = len({g for _, g in (m.group_of(c) for c in basket)})
+        for row in pick_rows(m):
+            _, groups, _ = theme_group_member(m, np.array(row))
+            present = len(set(groups.tolist()))
             pair_count += present * (present - 1) // 2
         denominator = int(m.theme_draws.sum()) * G * (G - 1) // 2
         assert pair_count / denominator == pytest.approx(0.25, abs=0.01)
@@ -114,15 +146,21 @@ class TestGenerator:
             small_market(affinity=1.1)
 
     def test_truth_sets(self):
+        # Codes and truth labels follow the product-id arithmetic, and the
+        # truth partitions the catalog into groups of group_size and themes
+        # of groups_per_theme groups.
         m = small_market(baskets=10)
+        membership = m.membership()
+        themes, groups, members = theme_group_member(m, np.arange(len(m.product_codes)))
+        for p, code in enumerate(m.product_codes):
+            assert code == f"t{themes[p]}g{groups[p]}m{members[p]}"
+            assert membership[code] == (themes[p], groups[p])
+        assert list(membership) == m.product_codes
         code = "t1g2m3"
-        subs = m.substitute_truth(code)
+        subs = {c for c, tg in membership.items() if tg == (1, 2) and c != code}
         assert len(subs) == m.group_size - 1
-        assert code not in subs
-        assert all(m.group_of(c) == (1, 2) for c in subs)
-        comps = m.complement_truth(code)
+        comps = {c for c, (t, g) in membership.items() if t == 1 and g != 2}
         assert len(comps) == (m.groups_per_theme - 1) * m.group_size
-        assert all(m.theme_of(c) == 1 and m.group_of(c) != (1, 2) for c in comps)
 
     def test_truth_file_roundtrip(self):
         m = small_market(baskets=10)
@@ -133,11 +171,70 @@ class TestGenerator:
 
     def test_basket_file_lines(self):
         m = small_market(baskets=50)
-        out = io.StringIO()
-        m.write_baskets(out)
-        lines = out.getvalue().splitlines()
+        lines = written(m, "write_baskets").splitlines()
         assert len(lines) == 50
-        assert all(line.split() == list(basket) for line, basket in zip(lines, m.baskets))
+        for line, row in zip(lines, pick_rows(m)):
+            assert line.split() == [m.product_codes[p] for p in row]
+
+
+# SHA-256 of the default market's files (seed 0) and of its d=32 report.
+PINNED_BASKETS_SHA256 = "dda6a1a0858ade1f88eaff7ff8f90c40107f7351898080e9b8f8ccdde7f31ad7"
+PINNED_TRUTH_SHA256 = "9c7f745f487b39df3826f5afa180df115423ae460bcaa86496a8157bedb8bd66"
+PINNED_REPORT_SHA256 = "bcca6a9b5ede6ffa331f40789de24bb4e7c4ef4dbb374c629ac93be01337cb22"
+
+
+class TestPinnedBytes:
+    @pytest.fixture(scope="class")
+    def default_market(self):
+        return generate_synthetic_market()
+
+    def test_basket_file_is_pinned(self, default_market):
+        assert sha256(written(default_market, "write_baskets")) == PINNED_BASKETS_SHA256
+
+    def test_truth_file_is_pinned(self, default_market):
+        assert sha256(written(default_market, "write_truth")) == PINNED_TRUTH_SHA256
+
+    def test_report_is_pinned(self, default_market):
+        report = run_benchmark(default_market, BenchmarkConfig(dimension=32, seed=0))
+        assert sha256(report.to_json()) == PINNED_REPORT_SHA256
+
+
+class TestBenchmarkGraph:
+    """The graph run_benchmark scores equals the one parsed from the
+    market's own basket file."""
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {},
+            {"pick_prob": 1.0},
+            {"affinity": 1.0},
+            {"affinity": 0.0, "pick_prob": 0.2},
+            {"themes": 1, "baskets": 300},
+            {"themes": 3, "groups_per_theme": 2, "group_size": 2, "baskets": 40, "seed": 5},
+        ],
+    )
+    def test_equals_parsed_basket_file(self, overrides, monkeypatch):
+        from basketspace import evaluation
+
+        m = small_market(**overrides)
+        seen = []
+
+        def capture(graph, membership, config, market_info=None):
+            seen.append(graph)
+            raise StopIteration
+
+        monkeypatch.setattr(evaluation, "benchmark_baskets", capture)
+        with pytest.raises(StopIteration):
+            run_benchmark(m, BenchmarkConfig(dimension=4))
+        (graph,) = seen
+        lines = written(m, "write_baskets").splitlines()
+        parsed = expand_hyperedges(*parse_baskets(lines))
+        assert graph.vocabulary.codes == parsed.vocabulary.codes
+        for name in ("a", "b", "w", "degrees"):
+            got, want = getattr(graph, name), getattr(parsed, name)
+            assert got.dtype == want.dtype
+            assert np.array_equal(got, want), name
 
 
 class TestTruthReader:
@@ -437,14 +534,18 @@ class TestBenchmark:
         # A planted market where the rank-1 substitute suggestion lands in
         # the truth group at least ten times as often as chance.
         m = generate_synthetic_market(seed=0)
-        graph = expand_hyperedges(*parse_baskets(" ".join(b) for b in m.baskets))
+        graph = expand_hyperedges(*parse_baskets(written(m, "write_baskets").splitlines()))
         space = train(graph, d=128, iterations=6, seed=0)
+        membership = m.membership()
         rng = np.random.default_rng(0)
         picks = rng.choice(len(space.codes), size=200, replace=False)
-        queries = [
-            (space.codes[int(i)], m.substitute_truth(space.codes[int(i)]))
-            for i in picks
-        ]
+        queries = []
+        for i in picks:
+            code = space.codes[int(i)]
+            group = membership[code]
+            truth = {c for c, tg in membership.items() if tg == group and c != code}
+            assert len(truth) == m.group_size - 1
+            queries.append((code, truth))
         rate = first_recommendation_hit_rate(
             queries, lambda q: recommend_substitutes(space, q, 2)
         )

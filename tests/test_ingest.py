@@ -16,7 +16,6 @@ from basketspace import (
     UnknownProductError,
     Vocabulary,
     expand_hyperedges,
-    isolated_products,
     parse_baskets,
 )
 from basketspace import ingest
@@ -360,15 +359,18 @@ class TestExpansion:
 
 
 class TestIsolation:
+    """Degree-0 products have no co-occurrence evidence and are excluded
+    from embedding."""
+
     def test_demo_corpus_has_none(self, demo_graph):
-        assert isolated_products(demo_graph) == []
+        assert not (demo_graph.degrees == 0).any()
 
     def test_singletons_are_isolated(self):
         g = graph_from_text("a b\nlonely\n")
-        codes = [g.vocabulary.codes[i] for i in isolated_products(g)]
+        codes = [g.vocabulary.codes[i] for i in np.flatnonzero(g.degrees == 0)]
         assert codes == ["lonely"]
 
     def test_self_only_basket_is_isolated(self):
         g = graph_from_text("x x x\na b\n")
-        codes = [g.vocabulary.codes[i] for i in isolated_products(g)]
+        codes = [g.vocabulary.codes[i] for i in np.flatnonzero(g.degrees == 0)]
         assert codes == ["x"]
