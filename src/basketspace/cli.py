@@ -1,8 +1,8 @@
 """Command-line front door: embed, neighbors, synth, and eval commands.
 
 Progress goes to standard error; data goes to files or standard output.
-Exit codes: 0 success, 2 invalid input or parameters, 3 unknown entity,
-4 data inconsistency, 1 internal error.
+Exit codes: 0 success, 2 invalid input or parameters or out of memory,
+3 unknown entity, 4 data inconsistency, 1 internal error.
 """
 
 from __future__ import annotations
@@ -247,6 +247,9 @@ def main(argv=None) -> int:
         return exc.exit_code
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        print(f"error: out of memory during {args.command}: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # pragma: no cover - defensive
         print(f"internal error: {exc}", file=sys.stderr)

@@ -58,6 +58,9 @@ DENSE_REFERENCE_MAX_NODES = 10_000
 # batches left more memory behind after the read; chosen by peak memory.
 _READ_VALUES = 1 << 13
 
+# Values per row block of the row norms and the chunk merge (256 at d=128).
+_BLOCK_VALUES = 1 << 15
+
 
 @dataclass
 class EmbeddingMatrix:
@@ -213,7 +216,7 @@ def init_embedding(codes: Sequence[str], d: int, seed: int) -> EmbeddingMatrix:
     # again from their own seed and fixed by redrawing. A row's norm is at
     # least its largest entry up to rounding, so the doubled bound flags
     # every row whose norm can be at most ZERO_ROW_NORM.
-    peak = np.abs(vectors).max(axis=1)
+    peak = np.maximum(vectors.max(axis=1), -vectors.min(axis=1))
     for i in np.flatnonzero((peak >= 1.0) | (peak <= 2 * ZERO_ROW_NORM)).tolist():
         reseed_philox(gen, f"{seed}\x1e{codes[i]}")
         row = gen.uniform(-1.0, 1.0, d)
@@ -224,8 +227,19 @@ def init_embedding(codes: Sequence[str], d: int, seed: int) -> EmbeddingMatrix:
         while np.linalg.norm(row) <= ZERO_ROW_NORM:
             row = gen.uniform(-1.0, 1.0, d)
         vectors[i] = row
-    vectors /= np.linalg.norm(vectors, axis=1, keepdims=True)
+    vectors /= _row_norms(vectors)[:, None]
     return EmbeddingMatrix(list(codes), vectors, iterations=0, seed=seed)
+
+
+def _row_norms(x: np.ndarray) -> np.ndarray:
+    """``np.linalg.norm(x, axis=1)`` bit for bit, squaring one row block at
+    a time into a small reused buffer instead of a copy of x."""
+    step = max(1, _BLOCK_VALUES // x.shape[1])
+    out, buf = np.empty(len(x)), np.empty_like(x[:step])
+    for a in range(0, len(x), step):
+        block = x[a : a + step]
+        np.add.reduce(np.multiply(block, block, out=buf[: len(block)]), 1, out=out[a : a + step])
+    return np.sqrt(out, out=out)
 
 
 def _matmul_rows(matrix: sp.csr_matrix, vectors: np.ndarray, threads: int) -> np.ndarray:
@@ -261,7 +275,7 @@ def iterate(
             f"transition matrix expects {M.matrix.shape[0]}"
         )
     raw = _matmul_rows(M.matrix, T_prev.vectors, threads)
-    norms = np.linalg.norm(raw, axis=1)
+    norms = _row_norms(raw)
     zero = norms <= ZERO_ROW_NORM
     replaced = int(zero.sum())
     if replaced:
@@ -328,8 +342,10 @@ def train(
     nodes = np.flatnonzero(graph.degrees > 0)
     vocab_codes = graph.vocabulary.codes
     codes = [vocab_codes[v] for v in nodes.tolist()]
+    # Sums before first rows: the other order put half of eval's peaks 1.4 MB up.
+    merged = [np.zeros((len(codes), d)) for _ in counts]
     start = init_embedding(codes, d, seed).vectors
-    merged = [np.zeros_like(start) for _ in counts]
+    buf = np.empty_like(start[: max(1, _BLOCK_VALUES // d)])
     replaced = [0] * len(counts)
     for q in np.unique(chunk_ids).tolist():
         M = build_transition(graph, chunk_ids, q)
@@ -342,11 +358,15 @@ def train(
             T = iterate(T, M, threads=threads)
             for j, count in enumerate(counts):
                 if count == step:
-                    merged[j][pos] += weights * T.vectors
+                    for a in range(0, len(pos), len(buf)):
+                        r = slice(a, min(a + len(buf), len(pos)))
+                        np.multiply(weights[r], T.vectors[r], out=buf[: r.stop - a])
+                        merged[j][pos[r]] += buf[: r.stop - a]
                     replaced[j] += T.zero_rows_replaced
+        del M, T  # so that the next chunk can reuse their memory
     spaces = []
     for count, rows, lost in zip(counts, merged, replaced):
-        norms = np.linalg.norm(rows, axis=1)
+        norms = _row_norms(rows)
         if (norms <= ZERO_ROW_NORM).any():
             raise InternalConsistencyError("merged row cancelled to zero")
         rows /= norms[:, None]

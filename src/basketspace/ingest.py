@@ -14,8 +14,9 @@ self-loops never occur.
 from __future__ import annotations
 
 from array import array
+from collections import defaultdict
 from dataclasses import dataclass
-from itertools import compress, count, filterfalse, islice, repeat
+from itertools import chain, count, islice
 from os.path import commonprefix
 from typing import Iterable, NamedTuple
 
@@ -125,43 +126,39 @@ def parse_baskets(
         MalformedInputError: on lines exceeding the product bound.
         OSError: if the stream cannot be read.
     """
-    index: dict[str, int] = {}
+    # A missing code gets the next index, so indices follow first appearance.
+    index = defaultdict(count().__next__)
     offsets = array("q", [0])
     items = array("q")
     lines = iter(lines)
     lineno = 0  # lines read before the current batch
     while batch := list(islice(lines, _BATCH_LINES)):
-        # A line is a comment when its first token starts with "#", that is
-        # when its first non-whitespace character is "#".
-        comment = np.fromiter(
-            map(str.startswith, map(str.lstrip, batch), repeat("#")), bool, len(batch)
-        )
-        counts = np.fromiter(map(len, map(str.split, batch)), np.int64, len(batch))
-        counts[comment] = 0
-        tokens = " ".join(compress(batch, (~comment).tolist())).split()
-        filled = np.flatnonzero(counts)
-        sizes = counts[filled]
-        # New codes get the next indices in first-appearance order.
-        index.update(zip(dict.fromkeys(filterfalse(index.__contains__, tokens)), count(len(index))))
-        ids = np.fromiter(map(index.__getitem__, tokens), np.int64, len(tokens))
-        # Keep the first occurrence of a code repeated within its line.
+        parts = list(map(str.split, batch))
+        if "#" in "".join(batch):
+            # A line is a comment when its first token starts with "#".
+            parts = [[] if p and p[0][0] == "#" else p for p in parts]
+        counts = np.fromiter(map(len, parts), np.int64, len(parts))
+        for r in np.flatnonzero(counts > max_basket_products).tolist():
+            if (size := len(set(parts[r]))) > max_basket_products:
+                raise MalformedInputError(
+                    f"line {lineno + r + 1}: basket has {size} distinct "
+                    f"products, exceeding the limit of {max_basket_products}"
+                )
+        ids = np.fromiter(map(index.__getitem__, chain.from_iterable(parts)), np.int64)
+        sizes = counts[counts > 0]
         row = np.repeat(np.arange(len(sizes)), sizes)
-        _, first = np.unique(row * len(index) + ids, return_index=True)
-        first.sort()
-        ids = ids[first]
-        sizes = np.bincount(row[first], minlength=len(sizes))
-        over = np.flatnonzero(sizes > max_basket_products)
-        if len(over):
-            r = int(over[0])
-            raise MalformedInputError(
-                f"line {lineno + int(filled[r]) + 1}: basket has {int(sizes[r])} distinct "
-                f"products, exceeding the limit of {max_basket_products}"
-            )
+        keys = row * len(index) + ids
+        if not np.diff(np.sort(keys)).all():
+            # Keep the first occurrence of a code repeated within its line.
+            _, first = np.unique(keys, return_index=True)
+            first.sort()
+            ids = ids[first]
+            sizes = np.bincount(row[first], minlength=len(sizes))
         offsets.frombytes((len(items) + np.cumsum(sizes)).tobytes())
         items.frombytes(ids.tobytes())
         lineno += len(batch)
     baskets = Baskets(np.frombuffer(offsets, np.int64), np.frombuffer(items, np.int64))
-    return baskets, Vocabulary._from_index(index)
+    return baskets, Vocabulary._from_index(dict(index))
 
 
 @dataclass

@@ -9,6 +9,7 @@ import sys
 import numpy as np
 import pytest
 
+import basketspace
 from basketspace import (
     BenchmarkConfig,
     benchmark_baskets,
@@ -616,6 +617,34 @@ class TestInvalidUtf8:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {path[bad]}: not UTF-8 text")
         assert "0xff" in err
+
+
+class TestOutOfMemory:
+    def test_exits_2_naming_the_command(self, tmp_path):
+        # One line of 5,000 distinct codes is within the default
+        # --max-basket-size, and its 12.5 million pairs need hundreds of MB.
+        # The child caps only its own address space, at 300 MB.
+        baskets = tmp_path / "wide.txt"
+        baskets.write_text(" ".join(f"c{i}" for i in range(5000)) + "\n", encoding="utf-8")
+        script = (
+            "import resource, sys\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (300 * 2**20, 300 * 2**20))\n"
+            "from basketspace.cli import main\n"
+            "sys.exit(main(sys.argv[1:]))\n"
+        )
+        src = os.path.dirname(os.path.dirname(basketspace.__file__))
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        result = subprocess.run(
+            [sys.executable, "-c", script, "embed", "--input", str(baskets),
+             "--output", str(tmp_path / "out.emb"), "--dim", "8"],
+            env={**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": "1"},
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert result.returncode == 2, result.stderr
+        assert result.stderr.startswith("error: out of memory during embed: ")
+        assert not (tmp_path / "out.emb").exists()
 
 
 class TestEntryPoint:

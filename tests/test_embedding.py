@@ -312,6 +312,50 @@ class TestNormalizeRows:
             normalize_rows(np.array([[0.0, 0.0]]))
 
 
+class TestRowNorms:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.sampled_from([1, 3, 128, 129, 1024]),
+        st.sampled_from([(0, 0), (0, 1), (1, -1), (1, 0), (1, 1), (3, 5)]),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_equals_numpy_norm_bit_for_bit(self, d, rows, seed):
+        # n is 0, 1, or blocks * block + extra rows around the block size.
+        blocks, extra = rows
+        n = blocks * max(1, embedding._BLOCK_VALUES // d) + extra if blocks else extra
+        rng = np.random.default_rng(seed)
+        # Squares of 1e-300 and 1e-160 underflow, those of 1e150 and 1e200
+        # overflow; np.linalg.norm does not rescale, so neither may the helper.
+        scales = rng.choice([1e-300, 1e-160, 1.0, 1e150, 1e200], size=(n, 1))
+        x = rng.standard_normal((n, d)) * scales
+        x[rng.random((n, d)) < 0.2] = 0.0
+        x[rng.random((n, d)) < 0.2] = -0.0
+        x[rng.random(n) < 0.1] = -0.0
+        with np.errstate(over="ignore", under="ignore"):
+            assert np.array_equal(embedding._row_norms(x), np.linalg.norm(x, axis=1))
+
+
+def wide_graph(n: int = 2000, seed: int = 0):
+    """``n`` products on a chain plus random baskets of two to five."""
+    rng = np.random.default_rng(seed)
+    lines = [f"p{i} p{i + 1}" for i in range(n - 1)]
+    for _ in range(2 * n):
+        size = int(rng.integers(2, 6))
+        lines.append(" ".join(f"p{j}" for j in rng.choice(n, size=size, replace=False)))
+    return graph_from_text("\n".join(lines) + "\n")
+
+
+def traced_peak(call):
+    """``call()``'s result and the peak of the memory traced while it ran."""
+    tracemalloc.start()
+    try:
+        result = call()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, peak
+
+
 class TestIterate:
     def test_two_node_swap(self):
         g = graph_from_text("x y\n")
@@ -360,6 +404,15 @@ class TestIterate:
         assert out.zero_rows_replaced == 1
         assert np.array_equal(out.vector("b"), w)
         assert unit_rows(out.vectors, atol=1e-12)
+
+    def test_memory_holds_no_second_rows_by_d_array(self):
+        g = wide_graph()
+        M = build_transition(g, partition_chunks(g, 1), 0)
+        T = init_embedding([g.vocabulary.code(int(v)) for v in M.nodes], 128, seed=0)
+        out, peak = traced_peak(lambda: iterate(T, M))
+        # Row norms taken whole held a squared copy of the result: 2.02
+        # times it. Blocks of 256 rows peaked at 1.14 times.
+        assert peak <= 1.25 * out.vectors.nbytes
 
     def test_threads_do_not_change_result(self):
         rng = np.random.default_rng(31)
@@ -587,6 +640,14 @@ class TestTrain:
         emb = train(demo_graph, d=8, iterations=2, chunks=64, seed=0)
         assert set(emb.codes) == set(demo_graph.vocabulary.codes)
         assert unit_rows(emb.vectors)
+
+    def test_memory_is_a_few_rows_by_d_arrays(self):
+        g = wide_graph()
+        emb, peak = traced_peak(lambda: train(g, d=128, iterations=6, chunks=3, seed=0))
+        # The first rows, the sum, and one chunk's current and next rows
+        # stay alive. Whole-array norms and a whole-chunk merge peaked at
+        # 5.26 times n*d*8; row blocks at 4.50.
+        assert peak <= 5 * len(emb) * 128 * 8
 
     def test_memory_does_not_grow_with_chunk_count(self, demo_graph):
         # Six products in a million chunks: nothing may be sized products x Q.

@@ -155,9 +155,20 @@ class TestParsing:
         assert len(vocab) == 0
 
     def test_memory_is_bounded_by_a_batch_not_the_input(self):
+        self.check_memory_bound(repeat_every=0)
+
+    def test_memory_is_bounded_when_lines_repeat_codes(self):
+        # Every 10th line repeats a code, so those batches de-duplicate.
+        self.check_memory_bound(repeat_every=10)
+
+    @staticmethod
+    def check_memory_bound(repeat_every):
         def lines():
             for i in range(50_000):
-                yield " ".join(f"product{(i * 7 + j * 13) % 2000:04d}" for j in range(1 + i % 5)) + "\n"
+                codes = [f"product{(i * 7 + j * 13) % 2000:04d}" for j in range(1 + i % 5)]
+                if repeat_every and i % repeat_every == 0:
+                    codes.append(codes[0])
+                yield " ".join(codes) + "\n"
 
         tracemalloc.start()
         try:
@@ -166,6 +177,7 @@ class TestParsing:
         finally:
             tracemalloc.stop()
         assert len(baskets.offsets) == 50_001
+        assert len(baskets.items) == 150_000
         assert len(vocab) == 2000
         # The result holds about 1.6 MB. Splitting all 50,000 lines at once
         # peaks near 25 MB; batches of 256 lines peaked at 2.0 MB.
@@ -184,6 +196,12 @@ class TestVocabulary:
         assert v.intern("a") == 1
         assert v.codes == ["b", "a", "d", "e"]
         assert [v.index_of(code) for code in v] == [0, 1, 2, 3]
+
+    def test_parsed_vocabulary_raises_on_unknown_code(self):
+        _, v = parse("a b\n")
+        with pytest.raises(UnknownProductError):
+            v.index_of("nope")
+        assert len(v) == 2
 
     def test_index_of_unknown_raises_with_suggestions(self):
         v = Vocabulary()
