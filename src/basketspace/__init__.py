@@ -47,7 +47,6 @@ from .evaluation import (
 from .ingest import (
     Baskets,
     CooccurrenceGraph,
-    Vocabulary,
     expand_hyperedges,
     parse_baskets,
 )
@@ -57,7 +56,6 @@ from .neighbors import (
     recommend_complements,
     recommend_substitutes,
     top_k_batch,
-    top_k_neighbors,
     write_neighbors,
 )
 
@@ -83,7 +81,6 @@ __all__ = [
     "SyntheticMarket",
     "TransitionMatrix",
     "UnknownProductError",
-    "Vocabulary",
     "benchmark_baskets",
     "build_transition",
     "dense_reference_train",
@@ -103,7 +100,6 @@ __all__ = [
     "recommend_substitutes",
     "run_benchmark",
     "top_k_batch",
-    "top_k_neighbors",
     "train",
     "weighted_accuracy",
     "write_embedding",

@@ -40,9 +40,8 @@ from .errors import (
     InternalConsistencyError,
     InvalidParameterError,
     MalformedInputError,
-    UnknownProductError,
 )
-from .ingest import CooccurrenceGraph, nearest_codes
+from .ingest import CooccurrenceGraph
 
 # A multiply result with norm at or below this is treated as a cancelled row.
 ZERO_ROW_NORM = 1e-30
@@ -103,19 +102,13 @@ class EmbeddingMatrix:
             self._norms = np.linalg.norm(self.vectors, axis=1)
         return self._norms
 
-    def vector(self, code: str) -> np.ndarray:
-        idx = self.index_map().get(code)
-        if idx is None:
-            raise UnknownProductError(code, nearest_codes(code, self.codes))
-        return self.vectors[idx]
-
 
 @dataclass
 class TransitionMatrix:
     """Row-stochastic transition matrix for one chunk.
 
     Attributes:
-        nodes: global vocabulary indices of the chunk's nodes, ascending.
+        nodes: the graph's indices of the chunk's nodes, ascending.
         matrix: (n_q, n_q) CSR matrix with m(a, b) = e_ab / deg_q(a).
         degrees: float64 chunk-local weighted degree deg_q of each node,
             aligned with ``nodes``.
@@ -131,13 +124,13 @@ def partition_chunks(graph: CooccurrenceGraph, chunk_count: int) -> np.ndarray:
 
     An edge's chunk is ``crc32(code_lo + "\\x1e" + code_hi) % chunk_count``
     over its two UTF-8 codes in sorted order, so the assignment does not
-    depend on vocabulary insertion order.
+    depend on the order of the graph's codes.
     """
     if chunk_count < 1:
         raise InvalidParameterError(f"chunk count must be >= 1, got {chunk_count}")
     if chunk_count == 1:
         return np.zeros(graph.edge_count, dtype=np.int64)
-    codes = graph.vocabulary.codes
+    codes = graph.codes
     rank = np.empty(len(codes), dtype=np.int64)
     rank[sorted(range(len(codes)), key=codes.__getitem__)] = np.arange(len(codes))
     swap = rank[graph.a] > rank[graph.b]
@@ -147,7 +140,8 @@ def partition_chunks(graph: CooccurrenceGraph, chunk_count: int) -> np.ndarray:
     # crc32 continues from a running value, so each code's prefix is hashed once.
     head = [zlib.crc32(e + b"\x1e") for e in encoded]
     crcs = [zlib.crc32(encoded[y], head[x]) for x, y in zip(lo, hi)]
-    return np.array(crcs, dtype=np.int64) % chunk_count
+    # A crc32 is below 2**32, so any larger count leaves it as it is.
+    return np.array(crcs, dtype=np.int64) % min(chunk_count, 2**32)
 
 
 def build_transition(
@@ -266,31 +260,26 @@ def _matmul_rows(matrix: sp.csr_matrix, vectors: np.ndarray, threads: int) -> np
 
 
 def iterate(
-    T_prev: EmbeddingMatrix, M: TransitionMatrix, threads: int = 1
-) -> EmbeddingMatrix:
-    """One power-iteration step: multiply by M, then L2-normalize rows."""
-    if T_prev.vectors.shape[0] != M.matrix.shape[0]:
+    vectors: np.ndarray, M: TransitionMatrix, threads: int = 1
+) -> tuple[np.ndarray, int]:
+    """One power-iteration step: multiply the rows by M, then L2-normalize
+    them. Returns the new rows and how many of them cancelled to zero and
+    kept their previous value instead."""
+    if vectors.shape[0] != M.matrix.shape[0]:
         raise InternalConsistencyError(
-            f"embedding has {T_prev.vectors.shape[0]} rows, "
+            f"embedding has {vectors.shape[0]} rows, "
             f"transition matrix expects {M.matrix.shape[0]}"
         )
-    raw = _matmul_rows(M.matrix, T_prev.vectors, threads)
+    raw = _matmul_rows(M.matrix, vectors, threads)
     norms = _row_norms(raw)
     zero = norms <= ZERO_ROW_NORM
     replaced = int(zero.sum())
     if replaced:
         # Exact cancellation: keep the previous (already unit-norm) row.
-        raw[zero] = T_prev.vectors[zero]
+        raw[zero] = vectors[zero]
         norms[zero] = 1.0
     raw /= norms[:, None]
-    done = None if T_prev.iterations is None else T_prev.iterations + 1
-    return EmbeddingMatrix(
-        T_prev.codes,
-        raw,
-        iterations=done,
-        seed=T_prev.seed,
-        zero_rows_replaced=T_prev.zero_rows_replaced + replaced,
-    )
+    return raw, replaced
 
 
 def train(
@@ -306,7 +295,7 @@ def train(
     Every non-isolated product gets one initial row. Each chunk iterates
     its nodes' rows, then adds them, scaled by w(q, v), into one
     (nodes x d) sum in ascending chunk order, and is dropped. Merged rows
-    are L2-normalized and follow vocabulary order.
+    are L2-normalized and follow the order of the graph's codes.
 
     ``iterations`` is one count, giving one space, or a sequence of counts
     such as ``(6, 1)``, giving a list of spaces in that order from one
@@ -320,7 +309,8 @@ def train(
 
     Raises:
         InvalidParameterError: on non-positive d, iteration counts, chunks
-            or threads, or an empty sequence of counts.
+            or threads, an empty sequence of counts, or a (nodes x d) shape
+            that does not fit in memory.
         EmptyGraphError: if the graph has no edges.
         InternalConsistencyError: if a merged row cancels to zero or a
             value is NaN or infinite.
@@ -340,10 +330,9 @@ def train(
         raise EmptyGraphError("the co-occurrence graph has no edges")
     chunk_ids = partition_chunks(graph, chunks)
     nodes = np.flatnonzero(graph.degrees > 0)
-    vocab_codes = graph.vocabulary.codes
-    codes = [vocab_codes[v] for v in nodes.tolist()]
+    codes = [graph.codes[v] for v in nodes.tolist()]
     # Sums before first rows: the other order put half of eval's peaks 1.4 MB up.
-    merged = [np.zeros((len(codes), d)) for _ in counts]
+    merged = [_allocate(np.zeros, len(codes), d, InvalidParameterError) for _ in counts]
     start = init_embedding(codes, d, seed).vectors
     buf = np.empty_like(start[: max(1, _BLOCK_VALUES // d)])
     replaced = [0] * len(counts)
@@ -351,18 +340,17 @@ def train(
         M = build_transition(graph, chunk_ids, q)
         pos = np.searchsorted(nodes, M.nodes)
         weights = (M.degrees / graph.degrees[M.nodes])[:, None]
-        T = EmbeddingMatrix(
-            [codes[i] for i in pos.tolist()], start[pos], iterations=0, seed=seed
-        )
+        T, lost = start[pos], 0
         for step in range(1, max(counts) + 1):
-            T = iterate(T, M, threads=threads)
+            T, cancelled = iterate(T, M, threads=threads)
+            lost += cancelled
             for j, count in enumerate(counts):
                 if count == step:
                     for a in range(0, len(pos), len(buf)):
                         r = slice(a, min(a + len(buf), len(pos)))
-                        np.multiply(weights[r], T.vectors[r], out=buf[: r.stop - a])
+                        np.multiply(weights[r], T[r], out=buf[: r.stop - a])
                         merged[j][pos[r]] += buf[: r.stop - a]
-                    replaced[j] += T.zero_rows_replaced
+                    replaced[j] += lost
         del M, T  # so that the next chunk can reuse their memory
     spaces = []
     for count, rows, lost in zip(counts, merged, replaced):
@@ -395,7 +383,6 @@ def dense_reference_train(
         raise InvalidParameterError(f"iteration count must be >= 1, got {iterations}")
     if graph.edge_count == 0:
         raise EmptyGraphError("the co-occurrence graph has no edges")
-    vocab = graph.vocabulary
     nodes = [int(v) for v in np.flatnonzero(graph.degrees > 0)]
     if len(nodes) > DENSE_REFERENCE_MAX_NODES:
         raise InvalidParameterError(
@@ -409,7 +396,7 @@ def dense_reference_train(
         M[local[a], local[b]] = w
         M[local[b], local[a]] = w
     M /= M.sum(axis=1, keepdims=True)
-    codes = [vocab.code(v) for v in nodes]
+    codes = [graph.codes[v] for v in nodes]
     T = init_embedding(codes, d, seed).vectors
     for _ in range(iterations):
         raw = M @ T
@@ -468,12 +455,7 @@ def read_embedding(stream: TextIO) -> EmbeddingMatrix:
     if n < 0 or d < 1:
         raise MalformedInputError(f"invalid embedding shape {n} x {d}")
     codes = []
-    try:
-        vectors = np.empty((n, d), dtype=np.float64)
-    except (MemoryError, ValueError):
-        raise MalformedInputError(
-            f"embedding shape {n} x {d} from the header does not fit in memory"
-        ) from None
+    vectors = _allocate(np.empty, n, d, MalformedInputError, " from the header")
     seen = set()
     batch = max(1, _READ_VALUES // d)
     for start in range(0, n, batch):
@@ -500,6 +482,15 @@ def read_embedding(stream: TextIO) -> EmbeddingMatrix:
                 f"line {lineno}: row beyond the {n} the header declares"
             )
     return EmbeddingMatrix(codes, vectors, iterations=None, seed=None)
+
+
+def _allocate(make, n: int, d: int, error: type, origin: str = "") -> np.ndarray:
+    """``make((n, d))``, such as an (n, d) float64 ``np.empty``; a shape
+    that cannot be allocated raises ``error`` with a message naming it."""
+    try:
+        return make((n, d))
+    except (MemoryError, ValueError):
+        raise error(f"embedding shape {n} x {d}{origin} does not fit in memory") from None
 
 
 def _read_rows(lines: Iterator[str], start: int, stop: int, vectors, codes, seen) -> None:

@@ -31,7 +31,7 @@ class EmptyGraphError(BasketspaceError):
 
 
 class UnknownProductError(BasketspaceError):
-    """A queried product code is not present in the vocabulary/embedding."""
+    """A queried product code is not among the known codes."""
 
     exit_code = 3
 

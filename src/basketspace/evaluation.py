@@ -37,7 +37,7 @@ from .errors import (
     InvalidParameterError,
     MalformedInputError,
 )
-from .ingest import Baskets, CooccurrenceGraph, Vocabulary, expand_hyperedges
+from .ingest import Baskets, CooccurrenceGraph, expand_hyperedges
 from .neighbors import (
     NeighborList,
     random_recommender,
@@ -138,6 +138,8 @@ def generate_synthetic_market(
         raise InvalidParameterError(f"pick probability must be in (0, 1], got {pick_prob}")
     if not 0.0 <= affinity <= 1.0:
         raise InvalidParameterError(f"affinity must be in [0, 1], got {affinity}")
+    if seed < 0:
+        raise InvalidParameterError(f"seed must be >= 0, got {seed}")
 
     product_codes = [
         f"t{t}g{g}m{m}"
@@ -388,7 +390,7 @@ def run_benchmark(market: SyntheticMarket, config: BenchmarkConfig) -> EvalRepor
         "affinity": market.affinity,
         "seed": market.seed,
     }
-    # The rows and the first-appearance vocabulary that parsing the
+    # The rows and the first-appearance code list that parsing the
     # market's basket file would give; a row never repeats a product.
     picked = market.picks >= 0
     flat = market.picks[picked]
@@ -397,8 +399,8 @@ def run_benchmark(market: SyntheticMarket, config: BenchmarkConfig) -> EvalRepor
     index = np.empty(len(market.product_codes), dtype=np.int64)
     index[ids] = np.arange(len(ids))
     offsets = np.concatenate([[0], np.cumsum(picked.sum(axis=1))])
-    vocabulary = Vocabulary(market.product_codes[p] for p in ids.tolist())
-    graph = expand_hyperedges(Baskets(offsets, index[flat]), vocabulary)
+    codes = [market.product_codes[p] for p in ids.tolist()]
+    graph = expand_hyperedges(Baskets(offsets, index[flat]), codes)
     return benchmark_baskets(graph, market.membership(), config, market_info=market_info)
 
 
@@ -423,7 +425,7 @@ def benchmark_baskets(
             truth (no other product in its group) or no complement truth
             (no other group in its theme).
     """
-    missing = sorted(c for c in graph.vocabulary if c not in membership)
+    missing = sorted(c for c in graph.codes if c not in membership)
     if missing:
         raise DataInconsistencyError(
             f"basket products missing from the truth file: {_listed(missing)}"
@@ -433,7 +435,7 @@ def benchmark_baskets(
     for code, (t, g) in membership.items():
         by_group.setdefault((t, g), set()).add(code)
         by_theme.setdefault(t, set()).add(code)
-    codes = graph.vocabulary.codes
+    codes = graph.codes
     no_substitute, no_complement = [], []
     for v in np.flatnonzero(graph.degrees > 0).tolist():
         t, g = membership[codes[v]]

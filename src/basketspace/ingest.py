@@ -1,4 +1,4 @@
-"""Basket ingestion: vocabulary interning and co-occurrence graph construction.
+"""Basket ingestion: basket parsing and co-occurrence graph construction.
 
 A basket file is plain UTF-8 text with one transaction per line: product
 codes separated by whitespace. Blank lines and lines starting with ``#``
@@ -22,14 +22,14 @@ from typing import Iterable, NamedTuple
 
 import numpy as np
 
-from .errors import InvalidParameterError, MalformedInputError, UnknownProductError
+from .errors import InvalidParameterError, MalformedInputError
 
 # Baskets beyond this many distinct products are rejected: clique expansion
 # grows quadratically and a line that size is almost certainly not a basket.
 DEFAULT_MAX_BASKET_PRODUCTS = 5000
 
-# Lines that parse_baskets splits and interns together. A batch's tokens and
-# arrays stay alive until it is done and the vocabulary keeps some of its
+# Lines that parse_baskets splits and numbers together. A batch's tokens and
+# arrays stay alive until it is done and the code index keeps some of its
 # strings, so the size was chosen by peak memory rather than speed.
 _BATCH_LINES = 256
 
@@ -40,63 +40,8 @@ def nearest_codes(code: str, known: Iterable[str], limit: int = 5) -> list[str]:
     return sorted(known, key=lambda c: (-len(commonprefix([code, c])), c))[:limit]
 
 
-class Vocabulary:
-    """Bijection between external product codes and dense internal indices.
-
-    Indices are assigned in first-appearance order, starting at 0.
-    """
-
-    def __init__(self, codes: Iterable[str] = ()):
-        self._codes: list[str] = []
-        self._index: dict[str, int] = {}
-        for code in codes:
-            self.intern(code)
-
-    @classmethod
-    def _from_index(cls, index: dict[str, int]) -> Vocabulary:
-        """The vocabulary whose index is ``index`` itself, not a copy; its
-        codes must be non-empty and map to 0, 1, ... in insertion order."""
-        vocab = cls()
-        vocab._codes = list(index)
-        vocab._index = index
-        return vocab
-
-    def intern(self, code: str) -> int:
-        """Return the index of ``code``, assigning a new one if unseen."""
-        if not code:
-            raise MalformedInputError("empty product code")
-        idx = self._index.get(code)
-        if idx is None:
-            idx = len(self._codes)
-            self._codes.append(code)
-            self._index[code] = idx
-        return idx
-
-    def index_of(self, code: str) -> int:
-        try:
-            return self._index[code]
-        except KeyError:
-            raise UnknownProductError(code, nearest_codes(code, self._codes)) from None
-
-    def code(self, index: int) -> str:
-        return self._codes[index]
-
-    @property
-    def codes(self) -> list[str]:
-        return list(self._codes)
-
-    def __contains__(self, code: str) -> bool:
-        return code in self._index
-
-    def __len__(self) -> int:
-        return len(self._codes)
-
-    def __iter__(self):
-        return iter(self._codes)
-
-
 class Baskets(NamedTuple):
-    """Baskets as ragged rows of vocabulary indices: row ``r`` is
+    """Baskets as ragged rows of product indices: row ``r`` is
     ``items[offsets[r]:offsets[r + 1]]``, int64 both.
 
     Rows that :func:`parse_baskets` returns hold each line's distinct
@@ -110,8 +55,8 @@ class Baskets(NamedTuple):
 def parse_baskets(
     lines: Iterable[str],
     max_basket_products: int = DEFAULT_MAX_BASKET_PRODUCTS,
-) -> tuple[Baskets, Vocabulary]:
-    """Parse basket lines into baskets and a vocabulary.
+) -> tuple[Baskets, list[str]]:
+    """Parse basket lines into baskets and their product codes.
 
     Args:
         lines: text lines, such as an open file or a list of strings.
@@ -119,8 +64,9 @@ def parse_baskets(
             this bound.
 
     Returns:
-        (baskets, vocabulary): one row per basket line, in file order;
-        vocabulary in first-appearance order.
+        (baskets, codes): one row per basket line, in file order; the
+        distinct codes in first-appearance order, so code ``codes[i]`` has
+        index ``i``.
 
     Raises:
         MalformedInputError: on lines exceeding the product bound.
@@ -158,15 +104,15 @@ def parse_baskets(
         items.frombytes(ids.tobytes())
         lineno += len(batch)
     baskets = Baskets(np.frombuffer(offsets, np.int64), np.frombuffer(items, np.int64))
-    return baskets, Vocabulary._from_index(dict(index))
+    return baskets, list(index)
 
 
 @dataclass
 class CooccurrenceGraph:
-    """Weighted undirected co-occurrence graph over a product vocabulary.
+    """Weighted undirected co-occurrence graph over a list of products.
 
     Attributes:
-        vocabulary: the product vocabulary; indices address ``degrees``.
+        codes: the product codes; indices address ``codes`` and ``degrees``.
         a, b: int64 endpoint indices of each edge, ``a < b``, sorted by
             ``(a, b)``.
         w: int64 positive co-occurrence count of each edge, aligned with
@@ -175,7 +121,7 @@ class CooccurrenceGraph:
             weights; zero for isolated products.
     """
 
-    vocabulary: Vocabulary
+    codes: list
     a: np.ndarray
     b: np.ndarray
     w: np.ndarray
@@ -185,12 +131,8 @@ class CooccurrenceGraph:
     def edge_count(self) -> int:
         return len(self.w)
 
-    @property
-    def total_weight(self) -> int:
-        return int(self.w.sum())
 
-
-def expand_hyperedges(baskets: Baskets, vocabulary: Vocabulary) -> CooccurrenceGraph:
+def expand_hyperedges(baskets: Baskets, codes: list) -> CooccurrenceGraph:
     """Clique-expand baskets into a weighted co-occurrence graph.
 
     Each basket contributes +1 weight to every unordered pair of its
@@ -200,7 +142,7 @@ def expand_hyperedges(baskets: Baskets, vocabulary: Vocabulary) -> CooccurrenceG
         InvalidParameterError: if a row repeats a code; rows from
             :func:`parse_baskets` never do.
     """
-    n = len(vocabulary)
+    n = len(codes)
     offsets, items = baskets
     sizes = np.diff(offsets)
     # One block of rows per basket size; pair (a, b) with a < b gets the key
@@ -217,5 +159,5 @@ def expand_hyperedges(baskets: Baskets, vocabulary: Vocabulary) -> CooccurrenceG
     pairs, w = np.unique(np.concatenate(keys), return_counts=True)
     a, b = np.divmod(pairs, n)
     degrees = np.bincount(a, weights=w, minlength=n) + np.bincount(b, weights=w, minlength=n)
-    return CooccurrenceGraph(vocabulary, a, b, w, degrees.astype(np.int64))
+    return CooccurrenceGraph(codes, a, b, w, degrees.astype(np.int64))
 

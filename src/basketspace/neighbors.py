@@ -62,6 +62,13 @@ BLOCK_ENTRIES = 2**17  # 1 MiB of float64
 _ARGMAX_MAX_K = 8
 
 
+def _reject_string(queries) -> None:
+    if isinstance(queries, str):
+        raise InvalidParameterError(
+            f"queries must be a sequence of product codes, got the string {queries!r}"
+        )
+
+
 def _argmax_picks(sims: np.ndarray, passes: int) -> tuple[list, list]:
     """Column indices and values of each row's ``passes`` largest entries,
     by similarity descending and column ascending, one list per row.
@@ -95,7 +102,8 @@ def top_k_batch(
 
     Args:
         embeddings: the space to search.
-        queries: query product codes.
+        queries: a sequence of query product codes; a bare string is
+            rejected rather than read as one code per character.
         k: how many neighbors to return per query (fewer if the pool is
             small).
         candidates: optional restriction of the candidate codes (unknown
@@ -104,10 +112,11 @@ def top_k_batch(
 
     Raises:
         UnknownProductError: if a query is not embedded.
-        InvalidParameterError: if k < 1, if the space holds a NaN or
-            infinite value, or if a query or a candidate it is ranked
-            against is a zero vector.
+        InvalidParameterError: if ``queries`` is a string, if k < 1, if
+            the space holds a NaN or infinite value, or if a query or a
+            candidate it is ranked against is a zero vector.
     """
+    _reject_string(queries)
     if k < 1:
         raise InvalidParameterError(f"k must be >= 1, got {k}")
     codes = embeddings.codes
@@ -189,37 +198,18 @@ def top_k_batch(
     return results
 
 
-def top_k_neighbors(
-    embeddings: EmbeddingMatrix,
-    query: str,
-    k: int,
-    candidates: Iterable[str] | None = None,
-    relation_kind: str = "substitute",
-) -> NeighborList:
-    """Exact top-k cosine neighbors of ``query``: :func:`top_k_batch` for
-    a single query, with the same arguments and errors."""
-    return top_k_batch(embeddings, [query], k, candidates, relation_kind)[0]
-
-
-def _recommend(space, queries, k, candidates, relation_kind):
-    if isinstance(queries, str):
-        return top_k_neighbors(space, queries, k, candidates, relation_kind)
-    return top_k_batch(space, queries, k, candidates, relation_kind)
-
-
 def recommend_substitutes(
     substitute_space: EmbeddingMatrix,
-    queries: str | Sequence[str],
+    queries: Sequence[str],
     k: int = 2,
     candidates: Iterable[str] | None = None,
     expected_iterations: int = SUBSTITUTE_ITERATIONS,
-):
-    """Top-k substitute candidates from the shared-context space.
+) -> list[NeighborList]:
+    """Top-k substitute candidates from the shared-context space:
+    :func:`top_k_batch` with the same arguments and errors.
 
-    ``queries`` is one code, giving one NeighborList, or a sequence of
-    codes, giving a list of them in query order. Warns (without failing)
-    once per call if the space's recorded iteration count is below
-    ``expected_iterations``.
+    Warns (without failing) once per call if the space's recorded
+    iteration count is below ``expected_iterations``.
     """
     done = substitute_space.iterations
     if done is not None and done < expected_iterations:
@@ -229,22 +219,21 @@ def recommend_substitutes(
             ConfigurationMismatchWarning,
             stacklevel=2,
         )
-    return _recommend(substitute_space, queries, k, candidates, "substitute")
+    return top_k_batch(substitute_space, queries, k, candidates, "substitute")
 
 
 def recommend_complements(
     complement_space: EmbeddingMatrix,
-    queries: str | Sequence[str],
+    queries: Sequence[str],
     k: int = 2,
     candidates: Iterable[str] | None = None,
     expected_iterations: int = COMPLEMENT_ITERATIONS,
-):
-    """Top-k complement candidates from the direct co-purchase space.
+) -> list[NeighborList]:
+    """Top-k complement candidates from the direct co-purchase space:
+    :func:`top_k_batch` with the same arguments and errors.
 
-    ``queries`` is one code or a sequence of codes, as for
-    :func:`recommend_substitutes`. Warns (without failing) once per call if
-    the space's recorded iteration count does not equal
-    ``expected_iterations``.
+    Warns (without failing) once per call if the space's recorded
+    iteration count does not equal ``expected_iterations``.
     """
     done = complement_space.iterations
     if done is not None and done != expected_iterations:
@@ -254,27 +243,27 @@ def recommend_complements(
             ConfigurationMismatchWarning,
             stacklevel=2,
         )
-    return _recommend(complement_space, queries, k, candidates, "complement")
+    return top_k_batch(complement_space, queries, k, candidates, "complement")
 
 
 def random_recommender(
-    vocabulary: Sequence[str], queries: str | Sequence[str], k: int, seed: int
-) -> NeighborList | list[NeighborList]:
+    vocabulary: Sequence[str], queries: Sequence[str], k: int, seed: int
+) -> list[NeighborList]:
     """Baseline: k distinct products sampled uniformly, excluding the query.
 
-    ``vocabulary`` holds distinct codes. ``queries`` is one code, giving one
-    NeighborList, or a sequence of codes, giving a list of them in query
-    order. Deterministic per (seed, query), whatever the other queries;
+    ``vocabulary`` holds distinct codes. Gives one NeighborList per query,
+    in query order; a bare string is rejected, as by :func:`top_k_batch`.
+    Deterministic per (seed, query), whatever the other queries;
     similarities are reported as 0.
     """
+    _reject_string(queries)
     if k < 1:
         raise InvalidParameterError(f"k must be >= 1, got {k}")
     n = len(vocabulary)
     position = {code: i for i, code in enumerate(vocabulary)}
     gen = np.random.Generator(np.random.Philox(0))
-    single = isinstance(queries, str)
     results = []
-    for query in [queries] if single else queries:
+    for query in queries:
         skip = position.get(query, n)
         pool = n - (skip < n)
         if k > pool:
@@ -286,7 +275,7 @@ def random_recommender(
         results.append(
             NeighborList(query, [(vocabulary[int(i)], 0.0) for i in picks], "random")
         )
-    return results[0] if single else results
+    return results
 
 
 def write_neighbors(lists: Iterable[NeighborList], stream: TextIO) -> None:

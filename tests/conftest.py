@@ -13,7 +13,6 @@ from basketspace import (
     EmbeddingMatrix,
     InvalidParameterError,
     MalformedInputError,
-    Vocabulary,
     expand_hyperedges,
     parse_baskets,
 )
@@ -60,7 +59,7 @@ def reference_parse_baskets(lines, max_basket_products: int = 5000):
         items.extend([index.setdefault(tok, len(index)) for tok in distinct])
         offsets.append(len(items))
     baskets = Baskets(np.frombuffer(offsets, np.int64), np.frombuffer(items, np.int64))
-    return baskets, Vocabulary(index)
+    return baskets, list(index)
 
 
 def reference_read_embedding(stream) -> EmbeddingMatrix:
@@ -119,6 +118,11 @@ def basket_rows(baskets) -> list:
     return [items[s:e].tolist() for s, e in zip(offsets[:-1].tolist(), offsets[1:].tolist())]
 
 
+def vector_of(emb: EmbeddingMatrix, code: str) -> np.ndarray:
+    """The row of ``code`` in ``emb``."""
+    return emb.vectors[emb.codes.index(code)]
+
+
 def cosine_similarity(u: np.ndarray, v: np.ndarray) -> float:
     """Oracle: cosine of the angle between two vectors, clamped to [-1, 1]."""
     u = np.asarray(u, dtype=np.float64)
@@ -155,20 +159,20 @@ def first_recommendation_hit_rate(queries_with_truth, recommender) -> float:
 
 def graph_from_edges(edges: dict) -> CooccurrenceGraph:
     """Build a graph from {(code_a, code_b): weight} directly."""
-    vocab = Vocabulary()
+    index: dict = {}
     indexed = {}
     for (ca, cb), w in edges.items():
-        a, b = vocab.intern(ca), vocab.intern(cb)
+        a, b = index.setdefault(ca, len(index)), index.setdefault(cb, len(index))
         key = (a, b) if a < b else (b, a)
         indexed[key] = indexed.get(key, 0) + w
     keys = sorted(indexed)
     a = np.array([k[0] for k in keys], dtype=np.int64)
     b = np.array([k[1] for k in keys], dtype=np.int64)
     w = np.array([indexed[k] for k in keys], dtype=np.int64)
-    degrees = np.zeros(len(vocab), dtype=np.int64)
+    degrees = np.zeros(len(index), dtype=np.int64)
     np.add.at(degrees, a, w)
     np.add.at(degrees, b, w)
-    return CooccurrenceGraph(vocab, a, b, w, degrees)
+    return CooccurrenceGraph(list(index), a, b, w, degrees)
 
 
 def edge_weights(graph: CooccurrenceGraph) -> dict:

@@ -30,7 +30,7 @@ from basketspace import (
     partition_chunks,
     read_embedding,
     run_benchmark,
-    top_k_neighbors,
+    top_k_batch,
     train,
     weighted_accuracy,
     write_embedding,
@@ -95,7 +95,7 @@ def test_criterion_2_algorithm_invariants():
         for q in (1, 2, 4):
             chunk_ids = partition_chunks(g, q)
             # Each node's merge weights deg_q(v) / deg(v), summed over chunks.
-            weight_sums = np.zeros(len(g.vocabulary))
+            weight_sums = np.zeros(len(g.codes))
             for chunk in sorted(set(chunk_ids.tolist())):
                 M = build_transition(g, chunk_ids, chunk)
                 sums = np.asarray(M.matrix.sum(axis=1)).ravel()
@@ -161,8 +161,7 @@ def test_criterion_4_chunking_consistency():
     graphs = [graph_from_text(DEMO_TEXT)] + [random_graph(rng) for _ in range(20)]
     checked = 0
     for g in graphs:
-        vocab = g.vocabulary
-        expected = {vocab.code(i) for i in range(len(vocab)) if g.degrees[i] > 0}
+        expected = {code for code, deg in zip(g.codes, g.degrees) if deg > 0}
         for q in (1, 2, 4):
             emb = train(g, d=16, iterations=3, chunks=q, seed=5)
             assert set(emb.codes) == expected
@@ -307,11 +306,9 @@ def test_criterion_9_format_round_trip(tmp_path):
             write_embedding(emb, fh)
         with open(path, encoding="utf-8") as fh:
             back = read_embedding(fh)
-        for code in emb.codes:
-            before = top_k_neighbors(emb, code, 5).codes()
-            after = top_k_neighbors(back, code, 5).codes()
+        for before, after in zip(top_k_batch(emb, emb.codes, 5), top_k_batch(back, emb.codes, 5)):
             queries += 1
-            if before != after:
+            if before.codes() != after.codes():
                 changed += 1
     check(
         changed == 0,

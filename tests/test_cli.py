@@ -647,6 +647,55 @@ class TestOutOfMemory:
         assert not (tmp_path / "out.emb").exists()
 
 
+class TestOversizeValues:
+    """Flag values too large for numpy, or a negative synth seed, end in a
+    clean exit rather than exit 1."""
+
+    @pytest.fixture
+    def baskets(self, tmp_path):
+        path = tmp_path / "b.txt"
+        path.write_text("a b c\nb c\na d\n", encoding="utf-8")
+        return path
+
+    def test_embed_chunk_count_beyond_crc32_range(self, baskets, tmp_path):
+        outs = []
+        for chunks in ("4294967296", "100000000000000000000"):
+            outs.append(tmp_path / f"emb_{chunks}.txt")
+            argv = ["embed", "--input", str(baskets), "--output", str(outs[-1])]
+            assert main(argv + ["--dim", "4", "--chunks", chunks]) == 0
+        assert outs[0].read_bytes() == outs[1].read_bytes()
+
+    def test_eval_chunk_count_beyond_crc32_range(self, baskets, tmp_path):
+        truth = tmp_path / "t.txt"
+        truth.write_text("a 0 0\nb 0 1\nc 0 0\nd 0 1\n", encoding="utf-8")
+        outs = []
+        for chunks in ("4294967296", "100000000000000000000"):
+            outs.append(tmp_path / f"report_{chunks}.json")
+            argv = ["eval", "--input", str(baskets), "--truth", str(truth)]
+            assert main(argv + ["--dim", "4", "--chunks", chunks, "--output", str(outs[-1])]) == 0
+        reports = [json.loads(out.read_text(encoding="utf-8")) for out in outs]
+        # Only the recorded chunk count differs.
+        assert reports[1]["config"]["chunks"] == 10**20
+        reports[1]["config"]["chunks"] = 2**32
+        assert reports[0] == reports[1]
+
+    def test_embed_dimension_too_large_exits_2(self, baskets, tmp_path, capsys):
+        code = main(
+            ["embed", "--input", str(baskets), "--output", str(tmp_path / "o.txt"),
+             "--dim", "100000000000000000000"]
+        )
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error: embedding shape 4 x 100000000000000000000 does not fit in memory\n"
+        )
+        assert not (tmp_path / "o.txt").exists()
+
+    def test_synth_negative_seed_exits_2(self, tmp_path, capsys):
+        code = main(["synth", "--output", str(tmp_path / "m.txt"), "--seed", "-1"])
+        assert code == 2
+        assert capsys.readouterr().err == "error: seed must be >= 0, got -1\n"
+
+
 class TestEntryPoint:
     def test_module_invocation(self):
         result = subprocess.run(

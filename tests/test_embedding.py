@@ -37,6 +37,7 @@ from conftest import (
     normalize_rows,
     random_graph,
     reference_read_embedding,
+    vector_of,
 )
 
 
@@ -46,7 +47,7 @@ def unit_rows(vectors: np.ndarray, atol: float = 1e-9) -> bool:
 
 def chunk_map(graph, chunk_ids) -> dict:
     """{(code, code) sorted: chunk id} from the aligned edge arrays."""
-    codes = graph.vocabulary.codes
+    codes = graph.codes
     return {
         tuple(sorted((codes[a], codes[b]))): q
         for (a, b), q in zip(edge_weights(graph), chunk_ids.tolist())
@@ -68,6 +69,13 @@ class TestPartition:
     def test_zero_chunks_rejected(self, demo_graph):
         with pytest.raises(InvalidParameterError):
             partition_chunks(demo_graph, 0)
+
+    def test_counts_beyond_crc32_range_leave_the_crc(self, demo_graph):
+        # A crc32 is below 2**32, so every larger count gives the crc itself.
+        crcs = partition_chunks(demo_graph, 2**32)
+        assert np.array_equal(crcs, partition_chunks(demo_graph, 2**40))
+        assert np.array_equal(crcs, partition_chunks(demo_graph, 10**20))
+        assert crcs.max() >= 2**31
 
     def test_assignment_is_deterministic(self, demo_graph):
         a1 = partition_chunks(demo_graph, 4)
@@ -108,24 +116,23 @@ class TestTransition:
 
     def test_demo_row_is_degree_normalized(self, demo_graph):
         M = build_transition(demo_graph, partition_chunks(demo_graph, 1), 0)
-        vocab = demo_graph.vocabulary
+        codes = demo_graph.codes
         local = {int(v): i for i, v in enumerate(M.nodes)}
-        p4 = local[vocab.index_of("p4")]
+        p4 = local[codes.index("p4")]
         row = M.matrix.toarray()[p4]
         # p4 co-occurs once each with p1, p2, p3: three equal steps.
         expected = np.zeros(len(M.nodes))
         for other in ("p1", "p2", "p3"):
-            expected[local[vocab.index_of(other)]] = 1.0 / 3.0
+            expected[local[codes.index(other)]] = 1.0 / 3.0
         assert np.allclose(row, expected, atol=1e-15)
 
     def test_weighted_edges(self):
         g = graph_from_text("a b\na b\na b\na c\n")
         M = build_transition(g, partition_chunks(g, 1), 0)
-        vocab = g.vocabulary
         local = {int(v): i for i, v in enumerate(M.nodes)}
-        row_a = M.matrix.toarray()[local[vocab.index_of("a")]]
-        assert row_a[local[vocab.index_of("b")]] == pytest.approx(0.75, abs=1e-15)
-        assert row_a[local[vocab.index_of("c")]] == pytest.approx(0.25, abs=1e-15)
+        row_a = M.matrix.toarray()[local[g.codes.index("a")]]
+        assert row_a[local[g.codes.index("b")]] == pytest.approx(0.75, abs=1e-15)
+        assert row_a[local[g.codes.index("c")]] == pytest.approx(0.25, abs=1e-15)
 
     def test_rows_are_stochastic_on_random_graphs(self):
         rng = np.random.default_rng(11)
@@ -183,7 +190,7 @@ class TestInit:
         a = init_embedding(["x", "y", "z"], 8, seed=0)
         b = init_embedding(["z", "x", "y"], 8, seed=0)
         for code in ("x", "y", "z"):
-            assert np.array_equal(a.vector(code), b.vector(code))
+            assert np.array_equal(vector_of(a, code), vector_of(b, code))
 
     def test_rows_are_unit_norm(self):
         emb = init_embedding([f"c{i}" for i in range(50)], 32, seed=5)
@@ -360,29 +367,29 @@ class TestIterate:
     def test_two_node_swap(self):
         g = graph_from_text("x y\n")
         M = build_transition(g, partition_chunks(g, 1), 0)
-        codes = [g.vocabulary.code(int(v)) for v in M.nodes]
-        T0 = init_embedding(codes, 8, seed=0)
-        T1 = iterate(T0, M)
+        codes = [g.codes[int(v)] for v in M.nodes]
+        T0 = init_embedding(codes, 8, seed=0).vectors
+        T1, replaced = iterate(T0, M)
         # With a single edge, each node takes the other's (unit) row.
-        assert np.allclose(T1.vectors[0], T0.vectors[1], atol=1e-12)
-        assert np.allclose(T1.vectors[1], T0.vectors[0], atol=1e-12)
-        assert T1.iterations == 1
+        assert np.allclose(T1[0], T0[1], atol=1e-12)
+        assert np.allclose(T1[1], T0[0], atol=1e-12)
+        assert replaced == 0
 
     def test_matches_dense_multiply(self):
         rng = np.random.default_rng(23)
         for _ in range(10):
             g = random_graph(rng, max_nodes=20, max_edges=60)
             M = build_transition(g, partition_chunks(g, 1), 0)
-            codes = [g.vocabulary.code(int(v)) for v in M.nodes]
-            T = init_embedding(codes, 8, seed=1)
-            stepped = iterate(T, M)
-            raw = M.matrix.toarray() @ T.vectors
+            codes = [g.codes[int(v)] for v in M.nodes]
+            T = init_embedding(codes, 8, seed=1).vectors
+            stepped, _ = iterate(T, M)
+            raw = M.matrix.toarray() @ T
             expected = raw / np.linalg.norm(raw, axis=1)[:, None]
-            assert np.allclose(stepped.vectors, expected, atol=1e-12)
+            assert np.allclose(stepped, expected, atol=1e-12)
 
     def test_shape_mismatch_rejected(self, demo_graph):
         M = build_transition(demo_graph, partition_chunks(demo_graph, 1), 0)
-        bad = init_embedding(["a", "b"], 8, seed=0)
+        bad = init_embedding(["a", "b"], 8, seed=0).vectors
         with pytest.raises(InternalConsistencyError):
             iterate(bad, M)
 
@@ -392,45 +399,44 @@ class TestIterate:
         # value and be counted.
         g = graph_from_text("a b\nb c\n")
         M = build_transition(g, partition_chunks(g, 1), 0)
-        codes = [g.vocabulary.code(int(v)) for v in M.nodes]
+        codes = [g.codes[int(v)] for v in M.nodes]
         rng = np.random.default_rng(0)
         u = rng.normal(size=4)
         u /= np.linalg.norm(u)
         w = rng.normal(size=4)
         w /= np.linalg.norm(w)
         by_code = {"a": u, "b": w, "c": -u}
-        T = EmbeddingMatrix(codes, np.array([by_code[c] for c in codes]), iterations=0, seed=0)
-        out = iterate(T, M)
-        assert out.zero_rows_replaced == 1
-        assert np.array_equal(out.vector("b"), w)
-        assert unit_rows(out.vectors, atol=1e-12)
+        out, replaced = iterate(np.array([by_code[c] for c in codes]), M)
+        assert replaced == 1
+        assert np.array_equal(out[codes.index("b")], w)
+        assert unit_rows(out, atol=1e-12)
 
     def test_memory_holds_no_second_rows_by_d_array(self):
         g = wide_graph()
         M = build_transition(g, partition_chunks(g, 1), 0)
-        T = init_embedding([g.vocabulary.code(int(v)) for v in M.nodes], 128, seed=0)
-        out, peak = traced_peak(lambda: iterate(T, M))
+        T = init_embedding([g.codes[int(v)] for v in M.nodes], 128, seed=0).vectors
+        (out, _), peak = traced_peak(lambda: iterate(T, M))
         # Row norms taken whole held a squared copy of the result: 2.02
         # times it. Blocks of 256 rows peaked at 1.14 times.
-        assert peak <= 1.25 * out.vectors.nbytes
+        assert peak <= 1.25 * out.nbytes
 
     def test_threads_do_not_change_result(self):
         rng = np.random.default_rng(31)
         for _ in range(5):
             g = random_graph(rng, max_nodes=40, max_edges=150)
             M = build_transition(g, partition_chunks(g, 1), 0)
-            codes = [g.vocabulary.code(int(v)) for v in M.nodes]
-            T = init_embedding(codes, 16, seed=2)
-            a = iterate(T, M, threads=1)
-            b = iterate(T, M, threads=8)
-            assert np.array_equal(a.vectors, b.vectors)
+            codes = [g.codes[int(v)] for v in M.nodes]
+            T = init_embedding(codes, 16, seed=2).vectors
+            a, _ = iterate(T, M, threads=1)
+            b, _ = iterate(T, M, threads=8)
+            assert np.array_equal(a, b)
 
 
 def chunk_weights(graph, chunk_count: int) -> np.ndarray:
-    """Merge weights w(q, v) = deg_q(v) / deg(v) as a (|vocabulary|, Q)
+    """Merge weights w(q, v) = deg_q(v) / deg(v) as a (products, Q)
     array, counted edge by edge."""
     chunk_ids = partition_chunks(graph, chunk_count)
-    W = np.zeros((len(graph.vocabulary), chunk_count))
+    W = np.zeros((len(graph.codes), chunk_count))
     for a, b, w, q in zip(graph.a.tolist(), graph.b.tolist(), graph.w.tolist(), chunk_ids.tolist()):
         W[a, q] += w
         W[b, q] += w
@@ -463,7 +469,7 @@ class TestChunkWeights:
     def test_isolated_rows_are_zero(self):
         g = graph_from_text("a b\nlonely\n")
         W = chunk_weights(g, 2)
-        row = W[g.vocabulary.index_of("lonely")]
+        row = W[g.codes.index("lonely")]
         assert np.array_equal(row, np.zeros(2))
 
 
@@ -475,12 +481,12 @@ def split_chunk_count(graph) -> int:
     )
 
 
-def hand_chunks(monkeypatch, rows: dict) -> None:
-    """Make every chunk in ``train`` end on the hand-made rows
+def hand_chunks(monkeypatch, graph, rows: dict) -> None:
+    """Make every chunk of ``graph`` in ``train`` end on the hand-made rows
     ``rows[tuple of its codes]`` in place of its iterations."""
 
-    def fake_iterate(T, M, threads=1):
-        return EmbeddingMatrix(T.codes, rows[tuple(T.codes)], T.iterations, T.seed)
+    def fake_iterate(vectors, M, threads=1):
+        return rows[tuple(graph.codes[v] for v in M.nodes.tolist())], 0
 
     monkeypatch.setattr(embedding, "iterate", fake_iterate)
 
@@ -488,13 +494,13 @@ def hand_chunks(monkeypatch, rows: dict) -> None:
 class TestMerge:
     def test_single_chunk_merge_is_identity_up_to_renormalize(self, demo_graph):
         M = build_transition(demo_graph, partition_chunks(demo_graph, 1), 0)
-        codes = [demo_graph.vocabulary.code(int(v)) for v in M.nodes]
-        T = init_embedding(codes, 8, seed=0)
+        codes = [demo_graph.codes[int(v)] for v in M.nodes]
+        T = init_embedding(codes, 8, seed=0).vectors
         for _ in range(3):
-            T = iterate(T, M)
+            T, _ = iterate(T, M)
         merged = train(demo_graph, d=8, iterations=3, chunks=1, seed=0)
-        for code in codes:
-            assert np.allclose(merged.vector(code), T.vector(code), atol=1e-12)
+        for i, code in enumerate(codes):
+            assert np.allclose(vector_of(merged, code), T[i], atol=1e-12)
 
     def test_chunks_are_summed_in_ascending_order(self):
         # Bit for bit against an inline merge that adds each node's scaled
@@ -507,37 +513,36 @@ class TestMerge:
             sums = {}
             for q in sorted(set(chunk_ids.tolist())):
                 M = build_transition(g, chunk_ids, q)
-                T = init_embedding([g.vocabulary.code(v) for v in M.nodes.tolist()], 32, seed=4)
+                T = init_embedding([g.codes[v] for v in M.nodes.tolist()], 32, seed=4).vectors
                 for _ in range(3):
-                    T = iterate(T, M)
-                for v, row in zip(M.nodes.tolist(), T.vectors):
+                    T, _ = iterate(T, M)
+                for v, row in zip(M.nodes.tolist(), T):
                     sums[v] = sums.get(v, 0.0) + W[v, q] * row
             expected = np.array([sums[v] for v in sorted(sums)])
             expected /= np.linalg.norm(expected, axis=1)[:, None]
             emb = train(g, d=32, iterations=3, chunks=5, seed=4)
-            assert emb.codes == [g.vocabulary.code(v) for v in sorted(sums)]
+            assert emb.codes == [g.codes[v] for v in sorted(sums)]
             assert np.array_equal(emb.vectors, expected)
 
     def test_two_chunk_hand_merge(self, monkeypatch):
         # Two hand-made chunk embeddings over a shared node, merged by
         # train with hand-computed weights 0.25 / 0.75.
         g = graph_from_text("a b\nc a\nc a\nc a\n")
-        vocab = g.vocabulary
-        ia = vocab.index_of("a")
+        ia = g.codes.index("a")
         q = split_chunk_count(g)
         chunk_ids = partition_chunks(g, q)
         by_pair = chunk_map(g, chunk_ids)
         W = chunk_weights(g, q)
         assert W[ia, by_pair[("a", "b")]] == pytest.approx(0.25)
         assert W[ia, by_pair[("a", "c")]] == pytest.approx(0.75)
-        hand_chunks(monkeypatch, {
+        hand_chunks(monkeypatch, g, {
             ("a", "b"): normalize_rows(np.array([[1.0, 0.0], [0.0, 1.0]])),
             ("a", "c"): normalize_rows(np.array([[0.0, 1.0], [1.0, 1.0]])),
         })
         merged = train(g, d=2, iterations=1, chunks=q, seed=0)
         expected_a = 0.25 * np.array([1.0, 0.0]) + 0.75 * np.array([0.0, 1.0])
         expected_a /= np.linalg.norm(expected_a)
-        assert np.allclose(merged.vector("a"), expected_a, atol=1e-15)
+        assert np.allclose(vector_of(merged, "a"), expected_a, atol=1e-15)
         assert unit_rows(merged.vectors, atol=1e-12)
 
     def test_zero_total_weight_rejected(self, monkeypatch):
@@ -559,7 +564,7 @@ class TestMerge:
         # chunk rows for a cancel in the merge.
         g = graph_from_text("a b\na c\n")
         q = split_chunk_count(g)
-        hand_chunks(monkeypatch, {
+        hand_chunks(monkeypatch, g, {
             ("a", "b"): np.array([[1.0, 0.0], [0.0, 1.0]]),
             ("a", "c"): np.array([[-1.0, 0.0], [0.0, 1.0]]),
         })
@@ -568,7 +573,7 @@ class TestMerge:
 
     def test_non_finite_merged_row_rejected(self, monkeypatch):
         g = graph_from_text("a b\n")
-        hand_chunks(monkeypatch, {("a", "b"): np.array([[np.nan, 0.0], [0.0, 1.0]])})
+        hand_chunks(monkeypatch, g, {("a", "b"): np.array([[np.nan, 0.0], [0.0, 1.0]])})
         with pytest.raises(InternalConsistencyError, match="NaN"):
             train(g, d=2, iterations=1, seed=0)
 
@@ -613,7 +618,7 @@ class TestTrain:
         e2 = train(graph_from_text(text2), d=16, iterations=6, chunks=3, seed=7)
         assert set(e1.codes) == set(e2.codes)
         for code in e1.codes:
-            assert np.array_equal(e1.vector(code), e2.vector(code))
+            assert np.array_equal(vector_of(e1, code), vector_of(e2, code))
 
     def test_automorphic_label_swap(self):
         # x and y play symmetric roles; swapping their labels relabels the
@@ -621,7 +626,7 @@ class TestTrain:
         e1 = train(graph_from_text("x z\ny z\n"), d=16, iterations=6, seed=3)
         e2 = train(graph_from_text("y z\nx z\n"), d=16, iterations=6, seed=3)
         for code in ("x", "y", "z"):
-            assert np.array_equal(e1.vector(code), e2.vector(code))
+            assert np.array_equal(vector_of(e1, code), vector_of(e2, code))
 
     def test_edgeless_graph_rejected(self):
         g = graph_from_text("solo\nother\n")
@@ -638,7 +643,7 @@ class TestTrain:
 
     def test_more_chunks_than_edges_still_covers_all_nodes(self, demo_graph):
         emb = train(demo_graph, d=8, iterations=2, chunks=64, seed=0)
-        assert set(emb.codes) == set(demo_graph.vocabulary.codes)
+        assert set(emb.codes) == set(demo_graph.codes)
         assert unit_rows(emb.vectors)
 
     def test_memory_is_a_few_rows_by_d_arrays(self):
@@ -697,6 +702,24 @@ class TestCheckpoints:
                 assert one.zero_rows_replaced == alone.zero_rows_replaced
                 replaced += one.zero_rows_replaced
         assert replaced > 0
+
+    def test_zero_rows_replaced_counts_every_step(self):
+        # d=1 rows are +-1, so rows cancel at several steps; a space counts
+        # the replaced rows of every step up to its own iteration count.
+        rng = np.random.default_rng(61)
+        later = 0
+        for seed in range(5):
+            g = random_graph(rng, max_nodes=40, max_edges=60)
+            M = build_transition(g, partition_chunks(g, 1), 0)
+            T = init_embedding([g.codes[v] for v in M.nodes.tolist()], 1, seed=seed).vectors
+            expected = []
+            for step in range(4):
+                T, replaced = iterate(T, M)
+                expected.append(replaced)
+                later += replaced if step else 0
+            spaces = train(g, d=1, iterations=(4, 2), seed=seed)
+            assert [s.zero_rows_replaced for s in spaces] == [sum(expected), sum(expected[:2])]
+        assert later > 0
 
     def test_single_count_returns_one_space(self, demo_graph):
         one = train(demo_graph, d=8, iterations=3, seed=1)

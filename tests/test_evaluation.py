@@ -144,6 +144,8 @@ class TestGenerator:
             small_market(affinity=-0.1)
         with pytest.raises(InvalidParameterError):
             small_market(affinity=1.1)
+        with pytest.raises(InvalidParameterError, match="seed"):
+            small_market(seed=-1)
 
     def test_truth_sets(self):
         # Codes and truth labels follow the product-id arithmetic, and the
@@ -230,7 +232,7 @@ class TestBenchmarkGraph:
         (graph,) = seen
         lines = written(m, "write_baskets").splitlines()
         parsed = expand_hyperedges(*parse_baskets(lines))
-        assert graph.vocabulary.codes == parsed.vocabulary.codes
+        assert graph.codes == parsed.codes
         for name in ("a", "b", "w", "degrees"):
             got, want = getattr(graph, name), getattr(parsed, name)
             assert got.dtype == want.dtype
@@ -547,13 +549,13 @@ class TestBenchmark:
             assert len(truth) == m.group_size - 1
             queries.append((code, truth))
         rate = first_recommendation_hit_rate(
-            queries, lambda q: recommend_substitutes(space, q, 2)
+            queries, lambda q: recommend_substitutes(space, [q], 2)[0]
         )
         pool = len(space.codes) - 1
         random_rate = (m.group_size - 1) / pool
         assert rate >= 0.8
         assert rate >= 10 * random_rate
         measured_random = first_recommendation_hit_rate(
-            queries, lambda q: random_recommender(space.codes, q, 2, seed=0)
+            queries, lambda q: random_recommender(space.codes, [q], 2, seed=0)[0]
         )
         assert measured_random < 0.1

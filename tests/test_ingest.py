@@ -1,4 +1,4 @@
-"""Basket parsing, vocabulary interning, and clique expansion."""
+"""Basket parsing, code numbering, and clique expansion."""
 
 import io
 import tracemalloc
@@ -13,8 +13,6 @@ from basketspace import (
     Baskets,
     InvalidParameterError,
     MalformedInputError,
-    UnknownProductError,
-    Vocabulary,
     expand_hyperedges,
     parse_baskets,
 )
@@ -54,11 +52,12 @@ def basket_lines():
 def parse_outcome(parse, lines, limit):
     """What a parser returns for ``lines``, or the message it raises."""
     try:
-        (offsets, items), vocab = parse(iter(lines), limit)
+        (offsets, items), codes = parse(iter(lines), limit)
     except MalformedInputError as exc:
         return str(exc)
-    index = [vocab.index_of(code) for code in vocab]
-    return offsets.dtype, items.dtype, offsets.tolist(), items.tolist(), vocab.codes, index
+    distinct = len(set(codes)) == len(codes)
+    arrays = offsets.dtype, items.dtype, offsets.tolist(), items.tolist()
+    return arrays, type(codes), codes, distinct
 
 
 def parse(text: str, **kwargs):
@@ -67,11 +66,11 @@ def parse(text: str, **kwargs):
 
 class TestParsing:
     def test_demo_corpus(self):
-        baskets, vocab = parse(DEMO_TEXT)
+        baskets, codes = parse(DEMO_TEXT)
         assert basket_rows(baskets) == [[0, 1, 2], [3, 2], [4, 5, 1]]
-        assert len(vocab) == 6
+        assert len(codes) == 6
         # First-appearance order.
-        assert list(vocab.codes) == ["p1", "p3", "p4", "p2", "p5", "p6"]
+        assert codes == ["p1", "p3", "p4", "p2", "p5", "p6"]
 
     def test_ragged_int64_arrays(self):
         baskets, _ = parse("a b c\n# skipped\nd\nb e\n")
@@ -83,34 +82,36 @@ class TestParsing:
 
     def test_list_of_strings_parses_like_a_stream(self):
         text = "# header\nx y x\n\nz  y\ncafé x\n"
-        from_stream, stream_vocab = parse(text)
-        from_list, list_vocab = parse_baskets(text.splitlines(keepends=True))
-        bare, bare_vocab = parse_baskets(text.splitlines())
-        for baskets, vocab in ((from_list, list_vocab), (bare, bare_vocab)):
+        from_stream, stream_codes = parse(text)
+        from_list, list_codes = parse_baskets(text.splitlines(keepends=True))
+        bare, bare_codes = parse_baskets(text.splitlines())
+        for baskets, codes in ((from_list, list_codes), (bare, bare_codes)):
             assert np.array_equal(baskets.offsets, from_stream.offsets)
             assert np.array_equal(baskets.items, from_stream.items)
-            assert vocab.codes == stream_vocab.codes
+            assert codes == stream_codes
 
     def test_token_order_within_basket_is_irrelevant(self):
         b1, v1 = parse("a b c\n")
         b2, v2 = parse("c a b\n")
         assert basket_rows(b1) == basket_rows(b2)
-        assert sorted(v1.codes) == sorted(v2.codes)
+        assert sorted(v1) == sorted(v2)
 
     def test_comments_and_blank_lines_skipped(self):
-        baskets, vocab = parse("# header\n\na b\n   \n# tail\nc d\n")
+        baskets, codes = parse("# header\n\na b\n   \n# tail\nc d\n")
         assert len(basket_rows(baskets)) == 2
-        assert len(vocab) == 4
+        assert len(codes) == 4
+        # A comment's codes get no index.
+        assert parse("b a\n# c\na d\n")[1] == ["b", "a", "d"]
 
     def test_rows_hold_distinct_codes_in_first_appearance_order(self):
-        baskets, vocab = parse("a a b\nc b c a b\n")
+        baskets, codes = parse("a a b\nc b c a b\n")
         assert basket_rows(baskets) == [[0, 1], [2, 1, 0]]
-        assert vocab.codes == ["a", "b", "c"]
+        assert codes == ["a", "b", "c"]
 
     def test_singleton_basket_accepted(self):
-        baskets, vocab = parse("solo\n")
+        baskets, codes = parse("solo\n")
         assert basket_rows(baskets) == [[0]]
-        assert len(vocab) == 1
+        assert len(codes) == 1
 
     def test_oversize_basket_names_line(self):
         with pytest.raises(MalformedInputError) as exc:
@@ -123,8 +124,8 @@ class TestParsing:
         assert basket_rows(baskets) == [[0, 1, 2]]
 
     def test_unicode_codes(self):
-        baskets, vocab = parse("café thé\n")
-        assert "café" in vocab
+        baskets, codes = parse("café thé\n")
+        assert "café" in codes
 
     @settings(max_examples=200, deadline=None)
     @given(basket_lines(), st.integers(1, 8))
@@ -148,11 +149,11 @@ class TestParsing:
 
     @pytest.mark.parametrize("lines", [[], iter(()), ["\n", "# only\n", " \u3000 "]])
     def test_no_baskets(self, lines):
-        baskets, vocab = parse_baskets(lines)
+        baskets, codes = parse_baskets(lines)
         assert baskets.offsets.dtype == baskets.items.dtype == np.int64
         assert baskets.offsets.tolist() == [0]
         assert baskets.items.tolist() == []
-        assert len(vocab) == 0
+        assert len(codes) == 0
 
     def test_memory_is_bounded_by_a_batch_not_the_input(self):
         self.check_memory_bound(repeat_every=0)
@@ -172,47 +173,16 @@ class TestParsing:
 
         tracemalloc.start()
         try:
-            baskets, vocab = parse_baskets(lines())
+            baskets, codes = parse_baskets(lines())
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert len(baskets.offsets) == 50_001
         assert len(baskets.items) == 150_000
-        assert len(vocab) == 2000
+        assert len(codes) == 2000
         # The result holds about 1.6 MB. Splitting all 50,000 lines at once
         # peaks near 25 MB; batches of 256 lines peaked at 2.0 MB.
         assert peak < 5 * 2**20
-
-
-class TestVocabulary:
-    def test_intern_is_idempotent(self):
-        v = Vocabulary()
-        assert v.intern("x") == v.intern("x") == 0
-        assert v.intern("y") == 1
-
-    def test_parsed_vocabulary_interns_new_codes_after_its_own(self):
-        _, v = parse("b a\n# c\na d\n")
-        assert v.intern("e") == 3
-        assert v.intern("a") == 1
-        assert v.codes == ["b", "a", "d", "e"]
-        assert [v.index_of(code) for code in v] == [0, 1, 2, 3]
-
-    def test_parsed_vocabulary_raises_on_unknown_code(self):
-        _, v = parse("a b\n")
-        with pytest.raises(UnknownProductError):
-            v.index_of("nope")
-        assert len(v) == 2
-
-    def test_index_of_unknown_raises_with_suggestions(self):
-        v = Vocabulary()
-        for code in ("banana", "bandana", "cherry"):
-            v.intern(code)
-        with pytest.raises(UnknownProductError) as exc:
-            v.index_of("bana")
-        message = str(exc.value)
-        assert "bana" in message
-        assert "banana" in message
-        assert exc.value.exit_code == 3
 
 
 class TestExpansion:
@@ -220,17 +190,17 @@ class TestExpansion:
         g = demo_graph
         assert g.edge_count == len(DEMO_EDGES)
         for (ca, cb), w in DEMO_EDGES.items():
-            a, b = g.vocabulary.index_of(ca), g.vocabulary.index_of(cb)
+            a, b = g.codes.index(ca), g.codes.index(cb)
             assert edge_weight(g, a, b) == w
             assert edge_weight(g, b, a) == w
         for code, deg in DEMO_DEGREES.items():
-            assert g.degrees[g.vocabulary.index_of(code)] == deg
+            assert g.degrees[g.codes.index(code)] == deg
 
     def test_duplicates_within_basket_collapse(self):
         g = graph_from_text("a a b\n")
-        a, b = g.vocabulary.index_of("a"), g.vocabulary.index_of("b")
+        a, b = g.codes.index("a"), g.codes.index("b")
         assert edge_weight(g, a, b) == 1
-        assert g.total_weight == 1
+        assert int(g.w.sum()) == 1
 
     def test_no_self_loops(self):
         g = graph_from_text("a a\n")
@@ -238,14 +208,14 @@ class TestExpansion:
 
     def test_repeated_baskets_accumulate(self):
         g = graph_from_text("a b\na b\na b\n")
-        a, b = g.vocabulary.index_of("a"), g.vocabulary.index_of("b")
+        a, b = g.codes.index("a"), g.codes.index("b")
         assert edge_weight(g, a, b) == 3
 
     def test_basket_of_k_products_adds_k_choose_2(self):
         for k in range(2, 8):
             text = " ".join(f"q{i}" for i in range(k)) + "\n"
             g = graph_from_text(text)
-            assert g.total_weight == k * (k - 1) // 2
+            assert int(g.w.sum()) == k * (k - 1) // 2
 
     def test_line_permutation_invariance(self):
         lines = ["a b c", "b d", "e a d", "c c f"]
@@ -256,9 +226,9 @@ class TestExpansion:
             shuffled = [" ".join(np.array(line.split())[rng.permutation(len(line.split()))]) for line in shuffled]
             g = graph_from_text("\n".join(shuffled) + "\n")
             for (a, b), w in edge_weights(reference).items():
-                ca, cb = reference.vocabulary.codes[a], reference.vocabulary.codes[b]
-                assert edge_weight(g, g.vocabulary.index_of(ca), g.vocabulary.index_of(cb)) == w
-            assert g.total_weight == reference.total_weight
+                ca, cb = reference.codes[a], reference.codes[b]
+                assert edge_weight(g, g.codes.index(ca), g.codes.index(cb)) == w
+            assert int(g.w.sum()) == int(reference.w.sum())
 
     @settings(max_examples=50, deadline=None)
     @given(
@@ -271,7 +241,7 @@ class TestExpansion:
     def test_handshake_identity(self, raw_baskets):
         text = "\n".join(" ".join(f"h{i}" for i in basket) for basket in raw_baskets) + "\n"
         g = graph_from_text(text)
-        assert int(g.degrees.sum()) == 2 * g.total_weight
+        assert int(g.degrees.sum()) == 2 * int(g.w.sum())
 
     @settings(max_examples=50, deadline=None)
     @given(
@@ -287,7 +257,7 @@ class TestExpansion:
         expected = sum(
             len(set(basket)) * (len(set(basket)) - 1) // 2 for basket in raw_baskets
         )
-        assert g.total_weight == expected
+        assert int(g.w.sum()) == expected
 
     @staticmethod
     def assert_matches_brute_force(lines, g):
@@ -303,14 +273,14 @@ class TestExpansion:
                     expected[(x, y)] = expected.get((x, y), 0) + 1
                     degrees[x] = degrees.get(x, 0) + 1
                     degrees[y] = degrees.get(y, 0) + 1
-        codes = g.vocabulary.codes
+        codes = g.codes
         got = {
             tuple(sorted((codes[a], codes[b]))): w
             for (a, b), w in edge_weights(g).items()
         }
         assert got == expected
         assert g.edge_count == len(expected)
-        assert g.total_weight == sum(expected.values())
+        assert int(g.w.sum()) == sum(expected.values())
         assert g.degrees.tolist() == [degrees.get(c, 0) for c in codes]
         assert (g.a < g.b).all()
         assert (np.diff(g.a * len(codes) + g.b) > 0).all()
@@ -349,21 +319,21 @@ class TestExpansion:
                     picks = np.concatenate([pool, rng.choice(pool, length - len(pool))])
                     lines.append(" ".join(f"c{int(x)}" for x in rng.permutation(picks)))
             lines = [lines[i] for i in rng.permutation(len(lines))]
-            baskets, vocab = parse("\n".join(lines) + "\n")
-            g = expand_hyperedges(baskets, vocab)
+            baskets, codes = parse("\n".join(lines) + "\n")
+            g = expand_hyperedges(baskets, codes)
             self.assert_matches_brute_force(lines, g)
             # Hand-built rows in another order expand to the same arrays.
             rows = [rng.permutation(row) for row in basket_rows(baskets)]
             offsets = np.cumsum([0] + [len(row) for row in rows])
-            h = expand_hyperedges(Baskets(offsets, np.concatenate(rows)), vocab)
+            h = expand_hyperedges(Baskets(offsets, np.concatenate(rows)), codes)
             for name in ("a", "b", "w", "degrees"):
                 assert np.array_equal(getattr(g, name), getattr(h, name))
 
     def test_row_with_repeated_index_rejected(self):
-        _, vocab = parse("a b c\n")
+        _, codes = parse("a b c\n")
         rows = Baskets(np.array([0, 2, 5]), np.array([0, 1, 2, 0, 2]))
         with pytest.raises(InvalidParameterError):
-            expand_hyperedges(rows, vocab)
+            expand_hyperedges(rows, codes)
 
     def test_edge_keys_are_ordered_pairs(self, demo_graph):
         g = demo_graph
@@ -372,7 +342,7 @@ class TestExpansion:
         assert g.a.dtype == g.b.dtype == g.w.dtype == np.int64
         assert len(g.a) == len(g.b) == len(g.w) == g.edge_count
         # Sorted by (a, b), each pair once.
-        keys = g.a * len(g.vocabulary) + g.b
+        keys = g.a * len(g.codes) + g.b
         assert (np.diff(keys) > 0).all()
 
 
@@ -385,10 +355,10 @@ class TestIsolation:
 
     def test_singletons_are_isolated(self):
         g = graph_from_text("a b\nlonely\n")
-        codes = [g.vocabulary.codes[i] for i in np.flatnonzero(g.degrees == 0)]
+        codes = [g.codes[i] for i in np.flatnonzero(g.degrees == 0)]
         assert codes == ["lonely"]
 
     def test_self_only_basket_is_isolated(self):
         g = graph_from_text("x x x\na b\n")
-        codes = [g.vocabulary.codes[i] for i in np.flatnonzero(g.degrees == 0)]
+        codes = [g.codes[i] for i in np.flatnonzero(g.degrees == 0)]
         assert codes == ["x"]

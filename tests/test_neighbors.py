@@ -19,12 +19,11 @@ from basketspace import (
     recommend_complements,
     recommend_substitutes,
     top_k_batch,
-    top_k_neighbors,
     write_neighbors,
 )
 from basketspace import neighbors
 from basketspace.neighbors import _ARGMAX_MAX_K, BLOCK_ENTRIES
-from conftest import cosine_similarity
+from conftest import cosine_similarity, vector_of
 
 
 def embedding_from(rows: dict, iterations=None) -> EmbeddingMatrix:
@@ -85,7 +84,7 @@ class TestTopK:
                 "far": [0.0, 1.0],
             }
         )
-        result = top_k_neighbors(emb, "q", 2)
+        result = top_k_batch(emb, ["q"], 2)[0]
         assert result.codes() == ["near", "far"]
         assert result.neighbors[0][1] == pytest.approx(1.0 / np.sqrt(2.0), abs=1e-12)
         assert result.neighbors[1][1] == pytest.approx(0.0, abs=1e-12)
@@ -100,9 +99,9 @@ class TestTopK:
             emb = EmbeddingMatrix(codes, vectors)
             k = int(rng.integers(1, n + 2))
             query = codes[int(rng.integers(0, n))]
-            result = top_k_neighbors(emb, query, k)
+            result = top_k_batch(emb, [query], k)[0]
             sims = [
-                (cosine_similarity(emb.vector(query), emb.vector(c)), c)
+                (cosine_similarity(vector_of(emb, query), vector_of(emb, c)), c)
                 for c in codes
                 if c != query
             ]
@@ -127,7 +126,7 @@ class TestTopK:
                 "twin-a": [3.0, 0.0],
             }
         )
-        result = top_k_neighbors(emb, "q", 2)
+        result = top_k_batch(emb, ["q"], 2)[0]
         # Both twins have similarity 1; the earlier row wins rank 1.
         assert result.codes() == ["twin-b", "twin-a"]
 
@@ -143,26 +142,27 @@ class TestTopK:
             }
         )
         # Power-of-two scales keep the three cosines exactly equal.
-        result = top_k_neighbors(emb, "q", 3)
+        result = top_k_batch(emb, ["q"], 3)[0]
         assert result.codes() == ["best", "tie_a", "tie_b"]
 
     def test_k_larger_than_pool_truncates(self):
         emb = embedding_from({"q": [1.0, 0.0], "a": [0.0, 1.0]})
-        result = top_k_neighbors(emb, "q", 10)
+        result = top_k_batch(emb, ["q"], 10)[0]
         assert result.codes() == ["a"]
 
     def test_k_below_one_rejected(self):
         emb = embedding_from({"q": [1.0], "a": [1.0]})
         with pytest.raises(InvalidParameterError):
-            top_k_neighbors(emb, "q", 0)
+            top_k_batch(emb, ["q"], 0)
 
     def test_unknown_query_suggests_near_codes(self):
         emb = embedding_from(
             {"banana": [1.0, 0.0], "bandana": [0.0, 1.0], "cherry": [1.0, 1.0]}
         )
         with pytest.raises(UnknownProductError) as exc:
-            top_k_neighbors(emb, "bana", 1)
+            top_k_batch(emb, ["bana"], 1)
         message = str(exc.value)
+        assert "bana" in message
         assert "banana" in message
         assert exc.value.exit_code == 3
 
@@ -170,26 +170,26 @@ class TestTopK:
         emb = embedding_from(
             {"q": [1.0, 0.0], "a": [1.0, 0.1], "b": [1.0, 0.2], "c": [0.0, 1.0]}
         )
-        result = top_k_neighbors(emb, "q", 3, candidates=["b", "c"])
+        result = top_k_batch(emb, ["q"], 3, candidates=["b", "c"])[0]
         assert set(result.codes()) <= {"b", "c"}
         assert result.codes()[0] == "b"
 
     def test_candidates_ignore_unknown_and_query(self):
         emb = embedding_from({"q": [1.0, 0.0], "a": [1.0, 0.1]})
-        result = top_k_neighbors(emb, "q", 5, candidates=["q", "a", "ghost"])
+        result = top_k_batch(emb, ["q"], 5, candidates=["q", "a", "ghost"])[0]
         assert result.codes() == ["a"]
 
     def test_empty_candidate_pool(self):
         emb = embedding_from({"q": [1.0, 0.0], "a": [1.0, 0.1]})
-        result = top_k_neighbors(emb, "q", 5, candidates=["q"])
+        result = top_k_batch(emb, ["q"], 5, candidates=["q"])[0]
         assert result.codes() == []
         assert len(result) == 0
 
     def test_deterministic(self):
         rng = np.random.default_rng(17)
         emb = EmbeddingMatrix([f"c{i}" for i in range(20)], rng.normal(size=(20, 6)))
-        a = top_k_neighbors(emb, "c3", 5)
-        b = top_k_neighbors(emb, "c3", 5)
+        a = top_k_batch(emb, ["c3"], 5)[0]
+        b = top_k_batch(emb, ["c3"], 5)[0]
         assert a.neighbors == b.neighbors
 
     @settings(max_examples=30, deadline=None)
@@ -200,8 +200,8 @@ class TestTopK:
         codes = [f"c{i}" for i in range(n)]
         vectors = rng.normal(size=(n, 4))
         scales = rng.uniform(0.1, 10.0, size=n)
-        a = top_k_neighbors(EmbeddingMatrix(codes, vectors), "c0", 4)
-        b = top_k_neighbors(EmbeddingMatrix(codes, vectors * scales[:, None]), "c0", 4)
+        a = top_k_batch(EmbeddingMatrix(codes, vectors), ["c0"], 4)[0]
+        b = top_k_batch(EmbeddingMatrix(codes, vectors * scales[:, None]), ["c0"], 4)[0]
         assert a.codes() == b.codes()
 
 
@@ -233,11 +233,18 @@ class TestTopKBatch:
         batch = top_k_batch(emb, ["c7", "c0", "c7"], 3)
         assert [nl.query for nl in batch] == ["c7", "c0", "c7"]
         assert batch[0].neighbors == batch[2].neighbors
-        assert batch[1].neighbors == top_k_neighbors(emb, "c0", 3).neighbors
+        assert batch[1].neighbors == top_k_batch(emb, ["c0"], 3)[0].neighbors
 
     def test_empty_batch(self):
         emb = embedding_from({"q": [1.0, 0.0], "a": [1.0, 0.1]})
         assert top_k_batch(emb, [], 2) == []
+
+    def test_string_of_queries_rejected(self):
+        # A bare string is not read as one query per character.
+        emb = embedding_from({"q": [1.0, 0.0], "a": [1.0, 0.1]})
+        with pytest.raises(InvalidParameterError, match="sequence of product codes"):
+            top_k_batch(emb, "qa", 1)
+        assert [nl.query for nl in top_k_batch(emb, ["q", "a"], 1)] == ["q", "a"]
 
     @pytest.mark.parametrize("with_candidates", [False, True])
     def test_single_query_equals_its_line_in_the_full_batch(self, with_candidates):
@@ -256,7 +263,7 @@ class TestTopKBatch:
         picks |= {int(i) for i in rng.choice(n, 10, replace=False)}
         for i in sorted(picks):
             fresh = EmbeddingMatrix(codes, vectors.copy())
-            single = top_k_neighbors(fresh, codes[i], 5, pool)
+            single = top_k_batch(fresh, [codes[i]], 5, pool)[0]
             assert single.neighbors == full[i].neighbors
 
     def test_kth_value_inside_a_tie_group_follows_row_index(self):
@@ -301,7 +308,7 @@ class TestTopKBatch:
         vectors[1, 2] = bad
         emb = EmbeddingMatrix([f"c{i}" for i in range(5)], vectors)
         with pytest.raises(InvalidParameterError):
-            top_k_neighbors(emb, "c0", 2)
+            top_k_batch(emb, ["c0"], 2)
 
     def test_unknown_query_in_batch_rejected(self):
         emb = embedding_from({"q": [1.0, 0.0], "a": [1.0, 0.1]})
@@ -311,13 +318,13 @@ class TestTopKBatch:
     def test_zero_query_rejected(self):
         emb = embedding_from({"q": [0.0, 0.0], "a": [1.0, 0.1]})
         with pytest.raises(InvalidParameterError):
-            top_k_neighbors(emb, "q", 1)
+            top_k_batch(emb, ["q"], 1)
 
     def test_zero_candidate_rejected_only_when_ranked(self):
         emb = embedding_from({"q": [1.0, 0.0], "z": [0.0, 0.0], "a": [1.0, 0.1]})
         with pytest.raises(InvalidParameterError):
-            top_k_neighbors(emb, "q", 1)
-        assert top_k_neighbors(emb, "q", 1, candidates=["a"]).codes() == ["a"]
+            top_k_batch(emb, ["q"], 1)
+        assert top_k_batch(emb, ["q"], 1, candidates=["a"])[0].codes() == ["a"]
 
     def test_row_norms_cached(self):
         emb = embedding_from({"q": [3.0, 4.0], "a": [1.0, 0.0]})
@@ -375,9 +382,9 @@ class TestArgmaxPasses:
         assert [nl.query for nl in batch] == queries
         for nl in batch:
             assert nl.codes() == brute_force_codes(emb, nl.query, k, pool)
-            q = emb.vector(nl.query)
+            q = vector_of(emb, nl.query)
             assert [s for _, s in nl.neighbors] == [
-                cosine_similarity(q, emb.vector(c)) for c in nl.codes()
+                cosine_similarity(q, vector_of(emb, c)) for c in nl.codes()
             ]
 
     def test_signed_zero_similarities_tie_by_row_index(self):
@@ -387,7 +394,7 @@ class TestArgmaxPasses:
             np.array([[1.0, 1.0, 0.0], [-TINY, 0.0, 2.0], [0.0, 0.0, 1.0], [-1.0, 0.0, 0.0]]),
         )
         for k in (2, _ARGMAX_MAX_K + 1):
-            result = top_k_neighbors(emb, "q", k)
+            result = top_k_batch(emb, ["q"], k)[0]
             assert result.codes()[:2] == ["c1", "c2"]
             assert [str(s) for _, s in result.neighbors[:2]] == ["-0.0", "0.0"]
 
@@ -395,30 +402,30 @@ class TestArgmaxPasses:
 class TestRecommenders:
     def test_substitutes_use_substitute_kind(self):
         emb = embedding_from({"q": [1.0, 0.0], "a": [1.0, 0.1]}, iterations=6)
-        result = recommend_substitutes(emb, "q", 1)
+        result = recommend_substitutes(emb, ["q"], 1)[0]
         assert result.relation_kind == "substitute"
 
     def test_substitutes_warn_on_shallow_space(self):
         emb = embedding_from({"q": [1.0, 0.0], "a": [1.0, 0.1]}, iterations=1)
         with pytest.warns(ConfigurationMismatchWarning):
-            recommend_substitutes(emb, "q", 1)
+            recommend_substitutes(emb, ["q"], 1)
 
     def test_substitutes_quiet_on_deep_space(self):
         emb = embedding_from({"q": [1.0, 0.0], "a": [1.0, 0.1]}, iterations=6)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            recommend_substitutes(emb, "q", 1)
+            recommend_substitutes(emb, ["q"], 1)
 
     def test_complements_warn_on_deep_space(self):
         emb = embedding_from({"q": [1.0, 0.0], "a": [1.0, 0.1]}, iterations=6)
         with pytest.warns(ConfigurationMismatchWarning):
-            recommend_complements(emb, "q", 1)
+            recommend_complements(emb, ["q"], 1)
 
     def test_complements_quiet_on_single_iteration_space(self):
         emb = embedding_from({"q": [1.0, 0.0], "a": [1.0, 0.1]}, iterations=1)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            result = recommend_complements(emb, "q", 1)
+            result = recommend_complements(emb, ["q"], 1)[0]
         assert result.relation_kind == "complement"
 
     def test_batch_returns_lists_and_warns_once(self):
@@ -431,10 +438,16 @@ class TestRecommenders:
         assert [w.category for w in caught] == [ConfigurationMismatchWarning]
         assert [nl.relation_kind for nl in subs] == ["substitute"] * 3
         assert [nl.neighbors for nl in subs] == [
-            top_k_neighbors(emb, c, 1).neighbors for c in ("q", "a", "b")
+            top_k_batch(emb, [c], 1)[0].neighbors for c in ("q", "a", "b")
         ]
         comps = recommend_complements(emb, ("b", "q"), 2)
         assert [nl.relation_kind for nl in comps] == ["complement"] * 2
+
+    @pytest.mark.parametrize("recommend", [recommend_substitutes, recommend_complements])
+    def test_string_of_queries_rejected(self, recommend):
+        emb = embedding_from({"q": [1.0, 0.0], "a": [1.0, 0.1]}, iterations=None)
+        with pytest.raises(InvalidParameterError, match="sequence of product codes"):
+            recommend(emb, "qa", 1)
 
     def test_unknown_provenance_is_quiet(self):
         # Spaces read back from files record no iteration count and must
@@ -442,8 +455,8 @@ class TestRecommenders:
         emb = embedding_from({"q": [1.0, 0.0], "a": [1.0, 0.1]}, iterations=None)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            recommend_substitutes(emb, "q", 1)
-            recommend_complements(emb, "q", 1)
+            recommend_substitutes(emb, ["q"], 1)
+            recommend_complements(emb, ["q"], 1)
 
 
 def list_based_random(vocabulary, query, k, seed):
@@ -459,44 +472,44 @@ def list_based_random(vocabulary, query, k, seed):
 
 class TestRandomRecommender:
     def test_two_products_forced_pick(self):
-        result = random_recommender(["a", "b"], "a", 1, seed=0)
+        result = random_recommender(["a", "b"], ["a"], 1, seed=0)[0]
         assert result.codes() == ["b"]
         assert result.neighbors[0][1] == 0.0
         assert result.relation_kind == "random"
 
     def test_deterministic_per_seed_and_query(self):
         vocab = [f"c{i}" for i in range(30)]
-        a = random_recommender(vocab, "c5", 3, seed=42)
-        b = random_recommender(vocab, "c5", 3, seed=42)
+        a = random_recommender(vocab, ["c5"], 3, seed=42)[0]
+        b = random_recommender(vocab, ["c5"], 3, seed=42)[0]
         assert a.neighbors == b.neighbors
 
     def test_seeds_vary_the_draws(self):
         vocab = [f"c{i}" for i in range(30)]
-        draws = {tuple(random_recommender(vocab, "c5", 3, seed=s).codes()) for s in range(10)}
+        draws = {tuple(random_recommender(vocab, ["c5"], 3, seed=s)[0].codes()) for s in range(10)}
         assert len(draws) > 1
 
     def test_never_returns_query_and_never_repeats(self):
         vocab = [f"c{i}" for i in range(10)]
         for seed in range(20):
-            result = random_recommender(vocab, "c0", 5, seed=seed)
+            result = random_recommender(vocab, ["c0"], 5, seed=seed)[0]
             assert "c0" not in result.codes()
             assert len(set(result.codes())) == 5
 
     def test_k_too_large_rejected(self):
         with pytest.raises(InvalidParameterError):
-            random_recommender(["a", "b"], "a", 2, seed=0)
+            random_recommender(["a", "b"], ["a"], 2, seed=0)
 
     def test_absent_query_samples_from_all_products(self):
-        assert sorted(random_recommender(["a", "b"], "z", 2, seed=0).codes()) == ["a", "b"]
+        assert sorted(random_recommender(["a", "b"], ["z"], 2, seed=0)[0].codes()) == ["a", "b"]
         with pytest.raises(InvalidParameterError):
-            random_recommender(["a", "b"], "z", 3, seed=0)
+            random_recommender(["a", "b"], ["z"], 3, seed=0)
 
     def test_picks_match_list_based_version(self):
         vocab = [f"c{i}" for i in range(40)]
         for seed in (0, 1, 7, 123, 2**31):
             for query in ("c0", "c1", "c17", "c38", "c39", "absent"):
                 for k in (1, 2, 5, 39):
-                    got = random_recommender(vocab, query, k, seed).codes()
+                    got = random_recommender(vocab, [query], k, seed)[0].codes()
                     assert got == list_based_random(vocab, query, k, seed)
 
     def test_batch_equals_single_calls_and_list_based_version(self):
@@ -507,10 +520,15 @@ class TestRandomRecommender:
                 batch = random_recommender(vocab, queries, k, seed)
                 assert isinstance(batch, list) and len(batch) == len(queries)
                 for query, got in zip(queries, batch):
-                    single = random_recommender(vocab, query, k, seed)
+                    single = random_recommender(vocab, [query], k, seed)[0]
                     assert got.query == query and got.relation_kind == "random"
                     assert got.neighbors == single.neighbors
                     assert got.codes() == list_based_random(vocab, query, k, seed)
+
+    def test_string_of_queries_rejected(self):
+        # Read as characters, "abc" would silently ask for "a", "b" and "c".
+        with pytest.raises(InvalidParameterError, match="sequence of product codes"):
+            random_recommender(["a", "b", "c", "d"], "abc", 1, seed=0)
 
     def test_batch_of_no_queries_is_empty(self):
         assert random_recommender(["a", "b"], [], 1, seed=0) == []
@@ -527,7 +545,7 @@ class TestRandomRecommender:
         counts = {c: 0 for c in vocab if c != "c0"}
         draws = 100_000
         for seed in range(draws):
-            counts[random_recommender(vocab, "c0", 1, seed=seed).codes()[0]] += 1
+            counts[random_recommender(vocab, ["c0"], 1, seed=seed)[0].codes()[0]] += 1
         expected = draws / 100
         chi_square = sum((n - expected) ** 2 / expected for n in counts.values())
         df = 99
