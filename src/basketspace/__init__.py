@@ -51,7 +51,6 @@ from .ingest import (
     parse_baskets,
 )
 from .neighbors import (
-    NeighborList,
     random_recommender,
     recommend_complements,
     recommend_substitutes,
@@ -76,7 +75,6 @@ __all__ = [
     "InternalConsistencyError",
     "InvalidParameterError",
     "MalformedInputError",
-    "NeighborList",
     "SUBSTITUTE_ITERATIONS",
     "SyntheticMarket",
     "TransitionMatrix",

@@ -99,13 +99,13 @@ def cmd_neighbors(args: argparse.Namespace) -> int:
                         f"but its first token {tokens[0]!r} is an embedded product code"
                     )
     queries = emb.codes if args.all else [args.query]
-    lists = top_k_batch(emb, queries, args.k, candidates)
+    rows, sims = top_k_batch(emb, queries, args.k, candidates)
     if args.output:
         with open(args.output, "w", encoding="utf-8") as stream:
-            write_neighbors(lists, stream)
-        _progress(f"wrote {sum(len(nl) for nl in lists)} neighbor lines to {args.output}")
+            write_neighbors(emb.codes, queries, rows, sims, stream)
+        _progress(f"wrote {(rows >= 0).sum()} neighbor lines to {args.output}")
     else:
-        write_neighbors(lists, sys.stdout)
+        write_neighbors(emb.codes, queries, rows, sims, sys.stdout)
     return 0
 
 

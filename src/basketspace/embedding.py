@@ -455,7 +455,8 @@ def read_embedding(stream: TextIO) -> EmbeddingMatrix:
     if n < 0 or d < 1:
         raise MalformedInputError(f"invalid embedding shape {n} x {d}")
     codes = []
-    vectors = _allocate(np.empty, n, d, MalformedInputError, " from the header")
+    shape = "embedding shape {} x {} from the header"
+    vectors = _allocate(np.empty, n, d, MalformedInputError, shape)
     seen = set()
     batch = max(1, _READ_VALUES // d)
     for start in range(0, n, batch):
@@ -484,13 +485,14 @@ def read_embedding(stream: TextIO) -> EmbeddingMatrix:
     return EmbeddingMatrix(codes, vectors, iterations=None, seed=None)
 
 
-def _allocate(make, n: int, d: int, error: type, origin: str = "") -> np.ndarray:
+def _allocate(make, n: int, d: int, error: type, what: str = "embedding shape {} x {}"):
     """``make((n, d))``, such as an (n, d) float64 ``np.empty``; a shape
-    that cannot be allocated raises ``error`` with a message naming it."""
+    that cannot be allocated raises ``error`` with a message naming it as
+    ``what``, a format string given n and d."""
     try:
         return make((n, d))
     except (MemoryError, ValueError):
-        raise error(f"embedding shape {n} x {d}{origin} does not fit in memory") from None
+        raise error(f"{what.format(n, d)} does not fit in memory") from None
 
 
 def _read_rows(lines: Iterator[str], start: int, stop: int, vectors, codes, seen) -> None:

@@ -26,11 +26,13 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import asdict, dataclass
+from functools import partial
+from itertools import islice
 from typing import Sequence, TextIO
 
 import numpy as np
 
-from .embedding import train
+from .embedding import _allocate, train
 from .errors import (
     DataInconsistencyError,
     InternalConsistencyError,
@@ -39,7 +41,6 @@ from .errors import (
 )
 from .ingest import Baskets, CooccurrenceGraph, expand_hyperedges
 from .neighbors import (
-    NeighborList,
     random_recommender,
     recommend_complements,
     recommend_substitutes,
@@ -141,6 +142,15 @@ def generate_synthetic_market(
     if seed < 0:
         raise InvalidParameterError(f"seed must be >= 0, got {seed}")
 
+    G = groups_per_theme
+    # Sizes whose arrays cannot be allocated are rejected before anything
+    # is built: 64 bytes a product is about what a code costs in the list.
+    products = themes * G * group_size
+    _allocate(np.empty, products, 8, InvalidParameterError, "a market of {} products")
+    picks = _allocate(
+        partial(np.empty, dtype=np.int64), baskets, G, InvalidParameterError,
+        "a market of {} baskets x {} groups",
+    )
     product_codes = [
         f"t{t}g{g}m{m}"
         for t in range(themes)
@@ -148,9 +158,7 @@ def generate_synthetic_market(
         for m in range(group_size)
     ]
     rng = np.random.default_rng(seed)
-    G = groups_per_theme
     p_nonempty = 1.0 - (1.0 - pick_prob) ** G
-    chunks: list = []
     theme_draws = np.zeros(themes, dtype=np.int64)
     remaining = baskets
     while remaining > 0:
@@ -166,8 +174,9 @@ def generate_synthetic_market(
         cut = int(np.searchsorted(cum, remaining)) + 1 if cum[-1] >= remaining else batch
         theme_draws += np.bincount(th[:cut], minlength=themes)
         ids = (th[:cut, None] * G + np.arange(G)) * group_size + members[:cut]
-        chunks.append(np.where(included[:cut], ids, -1)[nonempty[:cut]])
-        remaining -= len(chunks[-1])
+        rows = np.where(included[:cut], ids, -1)[nonempty[:cut]]
+        picks[baskets - remaining :][: len(rows)] = rows
+        remaining -= len(rows)
     return SyntheticMarket(
         themes,
         groups_per_theme,
@@ -177,7 +186,7 @@ def generate_synthetic_market(
         affinity,
         seed,
         product_codes,
-        np.concatenate(chunks),
+        picks,
         theme_draws,
     )
 
@@ -219,13 +228,13 @@ def read_truth(stream: TextIO) -> dict:
     return membership
 
 
-def hits_at_k(recommendations: NeighborList, truth: set, k: int) -> int:
-    """1 if any of the top-k recommended products is in ``truth``, else 0."""
+def hits_at_k(recommendations: Sequence[str], truth: set, k: int) -> int:
+    """1 if any of the first k recommended codes is in ``truth``, else 0."""
     if not truth:
         raise InvalidParameterError("truth set must not be empty")
     if k < 1:
         raise InvalidParameterError(f"k must be >= 1, got {k}")
-    return int(any(code in truth for code in recommendations.codes()[:k]))
+    return int(any(code in truth for code in recommendations[:k]))
 
 
 def random_hit_expectation(n_products: int, truth_size: int, k: int) -> float:
@@ -410,6 +419,37 @@ def _listed(codes: list) -> str:
     return ", ".join(codes[:10]) + more
 
 
+def _hits(rows: np.ndarray, group: np.ndarray, theme: np.ndarray, query: np.ndarray):
+    """Per ranked entry: whether it is a substitute of its query (same
+    group) and whether it is a complement (same theme, other group).
+    ``rows`` index the embedded products, and padding (-1) is neither."""
+    real = rows >= 0
+    same_group = (group[rows] == group[query][:, None]) & real
+    same_theme = (theme[rows] == theme[query][:, None]) & real
+    return same_group, same_theme & ~same_group
+
+
+def _scores(hit: np.ndarray, theme: np.ndarray, labels: list) -> dict:
+    """Hits@k, first-hit rate and per-theme accuracy from a (queries x k)
+    hit matrix; ``theme`` holds each query's index into ``labels``."""
+    nq, found = len(hit), hit.any(axis=1)
+    present, inverse = np.unique(theme, return_inverse=True)
+    answers = np.bincount(inverse)
+    per_theme = [
+        {"category": f"theme-{labels[t]}", "accuracy": acc, "answers": m}
+        for t, acc, m in zip(
+            present.tolist(), (np.bincount(inverse, found) / answers).tolist(), answers.tolist()
+        )
+    ]
+    return {
+        "hits_at_k": int(found.sum()) / nq,
+        "first_hit_rate": int(hit[:, 0].sum()) / nq,
+        "weighted_accuracy": weighted_accuracy([(c["accuracy"], c["answers"]) for c in per_theme]),
+        "answers_total": nq,
+        "per_category": per_theme,
+    }
+
+
 def benchmark_baskets(
     graph: CooccurrenceGraph,
     membership: dict,
@@ -421,31 +461,33 @@ def benchmark_baskets(
     Raises:
         DataInconsistencyError: if a product of the graph is missing from
             ``membership``.
-        InvalidParameterError: if a non-isolated product has no substitute
-            truth (no other product in its group) or no complement truth
-            (no other group in its theme).
+        InvalidParameterError: if ``config.query_sample`` is below 1, or if
+            a non-isolated product has no substitute truth (no other product
+            in its group) or no complement truth (no other group in its
+            theme).
     """
     missing = sorted(c for c in graph.codes if c not in membership)
     if missing:
         raise DataInconsistencyError(
             f"basket products missing from the truth file: {_listed(missing)}"
         )
+    if config.query_sample is not None and config.query_sample < 1:
+        raise InvalidParameterError(f"query sample must be >= 1, got {config.query_sample}")
+    membership = {code: (t, g) for code, (t, g) in membership.items()}
+    # The truth codes of every group and every theme, in code order.
     by_group: dict = {}
     by_theme: dict = {}
-    for code, (t, g) in membership.items():
-        by_group.setdefault((t, g), set()).add(code)
-        by_theme.setdefault(t, set()).add(code)
-    codes = graph.codes
-    no_substitute, no_complement = [], []
-    for v in np.flatnonzero(graph.degrees > 0).tolist():
-        t, g = membership[codes[v]]
-        if len(by_group[(t, g)]) == 1:
-            no_substitute.append(codes[v])
-        if len(by_theme[t]) == len(by_group[(t, g)]):
-            no_complement.append(codes[v])
-    for lacking, relation, why in (
-        (no_substitute, "substitute", "no other product in its group"),
-        (no_complement, "complement", "no other group in its theme"),
+    for code in sorted(membership):
+        by_group.setdefault(membership[code], []).append(code)
+        by_theme.setdefault(membership[code][0], []).append(code)
+    # The products train embeds, in row order: the non-isolated ones.
+    embedded = [graph.codes[v] for v in np.flatnonzero(graph.degrees > 0).tolist()]
+    labels = [membership[code] for code in embedded]
+    lone = [c for c, tg in zip(embedded, labels) if len(by_group[tg]) == 1]
+    alone = [c for c, tg in zip(embedded, labels) if len(by_theme[tg[0]]) == len(by_group[tg])]
+    for relation, lacking, why in (
+        ("substitute", lone, "no other product in its group"),
+        ("complement", alone, "no other group in its theme"),
     ):
         if lacking:
             raise InvalidParameterError(f"no {relation} truth for {_listed(lacking)}: {why}")
@@ -457,135 +499,76 @@ def benchmark_baskets(
         seed=config.seed,
         threads=config.threads,
     )
-    embedded = sub_space.codes
+    # Each embedded row gets a group id and a theme id, both in label order.
     n = len(embedded)
+    group_ids = {tg: i for i, tg in enumerate(sorted(by_group))}
+    themes = sorted(by_theme)
+    theme_ids = {t: i for i, t in enumerate(themes)}
+    group = np.array([group_ids[tg] for tg in labels], dtype=np.int64)
+    theme = np.array([theme_ids[t] for t, _ in labels], dtype=np.int64)
 
-    queries = list(embedded)
-    if config.query_sample is not None and config.query_sample < len(queries):
-        picker = np.random.default_rng(config.seed)
-        idx = picker.choice(len(queries), size=config.query_sample, replace=False)
-        queries = [queries[int(i)] for i in idx]
-
-    k = config.k
-    counts = dict.fromkeys(
-        ("sub_hits", "comp_hits", "sub_hits_comp_space", "rand_sub_hits", "rand_comp_hits",
-         "sub_first", "comp_first", "rand_sub_first", "rand_comp_first"),
-        0,
-    )
-    exp_sub = var_sub = exp_comp = var_comp = 0.0
-    # theme -> [substitute hits, complement hits, answers]
-    categories: dict = {}
-    order = {
-        "substitute": {"correct": 0, "reversed": 0, "mismatch": 0, "evaluated": 0},
-        "complement": {"correct": 0, "reversed": 0, "mismatch": 0, "evaluated": 0},
-    }
-
-    def first_hit(recs: NeighborList, truth: set) -> int:
-        return int(bool(recs.neighbors) and recs.neighbors[0][0] in truth)
-
-    def order_count(kind: str, recs: NeighborList, expert: tuple) -> None:
-        if len(recs.neighbors) < 2 or len(expert) < 2:
-            return
-        verdict = pair_order_agreement(tuple(recs.codes()[:2]), expert)
-        order[kind][verdict] += 1
-        order[kind]["evaluated"] += 1
-
-    sub_lists = recommend_substitutes(sub_space, queries, k)
-    comp_lists = recommend_complements(comp_space, queries, k)
-    rand_lists = random_recommender(embedded, queries, k, config.seed)
-    # Per queried group: its first three members in code order, its
-    # complement truth with that truth's first two codes, and the random
-    # recommender's expected hits for a member and for the complement. A
-    # query is an embedded member of its own group, so its substitute truth
-    # holds one embedded product fewer than the group.
-    embedded_set = set(embedded)
-    group_truth = {}
-    for key in dict.fromkeys(membership[q] for q in queries):
-        members = by_group[key]
-        comp_truth = by_theme[key[0]] - members
-        group_truth[key] = (
-            sorted(members)[:3],
-            comp_truth,
-            tuple(sorted(comp_truth)[:2]),
-            random_hit_expectation(n, len(members & embedded_set) - 1, k),
-            random_hit_expectation(n, len(comp_truth & embedded_set), k),
-        )
-
-    for q, sub_recs, comp_recs, rand_recs in zip(
-        queries, sub_lists, comp_lists, rand_lists
-    ):
-        t, g = membership[q]
-        first_members, comp_truth, comp_expert, sub_e, comp_e = group_truth[(t, g)]
-        sub_truth = by_group[(t, g)] - {q}
-
-        s = hits_at_k(sub_recs, sub_truth, k)
-        c = hits_at_k(comp_recs, comp_truth, k)
-        counts["sub_hits"] += s
-        counts["comp_hits"] += c
-        # The complement space probed against substitute truth: the ranking
-        # is the same top-k list, only the truth set differs.
-        counts["sub_hits_comp_space"] += hits_at_k(comp_recs, sub_truth, k)
-        counts["rand_sub_hits"] += hits_at_k(rand_recs, sub_truth, k)
-        counts["rand_comp_hits"] += hits_at_k(rand_recs, comp_truth, k)
-        counts["sub_first"] += first_hit(sub_recs, sub_truth)
-        counts["comp_first"] += first_hit(comp_recs, comp_truth)
-        counts["rand_sub_first"] += first_hit(rand_recs, sub_truth)
-        counts["rand_comp_first"] += first_hit(rand_recs, comp_truth)
-        exp_sub += sub_e
-        var_sub += sub_e * (1.0 - sub_e)
-        exp_comp += comp_e
-        var_comp += comp_e * (1.0 - comp_e)
-        sub_expert = tuple([code for code in first_members if code != q][:2])
-        order_count("substitute", sub_recs, sub_expert)
-        order_count("complement", comp_recs, comp_expert)
-        category = categories.setdefault(t, [0, 0, 0])
-        category[0] += s
-        category[1] += c
-        category[2] += 1
-
+    query = np.arange(n)
+    if config.query_sample is not None and config.query_sample < n:
+        query = np.random.default_rng(config.seed).choice(n, config.query_sample, replace=False)
+    queries = [embedded[i] for i in query.tolist()]
     nq = len(queries)
+    k = config.k
+    sub_rows, _ = recommend_substitutes(sub_space, queries, k)
+    comp_rows, _ = recommend_complements(comp_space, queries, k)
+    rand_rows = random_recommender(embedded, queries, k, config.seed)
+    sub, _ = _hits(sub_rows, group, theme, query)
+    # The complement space probed against substitute truth as well.
+    sub_in_comp, comp = _hits(comp_rows, group, theme, query)
+    rand_sub, rand_comp = _hits(rand_rows, group, theme, query)
 
-    def per_category(column: int) -> list:
-        return [
-            {"category": f"theme-{t}", "accuracy": acc[column] / acc[2], "answers": acc[2]}
-            for t, acc in sorted(categories.items())
-        ]
+    # The random recommender's expected hits per query, from the sizes of
+    # its embedded truth: the rest of its group, and the other groups of
+    # its theme. Summed in query order, one addition at a time.
+    in_group = np.bincount(group)[group[query]]
+    sizes = np.stack([in_group - 1, np.bincount(theme)[theme[query]] - in_group])
+    expect = {t: random_hit_expectation(n, t, k) for t in np.unique(sizes).tolist()}
+    chance = np.array([[expect[t] for t in row] for row in sizes.tolist()])
+    (exp_sub, exp_comp) = np.cumsum(chance, axis=1)[:, -1].tolist()
+    (var_sub, var_comp) = np.cumsum(chance * (1.0 - chance), axis=1)[:, -1].tolist()
 
-    sub_categories = per_category(0)
-    comp_categories = per_category(1)
+    # Order agreement against expert pairs in code order: the query's first
+    # two fellow members among its group's first three, and the first two
+    # codes of its theme outside its group.
+    outside = {
+        tg: list(islice((c for c in by_theme[tg[0]] if membership[c] != tg), 2))
+        for tg in by_group
+    }
+    verdicts = ("correct", "reversed", "mismatch", "evaluated")
+    order = {kind: dict.fromkeys(verdicts, 0) for kind in ("substitute", "complement")}
+    for q, s_pair, c_pair in zip(queries, sub_rows[:, :2].tolist(), comp_rows[:, :2].tolist()):
+        tg = membership[q]
+        for kind, pair, expert in (
+            ("substitute", s_pair, [c for c in by_group[tg][:3] if c != q][:2]),
+            ("complement", c_pair, outside[tg]),
+        ):
+            if len(pair) == len(expert) == 2 and pair[1] >= 0:
+                order[kind][pair_order_agreement([embedded[j] for j in pair], expert)] += 1
+                order[kind]["evaluated"] += 1
+
     report = EvalReport(
         config=asdict(config),
         market=market_info or {"products_in_truth": len(membership)},
         n_embedded=n,
         n_queries=nq,
         substitutes={
-            "hits_at_k": counts["sub_hits"] / nq,
-            "first_hit_rate": counts["sub_first"] / nq,
-            "weighted_accuracy": weighted_accuracy(
-                [(c["accuracy"], c["answers"]) for c in sub_categories]
-            ),
-            "answers_total": nq,
-            "per_category": sub_categories,
-            "hits_at_k_in_complement_space": counts["sub_hits_comp_space"] / nq,
+            **_scores(sub, theme[query], themes),
+            "hits_at_k_in_complement_space": int(sub_in_comp.any(axis=1).sum()) / nq,
         },
-        complements={
-            "hits_at_k": counts["comp_hits"] / nq,
-            "first_hit_rate": counts["comp_first"] / nq,
-            "weighted_accuracy": weighted_accuracy(
-                [(c["accuracy"], c["answers"]) for c in comp_categories]
-            ),
-            "answers_total": nq,
-            "per_category": comp_categories,
-        },
+        complements=_scores(comp, theme[query], themes),
         random_baseline={
-            "substitute_hits_at_k": counts["rand_sub_hits"] / nq,
+            "substitute_hits_at_k": int(rand_sub.any(axis=1).sum()) / nq,
             "substitute_expectation": exp_sub / nq,
             "substitute_sigma": math.sqrt(var_sub) / nq,
-            "substitute_first_hit_rate": counts["rand_sub_first"] / nq,
-            "complement_hits_at_k": counts["rand_comp_hits"] / nq,
+            "substitute_first_hit_rate": int(rand_sub[:, 0].sum()) / nq,
+            "complement_hits_at_k": int(rand_comp.any(axis=1).sum()) / nq,
             "complement_expectation": exp_comp / nq,
             "complement_sigma": math.sqrt(var_comp) / nq,
-            "complement_first_hit_rate": counts["rand_comp_first"] / nq,
+            "complement_first_hit_rate": int(rand_comp[:, 0].sum()) / nq,
         },
         order_agreement=order,
     )

@@ -8,7 +8,6 @@ space. A seeded random recommender provides the evaluation baseline.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
 from typing import Iterable, Sequence, TextIO
 
 import numpy as np
@@ -25,28 +24,6 @@ from .errors import (
     UnknownProductError,
 )
 from .ingest import nearest_codes
-
-
-@dataclass
-class NeighborList:
-    """Ranked neighbors for one query.
-
-    Attributes:
-        query: the query product code.
-        neighbors: (code, similarity) pairs in non-increasing similarity
-            order; the query never appears; no duplicates.
-        relation_kind: "substitute", "complement", or "random".
-    """
-
-    query: str
-    neighbors: list
-    relation_kind: str = "substitute"
-
-    def codes(self) -> list:
-        return [code for code, _ in self.neighbors]
-
-    def __len__(self) -> int:
-        return len(self.neighbors)
 
 
 # Similarities are computed one block of rows at a time, each block a whole
@@ -69,21 +46,21 @@ def _reject_string(queries) -> None:
         )
 
 
-def _argmax_picks(sims: np.ndarray, passes: int) -> tuple[list, list]:
+def _argmax_picks(sims: np.ndarray, passes: int) -> tuple[np.ndarray, np.ndarray]:
     """Column indices and values of each row's ``passes`` largest entries,
-    by similarity descending and column ascending, one list per row.
+    by similarity descending and column ascending, as (rows x passes) arrays.
 
     Each pass takes every row's maximum (``argmax`` returns the lowest
     column among equal maxima) and overwrites it with -inf, in place.
     """
     every = np.arange(len(sims))
-    picks = np.empty((passes, len(sims)), dtype=np.intp)
+    picks = np.empty((passes, len(sims)), dtype=np.int64)
     values = np.empty((passes, len(sims)))
     for i in range(passes):
         picks[i] = sims.argmax(axis=1)
         values[i] = sims[every, picks[i]]
         sims[every, picks[i]] = -np.inf
-    return picks.T.tolist(), values.T.tolist()
+    return picks.T, values.T
 
 
 def top_k_batch(
@@ -91,10 +68,15 @@ def top_k_batch(
     queries: Iterable[str],
     k: int,
     candidates: Iterable[str] | None = None,
-    relation_kind: str = "substitute",
-) -> list[NeighborList]:
-    """Exact top-k cosine neighbors of every query, one NeighborList per
-    query in query order.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Exact top-k cosine neighbors of every query, as ``(rows, sims)``.
+
+    ``rows`` is an int64 (queries x width) array of indices into
+    ``embeddings.codes``, one row per query in query order, best first;
+    ``sims`` holds the float64 similarities that go with them. The width
+    is that of the longest list: k, unless fewer candidates are left. A
+    shorter list is padded at its end with -1 in ``rows`` and NaN in
+    ``sims``.
 
     Ties are broken by ascending row index, so results are deterministic,
     and a query's list does not depend on which other queries share the
@@ -104,11 +86,9 @@ def top_k_batch(
         embeddings: the space to search.
         queries: a sequence of query product codes; a bare string is
             rejected rather than read as one code per character.
-        k: how many neighbors to return per query (fewer if the pool is
-            small).
+        k: how many neighbors to return per query.
         candidates: optional restriction of the candidate codes (unknown
             codes are ignored; a query is always excluded from its own list).
-        relation_kind: label recorded on the results.
 
     Raises:
         UnknownProductError: if a query is not embedded.
@@ -151,7 +131,10 @@ def top_k_batch(
     by_block: dict = {}
     for pos, row in enumerate(rows):
         by_block.setdefault(row // step, []).append(pos)
-    results = [None] * len(queries)
+    sizes = np.minimum(pool_size - pool[rows], min(k, n))
+    width = int(sizes.max(initial=0))
+    picked = np.full((len(queries), width), -1, dtype=np.int64)
+    picked_sims = np.full((len(queries), width), np.nan)
     buffer = np.empty((min(step, n), n))
     for block, positions in by_block.items():
         a = block * step
@@ -164,24 +147,20 @@ def top_k_batch(
                 sims[i] /= norm * norms
         np.clip(sims, -1.0, 1.0, out=sims)
         sims[:, ~pool] = -np.inf
-        targets = [rows[pos] for pos in positions]
-        sizes = [min(k, pool_size - int(pool[row])) for row in targets]
-        most = max(sizes)
+        targets = np.array([rows[pos] for pos in positions])
+        most = int(sizes[positions].max())
         if most <= _ARGMAX_MAX_K:
             # Drop each query's own entry, then scan the rows from the first
             # queried one to the last.
-            sims[[row - a for row in targets], targets] = -np.inf
-            lo = min(targets)
-            picks, values = _argmax_picks(sims[lo - a : max(targets) + 1 - a], most)
-            for pos, row, size in zip(positions, targets, sizes):
-                pairs = zip(picks[row - lo][:size], values[row - lo])
-                results[pos] = NeighborList(
-                    queries[pos], [(codes[j], v) for j, v in pairs], relation_kind
-                )
+            sims[targets - a, targets] = -np.inf
+            lo = targets.min()
+            picks, values = _argmax_picks(sims[lo - a : targets.max() + 1 - a], most)
+            short = np.arange(most) >= sizes[positions, None]
+            picked[positions, :most] = np.where(short, -1, picks[targets - lo])
+            picked_sims[positions, :most] = np.where(short, np.nan, values[targets - lo])
             continue
-        for pos, row, size in zip(positions, targets, sizes):
+        for pos, row, size in zip(positions, targets.tolist(), sizes[positions].tolist()):
             if size == 0:
-                results[pos] = NeighborList(queries[pos], [], relation_kind)
                 continue
             line = sims[row - a]
             line[row] = -np.inf
@@ -189,13 +168,9 @@ def top_k_batch(
             # similarity descending and row index ascending.
             kth = np.partition(line, n - size)[n - size]
             top = np.flatnonzero(line >= kth)
-            top = top[np.lexsort((top, -line[top]))][:size]
-            results[pos] = NeighborList(
-                queries[pos],
-                [(codes[j], float(line[j])) for j in top],
-                relation_kind,
-            )
-    return results
+            picked[pos, :size] = top[np.lexsort((top, -line[top]))][:size]
+            picked_sims[pos, :size] = line[picked[pos, :size]]
+    return picked, picked_sims
 
 
 def recommend_substitutes(
@@ -204,7 +179,7 @@ def recommend_substitutes(
     k: int = 2,
     candidates: Iterable[str] | None = None,
     expected_iterations: int = SUBSTITUTE_ITERATIONS,
-) -> list[NeighborList]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Top-k substitute candidates from the shared-context space:
     :func:`top_k_batch` with the same arguments and errors.
 
@@ -219,7 +194,7 @@ def recommend_substitutes(
             ConfigurationMismatchWarning,
             stacklevel=2,
         )
-    return top_k_batch(substitute_space, queries, k, candidates, "substitute")
+    return top_k_batch(substitute_space, queries, k, candidates)
 
 
 def recommend_complements(
@@ -228,7 +203,7 @@ def recommend_complements(
     k: int = 2,
     candidates: Iterable[str] | None = None,
     expected_iterations: int = COMPLEMENT_ITERATIONS,
-) -> list[NeighborList]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Top-k complement candidates from the direct co-purchase space:
     :func:`top_k_batch` with the same arguments and errors.
 
@@ -243,18 +218,18 @@ def recommend_complements(
             ConfigurationMismatchWarning,
             stacklevel=2,
         )
-    return top_k_batch(complement_space, queries, k, candidates, "complement")
+    return top_k_batch(complement_space, queries, k, candidates)
 
 
 def random_recommender(
     vocabulary: Sequence[str], queries: Sequence[str], k: int, seed: int
-) -> list[NeighborList]:
+) -> np.ndarray:
     """Baseline: k distinct products sampled uniformly, excluding the query.
 
-    ``vocabulary`` holds distinct codes. Gives one NeighborList per query,
-    in query order; a bare string is rejected, as by :func:`top_k_batch`.
-    Deterministic per (seed, query), whatever the other queries;
-    similarities are reported as 0.
+    ``vocabulary`` holds distinct codes. Gives an int64 (queries x k) array
+    of positions in ``vocabulary``, one row per query in query order; a
+    bare string is rejected, as by :func:`top_k_batch`. Deterministic per
+    (seed, query), whatever the other queries.
     """
     _reject_string(queries)
     if k < 1:
@@ -262,8 +237,9 @@ def random_recommender(
     n = len(vocabulary)
     position = {code: i for i, code in enumerate(vocabulary)}
     gen = np.random.Generator(np.random.Philox(0))
-    results = []
-    for query in queries:
+    # A k above n fails below for every query, before any row is written.
+    picked = np.empty((len(queries), min(k, n)), dtype=np.int64)
+    for i, query in enumerate(queries):
         skip = position.get(query, n)
         pool = n - (skip < n)
         if k > pool:
@@ -271,16 +247,17 @@ def random_recommender(
         reseed_philox(gen, f"{seed}\x1erandom\x1e{query}")
         # Pick among the other products by position, stepping over the query.
         picks = gen.choice(pool, size=k, replace=False)
-        picks += picks >= skip
-        results.append(
-            NeighborList(query, [(vocabulary[int(i)], 0.0) for i in picks], "random")
-        )
-    return results
+        picked[i] = picks + (picks >= skip)
+    return picked
 
 
-def write_neighbors(lists: Iterable[NeighborList], stream: TextIO) -> None:
-    """Write tab-separated lines ``<query> <rank> <neighbor> <similarity>``,
-    rank starting at 1."""
-    for nl in lists:
-        for rank, (code, sim) in enumerate(nl.neighbors, start=1):
-            stream.write(f"{nl.query}\t{rank}\t{code}\t{format(sim, '.9g')}\n")
+def write_neighbors(
+    codes: Sequence[str], queries: Sequence[str], rows, sims, stream: TextIO
+) -> None:
+    """Write the ``(rows, sims)`` of :func:`top_k_batch` as tab-separated
+    lines ``<query> <rank> <neighbor> <similarity>``, rank starting at 1;
+    ``rows`` index ``codes``, and padding is skipped."""
+    for query, picks, values in zip(queries, rows.tolist(), sims.tolist()):
+        for rank, (j, sim) in enumerate(zip(picks, values), start=1):
+            if j >= 0:
+                stream.write(f"{query}\t{rank}\t{codes[j]}\t{format(sim, '.9g')}\n")

@@ -144,15 +144,27 @@ def normalize_rows(a: np.ndarray) -> np.ndarray:
     return a / norms
 
 
+def ranked(codes, rows, sims=None) -> list:
+    """A recommender's arrays as one list per query, padding dropped:
+    ``[(code, sim), ...]`` given ``sims``, else ``[code, ...]``."""
+    if sims is None:
+        return [[codes[j] for j in row if j >= 0] for row in rows.tolist()]
+    return [
+        [(codes[j], s) for j, s in zip(row, values) if j >= 0]
+        for row, values in zip(rows.tolist(), sims.tolist())
+    ]
+
+
 def first_recommendation_hit_rate(queries_with_truth, recommender) -> float:
     """Oracle: fraction of (query, truth set) pairs whose rank-1
-    recommendation from ``recommender(query)`` is in the truth set."""
+    recommendation in ``recommender(query)``, a ranked list of codes, is
+    in the truth set."""
     if not queries_with_truth:
         raise InvalidParameterError("need at least one query")
     hits = 0
     for query, truth in queries_with_truth:
         recs = recommender(query)
-        if recs.neighbors and recs.neighbors[0][0] in truth:
+        if recs and recs[0] in truth:
             hits += 1
     return hits / len(queries_with_truth)
 

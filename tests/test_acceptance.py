@@ -35,7 +35,7 @@ from basketspace import (
     weighted_accuracy,
     write_embedding,
 )
-from conftest import DEMO_TEXT, graph_from_text, random_graph
+from conftest import DEMO_TEXT, graph_from_text, random_graph, ranked
 
 
 def check(ok: bool, name: str, detail: str) -> None:
@@ -306,9 +306,11 @@ def test_criterion_9_format_round_trip(tmp_path):
             write_embedding(emb, fh)
         with open(path, encoding="utf-8") as fh:
             back = read_embedding(fh)
-        for before, after in zip(top_k_batch(emb, emb.codes, 5), top_k_batch(back, emb.codes, 5)):
+        before = ranked(emb.codes, top_k_batch(emb, emb.codes, 5)[0])
+        after = ranked(back.codes, top_k_batch(back, emb.codes, 5)[0])
+        for codes_before, codes_after in zip(before, after):
             queries += 1
-            if before.codes() != after.codes():
+            if codes_before != codes_after:
                 changed += 1
     check(
         changed == 0,

@@ -51,6 +51,25 @@ def demo_file(tmp_path):
     return path
 
 
+def run_child(argv, address_space_mb=None, timeout=120):
+    """Run ``main(argv)`` in a child interpreter, with its address space
+    capped at ``address_space_mb`` if given; the cap binds the child only."""
+    script = "import resource, sys\n"
+    if address_space_mb is not None:
+        limit = address_space_mb * 2**20
+        script += f"resource.setrlimit(resource.RLIMIT_AS, ({limit}, {limit}))\n"
+    script += "from basketspace.cli import main\nsys.exit(main(sys.argv[1:]))\n"
+    src = os.path.dirname(os.path.dirname(basketspace.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-c", script, *argv],
+        env={**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": "1"},
+        capture_output=True,
+        text=True,
+        timeout=timeout,
+    )
+
+
 def run_embed(tmp_path, demo_file, name="emb.txt", extra=()):
     out = tmp_path / name
     code = main(
@@ -486,6 +505,18 @@ class TestEval:
         assert report["substitutes"]["hits_at_k"] > report["random_baseline"]["substitute_hits_at_k"]
         assert "benchmark finished" in captured.err
 
+    def test_shallow_substitute_space_warns(self, market_files):
+        # The warning goes through the warnings module, so the check runs
+        # in a child interpreter, where nothing records or filters it.
+        result = run_child(["eval", "--input", str(market_files), "--dim", "8",
+                            "--iterations", "2"])
+        assert result.returncode == 0, result.stderr
+        assert (
+            "substitute queries expect an embedding trained with at least 6 iterations"
+            in result.stderr
+        )
+        assert json.loads(result.stdout)["config"]["substitute_iterations"] == 2
+
     def test_report_files(self, market_files, tmp_path, capsys):
         out = tmp_path / "report.json"
         code = main(
@@ -626,21 +657,10 @@ class TestOutOfMemory:
         # The child caps only its own address space, at 300 MB.
         baskets = tmp_path / "wide.txt"
         baskets.write_text(" ".join(f"c{i}" for i in range(5000)) + "\n", encoding="utf-8")
-        script = (
-            "import resource, sys\n"
-            "resource.setrlimit(resource.RLIMIT_AS, (300 * 2**20, 300 * 2**20))\n"
-            "from basketspace.cli import main\n"
-            "sys.exit(main(sys.argv[1:]))\n"
-        )
-        src = os.path.dirname(os.path.dirname(basketspace.__file__))
-        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-        result = subprocess.run(
-            [sys.executable, "-c", script, "embed", "--input", str(baskets),
-             "--output", str(tmp_path / "out.emb"), "--dim", "8"],
-            env={**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": "1"},
-            capture_output=True,
-            text=True,
-            timeout=120,
+        result = run_child(
+            ["embed", "--input", str(baskets), "--output", str(tmp_path / "out.emb"),
+             "--dim", "8"],
+            address_space_mb=300,
         )
         assert result.returncode == 2, result.stderr
         assert result.stderr.startswith("error: out of memory during embed: ")
@@ -689,6 +709,28 @@ class TestOversizeValues:
             "error: embedding shape 4 x 100000000000000000000 does not fit in memory\n"
         )
         assert not (tmp_path / "o.txt").exists()
+
+    @pytest.mark.parametrize(
+        "flags, shape",
+        [
+            (["--baskets", "100000000000000000000"], "100000000000000000000 baskets x 4 groups"),
+            (["--baskets", "10000000000"], "10000000000 baskets x 4 groups"),
+            (["--group-size", "100000000000000000000", "--themes", "1", "--groups", "2",
+              "--baskets", "5"], "200000000000000000000 products"),
+            (["--group-size", "1000000000", "--themes", "1", "--groups", "2",
+              "--baskets", "5"], "2000000000 products"),
+        ],
+    )
+    def test_synth_sizes_beyond_memory_exit_2(self, tmp_path, flags, shape):
+        # The first two sizes overflow numpy's shape limit, the others only
+        # the 300 MB address space of the child; each is refused before
+        # anything of its size is built, and no file is written.
+        out = tmp_path / "m.txt"
+        argv = ["synth", "--output", str(out), *flags]
+        result = run_child(argv, address_space_mb=300, timeout=60)
+        assert result.returncode == 2, result.stderr
+        assert result.stderr == f"error: a market of {shape} does not fit in memory\n"
+        assert not out.exists()
 
     def test_synth_negative_seed_exits_2(self, tmp_path, capsys):
         code = main(["synth", "--output", str(tmp_path / "m.txt"), "--seed", "-1"])

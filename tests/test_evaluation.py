@@ -3,15 +3,17 @@
 import hashlib
 import io
 import math
+import warnings
+from collections import Counter
 
 import numpy as np
 import pytest
 
 from basketspace import (
     BenchmarkConfig,
+    ConfigurationMismatchWarning,
     DataInconsistencyError,
     InvalidParameterError,
-    NeighborList,
     benchmark_baskets,
     generate_synthetic_market,
     hits_at_k,
@@ -19,13 +21,14 @@ from basketspace import (
     random_hit_expectation,
     random_recommender,
     read_truth,
+    recommend_complements,
     recommend_substitutes,
     run_benchmark,
     train,
     weighted_accuracy,
 )
 from basketspace.ingest import expand_hyperedges, parse_baskets
-from conftest import first_recommendation_hit_rate, graph_from_text
+from conftest import first_recommendation_hit_rate, graph_from_text, ranked
 
 
 def small_market(**overrides):
@@ -265,7 +268,7 @@ class TestTruthReader:
 
 class TestHitsAtK:
     def recs(self, codes):
-        return NeighborList("q", [(c, 0.0) for c in codes])
+        return list(codes)
 
     def test_hit_inside_window(self):
         assert hits_at_k(self.recs(["a", "b"]), {"b"}, 2) == 1
@@ -391,7 +394,7 @@ class TestPairOrderAgreement:
 class TestFirstRecommendationHitRate:
     def test_counts_rank_one_only(self):
         def recommender(query):
-            return NeighborList(query, [("hit", 1.0), ("also-true", 0.9)])
+            return ["hit", "also-true"]
 
         rate = first_recommendation_hit_rate(
             [("q1", {"hit"}), ("q2", {"also-true"})], recommender
@@ -400,13 +403,94 @@ class TestFirstRecommendationHitRate:
 
     def test_empty_recommendations_count_as_miss(self):
         rate = first_recommendation_hit_rate(
-            [("q1", {"a"})], lambda q: NeighborList(q, [])
+            [("q1", {"a"})], lambda q: []
         )
         assert rate == 0.0
 
     def test_no_queries_rejected(self):
         with pytest.raises(InvalidParameterError):
-            first_recommendation_hit_rate([], lambda q: NeighborList(q, []))
+            first_recommendation_hit_rate([], lambda q: [])
+
+
+def reference_scores(graph, membership, config) -> dict:
+    """Oracle: the scored sections of :func:`benchmark_baskets`' report,
+    one query at a time through the per-item metric definitions."""
+    sub_space, comp_space = train(
+        graph, d=config.dimension, chunks=config.chunks, seed=config.seed,
+        iterations=(config.substitute_iterations, config.complement_iterations),
+    )
+    embedded = sub_space.codes
+    n, k = len(embedded), config.k
+    queries = list(embedded)
+    if config.query_sample is not None and config.query_sample < n:
+        picks = np.random.default_rng(config.seed).choice(n, config.query_sample, replace=False)
+        queries = [embedded[int(i)] for i in picks]
+    lists = zip(
+        ranked(embedded, recommend_substitutes(sub_space, queries, k)[0]),
+        ranked(embedded, recommend_complements(comp_space, queries, k)[0]),
+        ranked(embedded, random_recommender(embedded, queries, k, config.seed)),
+    )
+    tally: Counter = Counter()
+    exp_sub = var_sub = exp_comp = var_comp = 0.0
+    themes: dict = {}
+    order = {kind: dict.fromkeys(["correct", "reversed", "mismatch", "evaluated"], 0)
+             for kind in ("substitute", "complement")}
+    for q, (sub, comp, rand) in zip(queries, lists):
+        t, g = membership[q]
+        sub_truth = {c for c, tg in membership.items() if tg == (t, g) and c != q}
+        comp_truth = {c for c, tg in membership.items() if tg[0] == t and tg[1] != g}
+        for key, recs, truth in (("sub", sub, sub_truth), ("comp", comp, comp_truth),
+                                 ("sub_in_comp", comp, sub_truth), ("rand_sub", rand, sub_truth),
+                                 ("rand_comp", rand, comp_truth)):
+            tally[key] += hits_at_k(recs, truth, k)
+            tally[key + "_first"] += hits_at_k(recs, truth, 1)
+        e_sub = random_hit_expectation(n, len(sub_truth & set(embedded)), k)
+        e_comp = random_hit_expectation(n, len(comp_truth & set(embedded)), k)
+        exp_sub += e_sub
+        var_sub += e_sub * (1.0 - e_sub)
+        exp_comp += e_comp
+        var_comp += e_comp * (1.0 - e_comp)
+        for kind, recs, expert in (("substitute", sub, sorted(sub_truth)[:2]),
+                                   ("complement", comp, sorted(comp_truth)[:2])):
+            if len(recs) >= 2 and len(expert) == 2:
+                order[kind][pair_order_agreement(recs[:2], expert)] += 1
+                order[kind]["evaluated"] += 1
+        counts = themes.setdefault(t, [0, 0, 0])
+        counts[0] += hits_at_k(sub, sub_truth, k)
+        counts[1] += hits_at_k(comp, comp_truth, k)
+        counts[2] += 1
+    nq = len(queries)
+    per_theme = [
+        [{"category": f"theme-{t}", "accuracy": c[i] / c[2], "answers": c[2]}
+         for t, c in sorted(themes.items())]
+        for i in (0, 1)
+    ]
+    section = [
+        {
+            "hits_at_k": tally[key] / nq,
+            "first_hit_rate": tally[key + "_first"] / nq,
+            "weighted_accuracy": weighted_accuracy([(c["accuracy"], c["answers"]) for c in cats]),
+            "answers_total": nq,
+            "per_category": cats,
+        }
+        for key, cats in (("sub", per_theme[0]), ("comp", per_theme[1]))
+    ]
+    section[0]["hits_at_k_in_complement_space"] = tally["sub_in_comp"] / nq
+    return {
+        "substitutes": section[0],
+        "complements": section[1],
+        "random_baseline": {
+            "substitute_hits_at_k": tally["rand_sub"] / nq,
+            "substitute_expectation": exp_sub / nq,
+            "substitute_sigma": math.sqrt(var_sub) / nq,
+            "substitute_first_hit_rate": tally["rand_sub_first"] / nq,
+            "complement_hits_at_k": tally["rand_comp"] / nq,
+            "complement_expectation": exp_comp / nq,
+            "complement_sigma": math.sqrt(var_comp) / nq,
+            "complement_first_hit_rate": tally["rand_comp_first"] / nq,
+        },
+        "order_agreement": order,
+    }
 
 
 @pytest.fixture(scope="module")
@@ -525,6 +609,60 @@ class TestBenchmark:
         )
         assert report.n_queries == 10
 
+    def test_each_space_answers_through_its_recommender(self, market, monkeypatch):
+        from basketspace import evaluation
+
+        asked = []
+        for name in ("recommend_substitutes", "recommend_complements"):
+            def recording(space, queries, k, _name=name, _real=getattr(evaluation, name)):
+                asked.append((_name, space.iterations, len(queries), k))
+                return _real(space, queries, k)
+
+            monkeypatch.setattr(evaluation, name, recording)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", ConfigurationMismatchWarning)
+            run_benchmark(market, BenchmarkConfig(dimension=8, substitute_iterations=4, k=3))
+        n = len(market.product_codes)
+        assert asked == [("recommend_substitutes", 4, n, 3), ("recommend_complements", 1, n, 3)]
+
+    def test_padding_is_never_a_hit(self):
+        from basketspace.evaluation import _hits
+
+        # Row -1 would index product 3, which shares the query's group.
+        group, theme = np.array([0, 0, 1, 0]), np.array([0, 0, 0, 0])
+        sub, comp = _hits(np.array([[1, 2, -1]]), group, theme, np.array([0]))
+        assert sub.tolist() == [[True, False, False]]
+        assert comp.tolist() == [[False, True, False]]
+
+    @pytest.mark.parametrize("sample", [0, -1])
+    def test_query_sample_below_one_rejected(self, market, sample):
+        with pytest.raises(InvalidParameterError, match=f"sample must be >= 1, got {sample}"):
+            run_benchmark(market, BenchmarkConfig(dimension=4, query_sample=sample))
+
+    @pytest.mark.parametrize(
+        "config",
+        [
+            BenchmarkConfig(dimension=16),
+            BenchmarkConfig(dimension=16, k=1, seed=5),
+            BenchmarkConfig(dimension=8, substitute_iterations=2, chunks=3, seed=3, k=9,
+                            query_sample=40),
+        ],
+        ids=["defaults", "k1", "k9-sampled"],
+    )
+    def test_array_scoring_matches_per_item_definitions(self, market, config):
+        membership = market.membership()
+        # Truth-only codes: the first member of group (0, 0) in code order
+        # and a whole group of theme 1, neither of them in any basket.
+        membership.update({"t0g0a": (0, 0), "t1g9a": (1, 9), "t1g9b": (1, 9)})
+        graph = expand_hyperedges(*parse_baskets(written(market, "write_baskets").splitlines()))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", ConfigurationMismatchWarning)
+            report = benchmark_baskets(graph, membership, config)
+            expected = reference_scores(graph, membership, config)
+        assert expected["order_agreement"]["substitute"]["evaluated"] > 0 or config.k == 1
+        for section, values in expected.items():
+            assert getattr(report, section) == values, section
+
     def test_missing_truth_code_rejected(self):
         with pytest.raises(DataInconsistencyError) as exc:
             benchmark_baskets(
@@ -549,13 +687,14 @@ class TestBenchmark:
             assert len(truth) == m.group_size - 1
             queries.append((code, truth))
         rate = first_recommendation_hit_rate(
-            queries, lambda q: recommend_substitutes(space, [q], 2)[0]
+            queries, lambda q: ranked(space.codes, recommend_substitutes(space, [q], 2)[0])[0]
         )
         pool = len(space.codes) - 1
         random_rate = (m.group_size - 1) / pool
         assert rate >= 0.8
         assert rate >= 10 * random_rate
         measured_random = first_recommendation_hit_rate(
-            queries, lambda q: random_recommender(space.codes, [q], 2, seed=0)[0]
+            queries,
+            lambda q: ranked(space.codes, random_recommender(space.codes, [q], 2, seed=0))[0],
         )
         assert measured_random < 0.1

@@ -23,7 +23,17 @@ from basketspace import (
 )
 from basketspace import neighbors
 from basketspace.neighbors import _ARGMAX_MAX_K, BLOCK_ENTRIES
-from conftest import cosine_similarity, vector_of
+from conftest import cosine_similarity, ranked, vector_of
+
+
+def top_pairs(emb, queries, k, candidates=None) -> list:
+    """``[(code, sim), ...]`` per query, as :func:`top_k_batch` ranks them."""
+    return ranked(emb.codes, *top_k_batch(emb, queries, k, candidates))
+
+
+def top_codes(emb, queries, k, candidates=None) -> list:
+    """``[code, ...]`` per query, as :func:`top_k_batch` ranks them."""
+    return ranked(emb.codes, top_k_batch(emb, queries, k, candidates)[0])
 
 
 def embedding_from(rows: dict, iterations=None) -> EmbeddingMatrix:
@@ -84,10 +94,10 @@ class TestTopK:
                 "far": [0.0, 1.0],
             }
         )
-        result = top_k_batch(emb, ["q"], 2)[0]
-        assert result.codes() == ["near", "far"]
-        assert result.neighbors[0][1] == pytest.approx(1.0 / np.sqrt(2.0), abs=1e-12)
-        assert result.neighbors[1][1] == pytest.approx(0.0, abs=1e-12)
+        result = top_pairs(emb, ["q"], 2)[0]
+        assert [c for c, _ in result] == ["near", "far"]
+        assert result[0][1] == pytest.approx(1.0 / np.sqrt(2.0), abs=1e-12)
+        assert result[1][1] == pytest.approx(0.0, abs=1e-12)
 
     def test_matches_brute_force(self):
         rng = np.random.default_rng(13)
@@ -99,7 +109,8 @@ class TestTopK:
             emb = EmbeddingMatrix(codes, vectors)
             k = int(rng.integers(1, n + 2))
             query = codes[int(rng.integers(0, n))]
-            result = top_k_batch(emb, [query], k)[0]
+            result = top_pairs(emb, [query], k)[0]
+            got = [c for c, _ in result]
             sims = [
                 (cosine_similarity(vector_of(emb, query), vector_of(emb, c)), c)
                 for c in codes
@@ -111,12 +122,12 @@ class TestTopK:
                     sims, key=lambda t: (-t[0], codes.index(t[1]))
                 )[: min(k, n - 1)]
             ]
-            assert result.codes() == expected
+            assert got == expected
             # Ranked output is non-increasing and never echoes the query.
-            values = [s for _, s in result.neighbors]
+            values = [s for _, s in result]
             assert all(a >= b for a, b in zip(values, values[1:]))
-            assert query not in result.codes()
-            assert len(set(result.codes())) == len(result.codes())
+            assert query not in got
+            assert len(set(got)) == len(got)
 
     def test_tie_breaks_by_row_index(self):
         emb = embedding_from(
@@ -126,9 +137,8 @@ class TestTopK:
                 "twin-a": [3.0, 0.0],
             }
         )
-        result = top_k_batch(emb, ["q"], 2)[0]
         # Both twins have similarity 1; the earlier row wins rank 1.
-        assert result.codes() == ["twin-b", "twin-a"]
+        assert top_codes(emb, ["q"], 2)[0] == ["twin-b", "twin-a"]
 
     def test_cut_inside_a_tie_group_keeps_lowest_rows(self):
         emb = embedding_from(
@@ -142,13 +152,14 @@ class TestTopK:
             }
         )
         # Power-of-two scales keep the three cosines exactly equal.
-        result = top_k_batch(emb, ["q"], 3)[0]
-        assert result.codes() == ["best", "tie_a", "tie_b"]
+        assert top_codes(emb, ["q"], 3)[0] == ["best", "tie_a", "tie_b"]
 
     def test_k_larger_than_pool_truncates(self):
         emb = embedding_from({"q": [1.0, 0.0], "a": [0.0, 1.0]})
-        result = top_k_batch(emb, ["q"], 10)[0]
-        assert result.codes() == ["a"]
+        rows, sims = top_k_batch(emb, ["q"], 10)
+        assert top_codes(emb, ["q"], 10) == [["a"]]
+        # The width is that of the longest list.
+        assert rows.shape == sims.shape == (1, 1)
 
     def test_k_below_one_rejected(self):
         emb = embedding_from({"q": [1.0], "a": [1.0]})
@@ -170,27 +181,24 @@ class TestTopK:
         emb = embedding_from(
             {"q": [1.0, 0.0], "a": [1.0, 0.1], "b": [1.0, 0.2], "c": [0.0, 1.0]}
         )
-        result = top_k_batch(emb, ["q"], 3, candidates=["b", "c"])[0]
-        assert set(result.codes()) <= {"b", "c"}
-        assert result.codes()[0] == "b"
+        result = top_codes(emb, ["q"], 3, candidates=["b", "c"])[0]
+        assert set(result) <= {"b", "c"}
+        assert result[0] == "b"
 
     def test_candidates_ignore_unknown_and_query(self):
         emb = embedding_from({"q": [1.0, 0.0], "a": [1.0, 0.1]})
-        result = top_k_batch(emb, ["q"], 5, candidates=["q", "a", "ghost"])[0]
-        assert result.codes() == ["a"]
+        assert top_codes(emb, ["q"], 5, candidates=["q", "a", "ghost"]) == [["a"]]
 
     def test_empty_candidate_pool(self):
         emb = embedding_from({"q": [1.0, 0.0], "a": [1.0, 0.1]})
-        result = top_k_batch(emb, ["q"], 5, candidates=["q"])[0]
-        assert result.codes() == []
-        assert len(result) == 0
+        rows, sims = top_k_batch(emb, ["q"], 5, candidates=["q"])
+        assert top_codes(emb, ["q"], 5, candidates=["q"]) == [[]]
+        assert rows.shape == sims.shape == (1, 0)
 
     def test_deterministic(self):
         rng = np.random.default_rng(17)
         emb = EmbeddingMatrix([f"c{i}" for i in range(20)], rng.normal(size=(20, 6)))
-        a = top_k_batch(emb, ["c3"], 5)[0]
-        b = top_k_batch(emb, ["c3"], 5)[0]
-        assert a.neighbors == b.neighbors
+        assert top_pairs(emb, ["c3"], 5) == top_pairs(emb, ["c3"], 5)
 
     @settings(max_examples=30, deadline=None)
     @given(st.integers(0, 2**31 - 1))
@@ -200,9 +208,9 @@ class TestTopK:
         codes = [f"c{i}" for i in range(n)]
         vectors = rng.normal(size=(n, 4))
         scales = rng.uniform(0.1, 10.0, size=n)
-        a = top_k_batch(EmbeddingMatrix(codes, vectors), ["c0"], 4)[0]
-        b = top_k_batch(EmbeddingMatrix(codes, vectors * scales[:, None]), ["c0"], 4)[0]
-        assert a.codes() == b.codes()
+        a = top_codes(EmbeddingMatrix(codes, vectors), ["c0"], 4)
+        b = top_codes(EmbeddingMatrix(codes, vectors * scales[:, None]), ["c0"], 4)
+        assert a == b
 
 
 def brute_force_codes(emb: EmbeddingMatrix, query: str, k: int, candidates=None) -> list:
@@ -230,21 +238,22 @@ class TestTopKBatch:
     def test_results_follow_query_order(self):
         rng = np.random.default_rng(3)
         emb = EmbeddingMatrix([f"c{i}" for i in range(12)], rng.normal(size=(12, 4)))
-        batch = top_k_batch(emb, ["c7", "c0", "c7"], 3)
-        assert [nl.query for nl in batch] == ["c7", "c0", "c7"]
-        assert batch[0].neighbors == batch[2].neighbors
-        assert batch[1].neighbors == top_k_batch(emb, ["c0"], 3)[0].neighbors
+        batch = top_pairs(emb, ["c7", "c0", "c7"], 3)
+        assert len(batch) == 3
+        assert batch[0] == batch[2] == top_pairs(emb, ["c7"], 3)[0]
+        assert batch[1] == top_pairs(emb, ["c0"], 3)[0]
 
     def test_empty_batch(self):
         emb = embedding_from({"q": [1.0, 0.0], "a": [1.0, 0.1]})
-        assert top_k_batch(emb, [], 2) == []
+        rows, sims = top_k_batch(emb, [], 2)
+        assert rows.shape == sims.shape == (0, 0)
 
     def test_string_of_queries_rejected(self):
         # A bare string is not read as one query per character.
         emb = embedding_from({"q": [1.0, 0.0], "a": [1.0, 0.1]})
         with pytest.raises(InvalidParameterError, match="sequence of product codes"):
             top_k_batch(emb, "qa", 1)
-        assert [nl.query for nl in top_k_batch(emb, ["q", "a"], 1)] == ["q", "a"]
+        assert top_codes(emb, ["q", "a"], 1) == [["a"], ["q"]]
 
     @pytest.mark.parametrize("with_candidates", [False, True])
     def test_single_query_equals_its_line_in_the_full_batch(self, with_candidates):
@@ -257,14 +266,13 @@ class TestTopKBatch:
         vectors /= np.linalg.norm(vectors, axis=1, keepdims=True)
         emb = EmbeddingMatrix(codes, vectors)
         pool = codes[::3] if with_candidates else None
-        full = top_k_batch(emb, codes, 5, pool)
+        full = top_pairs(emb, codes, 5, pool)
         step = block_rows(n)
         picks = {0, 1, step - 1, step, step + 1, 2 * step, n - 2, n - 1}
         picks |= {int(i) for i in rng.choice(n, 10, replace=False)}
         for i in sorted(picks):
             fresh = EmbeddingMatrix(codes, vectors.copy())
-            single = top_k_batch(fresh, [codes[i]], 5, pool)[0]
-            assert single.neighbors == full[i].neighbors
+            assert top_pairs(fresh, [codes[i]], 5, pool)[0] == full[i]
 
     def test_kth_value_inside_a_tie_group_follows_row_index(self):
         # Small-integer rows give exact dot products, so duplicated rows tie
@@ -280,10 +288,10 @@ class TestTopKBatch:
         emb = EmbeddingMatrix(codes, vectors)
         queries = [codes[i] for i in (0, 5, 217, 218, 350, 699)]
         for k in (1, 3, 40, 150):
-            for nl in top_k_batch(emb, queries, k):
-                assert nl.codes() == brute_force_codes(emb, nl.query, k)
-                rows = [int(c[1:]) for c in nl.codes()]
-                sims = [s for _, s in nl.neighbors]
+            for query, result in zip(queries, top_pairs(emb, queries, k)):
+                assert [c for c, _ in result] == brute_force_codes(emb, query, k)
+                rows = [int(c[1:]) for c, _ in result]
+                sims = [s for _, s in result]
                 for (r1, s1), (r2, s2) in zip(zip(rows, sims), zip(rows[1:], sims[1:])):
                     assert s1 > s2 or (s1 == s2 and r1 < r2)
 
@@ -297,9 +305,8 @@ class TestTopKBatch:
         rows = sorted({0, step - 1, step, n - 1} | {int(i) for i in rng.choice(n, 4)})
         queries = [codes[i] for i in rows]
         for k in (1, 2, 17, n // 2, n - 1, n, n + 5):
-            batch = top_k_batch(emb, queries, k)
-            for nl in batch:
-                assert nl.codes() == brute_force_codes(emb, nl.query, k)
+            for query, got in zip(queries, top_codes(emb, queries, k)):
+                assert got == brute_force_codes(emb, query, k)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_value_rejected(self, bad):
@@ -324,7 +331,7 @@ class TestTopKBatch:
         emb = embedding_from({"q": [1.0, 0.0], "z": [0.0, 0.0], "a": [1.0, 0.1]})
         with pytest.raises(InvalidParameterError):
             top_k_batch(emb, ["q"], 1)
-        assert top_k_batch(emb, ["q"], 1, candidates=["a"])[0].codes() == ["a"]
+        assert top_codes(emb, ["q"], 1, candidates=["a"]) == [["a"]]
 
     def test_row_norms_cached(self):
         emb = embedding_from({"q": [3.0, 4.0], "a": [1.0, 0.0]})
@@ -378,13 +385,13 @@ class TestArgmaxPasses:
         n = len(emb.codes)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(neighbors, "BLOCK_ENTRIES", step * n)
-            batch = top_k_batch(emb, queries, k, pool)
-        assert [nl.query for nl in batch] == queries
-        for nl in batch:
-            assert nl.codes() == brute_force_codes(emb, nl.query, k, pool)
-            q = vector_of(emb, nl.query)
-            assert [s for _, s in nl.neighbors] == [
-                cosine_similarity(q, vector_of(emb, c)) for c in nl.codes()
+            batch = top_pairs(emb, queries, k, pool)
+        assert len(batch) == len(queries)
+        for query, result in zip(queries, batch):
+            assert [c for c, _ in result] == brute_force_codes(emb, query, k, pool)
+            q = vector_of(emb, query)
+            assert [s for _, s in result] == [
+                cosine_similarity(q, vector_of(emb, c)) for c, _ in result
             ]
 
     def test_signed_zero_similarities_tie_by_row_index(self):
@@ -394,16 +401,17 @@ class TestArgmaxPasses:
             np.array([[1.0, 1.0, 0.0], [-TINY, 0.0, 2.0], [0.0, 0.0, 1.0], [-1.0, 0.0, 0.0]]),
         )
         for k in (2, _ARGMAX_MAX_K + 1):
-            result = top_k_batch(emb, ["q"], k)[0]
-            assert result.codes()[:2] == ["c1", "c2"]
-            assert [str(s) for _, s in result.neighbors[:2]] == ["-0.0", "0.0"]
+            result = top_pairs(emb, ["q"], k)[0]
+            assert [c for c, _ in result[:2]] == ["c1", "c2"]
+            assert [str(s) for _, s in result[:2]] == ["-0.0", "0.0"]
 
 
 class TestRecommenders:
-    def test_substitutes_use_substitute_kind(self):
+    def test_substitutes_return_the_kernel_arrays(self):
         emb = embedding_from({"q": [1.0, 0.0], "a": [1.0, 0.1]}, iterations=6)
-        result = recommend_substitutes(emb, ["q"], 1)[0]
-        assert result.relation_kind == "substitute"
+        rows, sims = recommend_substitutes(emb, ["q"], 1)
+        assert rows.dtype == np.int64 and rows.tolist() == [[1]]
+        assert sims.tolist() == top_k_batch(emb, ["q"], 1)[1].tolist()
 
     def test_substitutes_warn_on_shallow_space(self):
         emb = embedding_from({"q": [1.0, 0.0], "a": [1.0, 0.1]}, iterations=1)
@@ -425,8 +433,9 @@ class TestRecommenders:
         emb = embedding_from({"q": [1.0, 0.0], "a": [1.0, 0.1]}, iterations=1)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            result = recommend_complements(emb, ["q"], 1)[0]
-        assert result.relation_kind == "complement"
+            rows, sims = recommend_complements(emb, ["q"], 1)
+        assert rows.tolist() == [[1]]
+        assert sims.tolist() == top_k_batch(emb, ["q"], 1)[1].tolist()
 
     def test_batch_returns_lists_and_warns_once(self):
         emb = embedding_from(
@@ -436,12 +445,9 @@ class TestRecommenders:
             warnings.simplefilter("always")
             subs = recommend_substitutes(emb, ["q", "a", "b"], 1)
         assert [w.category for w in caught] == [ConfigurationMismatchWarning]
-        assert [nl.relation_kind for nl in subs] == ["substitute"] * 3
-        assert [nl.neighbors for nl in subs] == [
-            top_k_batch(emb, [c], 1)[0].neighbors for c in ("q", "a", "b")
-        ]
+        assert ranked(emb.codes, *subs) == [top_pairs(emb, [c], 1)[0] for c in ("q", "a", "b")]
         comps = recommend_complements(emb, ("b", "q"), 2)
-        assert [nl.relation_kind for nl in comps] == ["complement"] * 2
+        assert ranked(emb.codes, *comps) == top_pairs(emb, ["b", "q"], 2)
 
     @pytest.mark.parametrize("recommend", [recommend_substitutes, recommend_complements])
     def test_string_of_queries_rejected(self, recommend):
@@ -472,35 +478,35 @@ def list_based_random(vocabulary, query, k, seed):
 
 class TestRandomRecommender:
     def test_two_products_forced_pick(self):
-        result = random_recommender(["a", "b"], ["a"], 1, seed=0)[0]
-        assert result.codes() == ["b"]
-        assert result.neighbors[0][1] == 0.0
-        assert result.relation_kind == "random"
+        rows = random_recommender(["a", "b"], ["a"], 1, seed=0)
+        assert rows.dtype == np.int64 and rows.tolist() == [[1]]
 
     def test_deterministic_per_seed_and_query(self):
         vocab = [f"c{i}" for i in range(30)]
-        a = random_recommender(vocab, ["c5"], 3, seed=42)[0]
-        b = random_recommender(vocab, ["c5"], 3, seed=42)[0]
-        assert a.neighbors == b.neighbors
+        a = random_recommender(vocab, ["c5"], 3, seed=42)
+        b = random_recommender(vocab, ["c5"], 3, seed=42)
+        assert np.array_equal(a, b)
 
     def test_seeds_vary_the_draws(self):
         vocab = [f"c{i}" for i in range(30)]
-        draws = {tuple(random_recommender(vocab, ["c5"], 3, seed=s)[0].codes()) for s in range(10)}
+        draws = {tuple(random_recommender(vocab, ["c5"], 3, seed=s)[0]) for s in range(10)}
         assert len(draws) > 1
 
     def test_never_returns_query_and_never_repeats(self):
         vocab = [f"c{i}" for i in range(10)]
         for seed in range(20):
-            result = random_recommender(vocab, ["c0"], 5, seed=seed)[0]
-            assert "c0" not in result.codes()
-            assert len(set(result.codes())) == 5
+            [result] = ranked(vocab, random_recommender(vocab, ["c0"], 5, seed=seed))
+            assert "c0" not in result
+            assert len(set(result)) == 5
 
     def test_k_too_large_rejected(self):
         with pytest.raises(InvalidParameterError):
             random_recommender(["a", "b"], ["a"], 2, seed=0)
 
     def test_absent_query_samples_from_all_products(self):
-        assert sorted(random_recommender(["a", "b"], ["z"], 2, seed=0)[0].codes()) == ["a", "b"]
+        assert sorted(ranked(["a", "b"], random_recommender(["a", "b"], ["z"], 2, seed=0))[0]) == [
+            "a", "b"
+        ]
         with pytest.raises(InvalidParameterError):
             random_recommender(["a", "b"], ["z"], 3, seed=0)
 
@@ -509,7 +515,7 @@ class TestRandomRecommender:
         for seed in (0, 1, 7, 123, 2**31):
             for query in ("c0", "c1", "c17", "c38", "c39", "absent"):
                 for k in (1, 2, 5, 39):
-                    got = random_recommender(vocab, [query], k, seed)[0].codes()
+                    [got] = ranked(vocab, random_recommender(vocab, [query], k, seed))
                     assert got == list_based_random(vocab, query, k, seed)
 
     def test_batch_equals_single_calls_and_list_based_version(self):
@@ -518,12 +524,11 @@ class TestRandomRecommender:
         for seed in (0, 9, 2**33):
             for k in (1, 2, 7, 59):
                 batch = random_recommender(vocab, queries, k, seed)
-                assert isinstance(batch, list) and len(batch) == len(queries)
+                assert batch.shape == (len(queries), k) and batch.dtype == np.int64
                 for query, got in zip(queries, batch):
                     single = random_recommender(vocab, [query], k, seed)[0]
-                    assert got.query == query and got.relation_kind == "random"
-                    assert got.neighbors == single.neighbors
-                    assert got.codes() == list_based_random(vocab, query, k, seed)
+                    assert np.array_equal(got, single)
+                    assert ranked(vocab, got[None])[0] == list_based_random(vocab, query, k, seed)
 
     def test_string_of_queries_rejected(self):
         # Read as characters, "abc" would silently ask for "a", "b" and "c".
@@ -531,7 +536,7 @@ class TestRandomRecommender:
             random_recommender(["a", "b", "c", "d"], "abc", 1, seed=0)
 
     def test_batch_of_no_queries_is_empty(self):
-        assert random_recommender(["a", "b"], [], 1, seed=0) == []
+        assert random_recommender(["a", "b"], [], 1, seed=0).shape == (0, 1)
 
     def test_batch_rejects_k_beyond_any_pool(self):
         with pytest.raises(InvalidParameterError):
@@ -545,7 +550,7 @@ class TestRandomRecommender:
         counts = {c: 0 for c in vocab if c != "c0"}
         draws = 100_000
         for seed in range(draws):
-            counts[random_recommender(vocab, ["c0"], 1, seed=seed)[0].codes()[0]] += 1
+            counts[vocab[random_recommender(vocab, ["c0"], 1, seed=seed)[0, 0]]] += 1
         expected = draws / 100
         chi_square = sum((n - expected) ** 2 / expected for n in counts.values())
         df = 99
@@ -554,13 +559,24 @@ class TestRandomRecommender:
 
 class TestWriteNeighbors:
     def test_tsv_format(self):
-        from basketspace import NeighborList
-
-        lists = [
-            NeighborList("q1", [("a", 0.5), ("b", 0.25)]),
-            NeighborList("q2", [("c", 1.0)]),
-        ]
+        rows = np.array([[0, 1], [2, -1]])
+        sims = np.array([[0.5, 0.25], [1.0, np.nan]])
         out = io.StringIO()
-        write_neighbors(lists, out)
+        write_neighbors(["a", "b", "c"], ["q1", "q2"], rows, sims, out)
         lines = out.getvalue().splitlines()
         assert lines == ["q1\t1\ta\t0.5", "q1\t2\tb\t0.25", "q2\t1\tc\t1"]
+
+    @pytest.mark.parametrize("k", [3, _ARGMAX_MAX_K + 1])
+    def test_short_pool_is_padded_and_padding_not_written(self, k):
+        emb = embedding_from(
+            {"q": [1.0, 0.0], "a": [1.0, 0.1], "b": [0.0, 1.0], "c": [1.0, 1.0]}
+        )
+        # q ranks both candidates, b only a: a query never ranks itself.
+        rows, sims = top_k_batch(emb, ["q", "b"], k, candidates=["a", "b"])
+        assert rows.tolist() == [[1, 2], [1, -1]]
+        assert np.isnan(sims).tolist() == [[False, False], [False, True]]
+        out = io.StringIO()
+        write_neighbors(emb.codes, ["q", "b"], rows, sims, out)
+        assert [line.split("\t")[:3] for line in out.getvalue().splitlines()] == [
+            ["q", "1", "a"], ["q", "2", "b"], ["b", "1", "a"]
+        ]
