@@ -11,12 +11,6 @@ from .embedding import (
     DEFAULT_DIMENSION,
     SUBSTITUTE_ITERATIONS,
     EmbeddingMatrix,
-    TransitionMatrix,
-    build_transition,
-    dense_reference_train,
-    init_embedding,
-    iterate,
-    partition_chunks,
     read_embedding,
     train,
     write_embedding,
@@ -77,19 +71,13 @@ __all__ = [
     "MalformedInputError",
     "SUBSTITUTE_ITERATIONS",
     "SyntheticMarket",
-    "TransitionMatrix",
     "UnknownProductError",
     "benchmark_baskets",
-    "build_transition",
-    "dense_reference_train",
     "expand_hyperedges",
     "generate_synthetic_market",
     "hits_at_k",
-    "init_embedding",
-    "iterate",
     "pair_order_agreement",
     "parse_baskets",
-    "partition_chunks",
     "random_hit_expectation",
     "random_recommender",
     "read_embedding",

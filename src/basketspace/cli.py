@@ -21,7 +21,7 @@ from .embedding import (
     train,
     write_embedding,
 )
-from .errors import BasketspaceError, MalformedInputError
+from .errors import BasketspaceError, InvalidParameterError, MalformedInputError
 from .evaluation import (
     DEFAULT_AFFINITY,
     DEFAULT_BASKETS,
@@ -56,6 +56,15 @@ def _open_input(path: str) -> Iterator[TextIO]:
             ) from None
 
 
+def _distinct_outputs(first: str | Path, second: str | Path) -> None:
+    """Refuse two outputs of one command that resolve to the same file,
+    since the second would overwrite the first."""
+    if Path(first).resolve() == Path(second).resolve():
+        raise InvalidParameterError(
+            f"output files {str(first)!r} and {str(second)!r} are the same file"
+        )
+
+
 def cmd_embed(args: argparse.Namespace) -> int:
     started = time.monotonic()
     # The baskets are dropped once expanded, before training sets the peak.
@@ -87,13 +96,13 @@ def cmd_neighbors(args: argparse.Namespace) -> int:
         emb = read_embedding(stream)
     candidates = None
     if args.candidates:
-        candidates = []
+        candidates, known = [], set(emb.codes)
         with _open_input(args.candidates) as stream:
             for lineno, line in enumerate(stream, start=1):
                 tokens = line.split()
                 if not tokens or not tokens[0].startswith("#"):
                     candidates += tokens
-                elif tokens[0] in emb.index_map():
+                elif tokens[0] in known:
                     _progress(
                         f"warning: {args.candidates}: line {lineno} skipped as a comment, "
                         f"but its first token {tokens[0]!r} is an embedded product code"
@@ -110,6 +119,8 @@ def cmd_neighbors(args: argparse.Namespace) -> int:
 
 
 def cmd_synth(args: argparse.Namespace) -> int:
+    truth_path = args.truth or args.output + ".truth"
+    _distinct_outputs(args.output, truth_path)
     market = generate_synthetic_market(
         themes=args.themes,
         groups_per_theme=args.groups,
@@ -119,7 +130,6 @@ def cmd_synth(args: argparse.Namespace) -> int:
         affinity=args.affinity,
         seed=args.seed,
     )
-    truth_path = args.truth or args.output + ".truth"
     with open(args.output, "w", encoding="utf-8") as stream:
         market.write_baskets(stream)
     with open(truth_path, "w", encoding="utf-8") as stream:
@@ -134,6 +144,11 @@ def cmd_synth(args: argparse.Namespace) -> int:
 
 def cmd_eval(args: argparse.Namespace) -> int:
     truth_path = args.truth or args.input + ".truth"
+    if args.output:
+        out = Path(args.output)
+        # out.with_suffix(".txt"), without its ValueError on "." or "/".
+        text_path = out.parent / (out.stem + ".txt")
+        _distinct_outputs(out, text_path)
     with _open_input(args.input) as stream:
         graph = expand_hyperedges(*parse_baskets(stream))
     with _open_input(truth_path) as stream:
@@ -151,9 +166,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
     elapsed = time.monotonic() - started
     _progress(f"benchmark finished in {elapsed:.2f}s over {report.n_queries} queries")
     if args.output:
-        out = Path(args.output)
         out.write_text(report.to_json() + "\n", encoding="utf-8")
-        text_path = out.with_suffix(".txt")
         text_path.write_text(report.text_table(), encoding="utf-8")
         _progress(f"wrote JSON report to {out} and text table to {text_path}")
     else:

@@ -28,7 +28,7 @@ import os
 import struct
 import zlib
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import chain, islice
 from typing import Iterator, Sequence, TextIO
 
@@ -49,9 +49,6 @@ ZERO_ROW_NORM = 1e-30
 DEFAULT_DIMENSION = 1024
 SUBSTITUTE_ITERATIONS = 6
 COMPLEMENT_ITERATIONS = 1
-
-# Guard for the dense reference path, which materializes an n x n matrix.
-DENSE_REFERENCE_MAX_NODES = 10_000
 
 # Values per np.loadtxt call in read_embedding (64 rows at d=128). Larger
 # batches left more memory behind after the read; chosen by peak memory.
@@ -80,8 +77,6 @@ class EmbeddingMatrix:
     iterations: int | None = None
     seed: int | None = None
     zero_rows_replaced: int = 0
-    _index: dict = field(default=None, repr=False, compare=False)
-    _norms: np.ndarray = field(default=None, repr=False, compare=False)
 
     @property
     def dimension(self) -> int:
@@ -89,18 +84,6 @@ class EmbeddingMatrix:
 
     def __len__(self) -> int:
         return len(self.codes)
-
-    def index_map(self) -> dict:
-        if self._index is None:
-            self._index = {code: i for i, code in enumerate(self.codes)}
-        return self._index
-
-    def row_norms(self) -> np.ndarray:
-        """L2 norm of every row, computed once and cached like
-        :meth:`index_map`, so ``vectors`` must not be edited in place."""
-        if self._norms is None:
-            self._norms = np.linalg.norm(self.vectors, axis=1)
-        return self._norms
 
 
 @dataclass
@@ -191,8 +174,9 @@ def reseed_philox(gen: np.random.Generator, text: str) -> None:
     }
 
 
-def init_embedding(codes: Sequence[str], d: int, seed: int) -> EmbeddingMatrix:
-    """Iteration-0 embedding: per-node seeded U(-1, 1) rows, L2-normalized.
+def init_embedding(codes: Sequence[str], d: int, seed: int) -> np.ndarray:
+    """Iteration-0 rows: a float64 (codes x d) array of per-node seeded
+    U(-1, 1) rows, L2-normalized, in the order of ``codes``.
 
     Entry (v, j) depends only on (seed, code of v, j), never on node order,
     chunk membership, or thread count. Each call reseeds one local
@@ -222,7 +206,7 @@ def init_embedding(codes: Sequence[str], d: int, seed: int) -> EmbeddingMatrix:
             row = gen.uniform(-1.0, 1.0, d)
         vectors[i] = row
     vectors /= _row_norms(vectors)[:, None]
-    return EmbeddingMatrix(list(codes), vectors, iterations=0, seed=seed)
+    return vectors
 
 
 def _row_norms(x: np.ndarray) -> np.ndarray:
@@ -333,7 +317,7 @@ def train(
     codes = [graph.codes[v] for v in nodes.tolist()]
     # Sums before first rows: the other order put half of eval's peaks 1.4 MB up.
     merged = [_allocate(np.zeros, len(codes), d, InvalidParameterError) for _ in counts]
-    start = init_embedding(codes, d, seed).vectors
+    start = init_embedding(codes, d, seed)
     buf = np.empty_like(start[: max(1, _BLOCK_VALUES // d)])
     replaced = [0] * len(counts)
     for q in np.unique(chunk_ids).tolist():
@@ -366,49 +350,6 @@ def train(
             )
         )
     return spaces[0] if single else spaces
-
-
-def dense_reference_train(
-    graph: CooccurrenceGraph, d: int, iterations: int, seed: int
-) -> EmbeddingMatrix:
-    """Brute-force single-chunk reference used as a testing oracle.
-
-    Same contract as ``train(chunks=1)``, computed with an explicit dense
-    transition matrix and plain array loops; shares only the seeded row
-    initialization with the production path.
-    """
-    if d < 1:
-        raise InvalidParameterError(f"dimension must be >= 1, got {d}")
-    if iterations < 1:
-        raise InvalidParameterError(f"iteration count must be >= 1, got {iterations}")
-    if graph.edge_count == 0:
-        raise EmptyGraphError("the co-occurrence graph has no edges")
-    nodes = [int(v) for v in np.flatnonzero(graph.degrees > 0)]
-    if len(nodes) > DENSE_REFERENCE_MAX_NODES:
-        raise InvalidParameterError(
-            f"dense reference limited to {DENSE_REFERENCE_MAX_NODES} nodes, "
-            f"got {len(nodes)}"
-        )
-    local = {v: i for i, v in enumerate(nodes)}
-    n = len(nodes)
-    M = np.zeros((n, n), dtype=np.float64)
-    for a, b, w in zip(graph.a.tolist(), graph.b.tolist(), graph.w.tolist()):
-        M[local[a], local[b]] = w
-        M[local[b], local[a]] = w
-    M /= M.sum(axis=1, keepdims=True)
-    codes = [graph.codes[v] for v in nodes]
-    T = init_embedding(codes, d, seed).vectors
-    for _ in range(iterations):
-        raw = M @ T
-        norms = np.linalg.norm(raw, axis=1)
-        zero = norms <= ZERO_ROW_NORM
-        if zero.any():
-            raw[zero] = T[zero]
-            norms[zero] = 1.0
-        T = raw / norms[:, None]
-    # Mirror the merge-stage normalization of the production path.
-    T = T / np.linalg.norm(T, axis=1, keepdims=True)
-    return EmbeddingMatrix(codes, T, iterations=iterations, seed=seed)
 
 
 def write_embedding(emb: EmbeddingMatrix, stream: TextIO) -> None:

@@ -337,35 +337,20 @@ class EvalReport:
         def fmt(x: float) -> str:
             return f"{x:.4f}"
 
-        row("metric", "substitutes", "complements")
-        lines.append("-" * (w + 26))
-        row(
-            f"hits@{self.config['k']}",
-            fmt(self.substitutes["hits_at_k"]),
-            fmt(self.complements["hits_at_k"]),
-        )
-        row(
-            "first-recommendation hit rate",
-            fmt(self.substitutes["first_hit_rate"]),
-            fmt(self.complements["first_hit_rate"]),
-        )
-        row(
-            "weighted accuracy",
-            fmt(self.substitutes["weighted_accuracy"]),
-            fmt(self.complements["weighted_accuracy"]),
-        )
-        row(
-            f"random hits@{self.config['k']}",
-            fmt(self.random_baseline["substitute_hits_at_k"]),
-            fmt(self.random_baseline["complement_hits_at_k"]),
-        )
-        row(
-            "random expectation",
-            fmt(self.random_baseline["substitute_expectation"]),
-            fmt(self.random_baseline["complement_expectation"]),
-        )
+        k = self.config["k"]
+        subs, comps, rand = self.substitutes, self.complements, self.random_baseline
         sub_oa = self.order_agreement["substitute"]
         comp_oa = self.order_agreement["complement"]
+        row("metric", "substitutes", "complements")
+        lines.append("-" * (w + 26))
+        for label, sub, comp in [
+            (f"hits@{k}", subs["hits_at_k"], comps["hits_at_k"]),
+            ("first-recommendation hit rate", subs["first_hit_rate"], comps["first_hit_rate"]),
+            ("weighted accuracy", subs["weighted_accuracy"], comps["weighted_accuracy"]),
+            (f"random hits@{k}", rand["substitute_hits_at_k"], rand["complement_hits_at_k"]),
+            ("random expectation", rand["substitute_expectation"], rand["complement_expectation"]),
+        ]:
+            row(label, fmt(sub), fmt(comp))
         row("pairs in exact order", sub_oa["correct"], comp_oa["correct"])
         row("pairs in reversed order", sub_oa["reversed"], comp_oa["reversed"])
         row("pairs evaluated", sub_oa["evaluated"], comp_oa["evaluated"])

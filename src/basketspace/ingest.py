@@ -17,7 +17,6 @@ from array import array
 from collections import defaultdict
 from dataclasses import dataclass
 from itertools import chain, count, islice
-from os.path import commonprefix
 from typing import Iterable, NamedTuple
 
 import numpy as np
@@ -32,12 +31,6 @@ DEFAULT_MAX_BASKET_PRODUCTS = 5000
 # arrays stay alive until it is done and the code index keeps some of its
 # strings, so the size was chosen by peak memory rather than speed.
 _BATCH_LINES = 256
-
-
-def nearest_codes(code: str, known: Iterable[str], limit: int = 5) -> list[str]:
-    """Known codes ranked by longest shared prefix with ``code``, then by
-    code; the suggestions an :class:`UnknownProductError` carries."""
-    return sorted(known, key=lambda c: (-len(commonprefix([code, c])), c))[:limit]
 
 
 class Baskets(NamedTuple):

@@ -8,6 +8,7 @@ space. A seeded random recommender provides the evaluation baseline.
 from __future__ import annotations
 
 import warnings
+from os.path import commonprefix
 from typing import Iterable, Sequence, TextIO
 
 import numpy as np
@@ -16,6 +17,7 @@ from .embedding import (
     COMPLEMENT_ITERATIONS,
     SUBSTITUTE_ITERATIONS,
     EmbeddingMatrix,
+    _row_norms,
     reseed_philox,
 )
 from .errors import (
@@ -23,7 +25,6 @@ from .errors import (
     InvalidParameterError,
     UnknownProductError,
 )
-from .ingest import nearest_codes
 
 
 # Similarities are computed one block of rows at a time, each block a whole
@@ -37,6 +38,12 @@ BLOCK_ENTRIES = 2**17  # 1 MiB of float64
 # Up to this many neighbours per query, a block's picks come from k argmax
 # passes over its rows; beyond it, each queried row is partitioned instead.
 _ARGMAX_MAX_K = 8
+
+
+def nearest_codes(code: str, known: Iterable[str]) -> list[str]:
+    """The five known codes with the longest shared prefix with ``code``,
+    then by code; the suggestions an :class:`UnknownProductError` carries."""
+    return sorted(known, key=lambda c: (-len(commonprefix([code, c])), c))[:5]
 
 
 def _reject_string(queries) -> None:
@@ -100,7 +107,7 @@ def top_k_batch(
     if k < 1:
         raise InvalidParameterError(f"k must be >= 1, got {k}")
     codes = embeddings.codes
-    index = embeddings.index_map()
+    index = {code: i for i, code in enumerate(codes)}
     queries = list(queries)
     rows = []
     for query in queries:
@@ -109,7 +116,8 @@ def top_k_batch(
             raise UnknownProductError(query, nearest_codes(query, codes))
         rows.append(row)
     n = len(codes)
-    norms = embeddings.row_norms()
+    vectors = embeddings.vectors
+    norms = _row_norms(vectors)
     if not np.isfinite(norms).all():
         raise InvalidParameterError("embedding holds a NaN or infinite value")
     if candidates is None:
@@ -126,7 +134,6 @@ def top_k_batch(
             raise InvalidParameterError(
                 "cosine similarity of a zero vector is undefined"
             )
-    vectors = embeddings.vectors
     step = max(2, BLOCK_ENTRIES // max(n, 1))
     by_block: dict = {}
     for pos, row in enumerate(rows):
@@ -174,51 +181,43 @@ def top_k_batch(
 
 
 def recommend_substitutes(
-    substitute_space: EmbeddingMatrix,
-    queries: Sequence[str],
-    k: int = 2,
-    candidates: Iterable[str] | None = None,
-    expected_iterations: int = SUBSTITUTE_ITERATIONS,
+    substitute_space: EmbeddingMatrix, queries: Sequence[str], k: int = 2
 ) -> tuple[np.ndarray, np.ndarray]:
     """Top-k substitute candidates from the shared-context space:
     :func:`top_k_batch` with the same arguments and errors.
 
     Warns (without failing) once per call if the space's recorded
-    iteration count is below ``expected_iterations``.
+    iteration count is below :data:`SUBSTITUTE_ITERATIONS`.
     """
     done = substitute_space.iterations
-    if done is not None and done < expected_iterations:
+    if done is not None and done < SUBSTITUTE_ITERATIONS:
         warnings.warn(
             f"substitute queries expect an embedding trained with at least "
-            f"{expected_iterations} iterations; this space records {done}",
+            f"{SUBSTITUTE_ITERATIONS} iterations; this space records {done}",
             ConfigurationMismatchWarning,
             stacklevel=2,
         )
-    return top_k_batch(substitute_space, queries, k, candidates)
+    return top_k_batch(substitute_space, queries, k)
 
 
 def recommend_complements(
-    complement_space: EmbeddingMatrix,
-    queries: Sequence[str],
-    k: int = 2,
-    candidates: Iterable[str] | None = None,
-    expected_iterations: int = COMPLEMENT_ITERATIONS,
+    complement_space: EmbeddingMatrix, queries: Sequence[str], k: int = 2
 ) -> tuple[np.ndarray, np.ndarray]:
     """Top-k complement candidates from the direct co-purchase space:
     :func:`top_k_batch` with the same arguments and errors.
 
     Warns (without failing) once per call if the space's recorded
-    iteration count does not equal ``expected_iterations``.
+    iteration count does not equal :data:`COMPLEMENT_ITERATIONS`.
     """
     done = complement_space.iterations
-    if done is not None and done != expected_iterations:
+    if done is not None and done != COMPLEMENT_ITERATIONS:
         warnings.warn(
             f"complement queries expect an embedding trained with exactly "
-            f"{expected_iterations} iteration(s); this space records {done}",
+            f"{COMPLEMENT_ITERATIONS} iteration(s); this space records {done}",
             ConfigurationMismatchWarning,
             stacklevel=2,
         )
-    return top_k_batch(complement_space, queries, k, candidates)
+    return top_k_batch(complement_space, queries, k)
 
 
 def random_recommender(

@@ -1,5 +1,6 @@
 """Shared fixtures: the demo corpus with hand-enumerated expectations,
-plus random-graph helpers used by oracle and invariant tests."""
+the dense training oracle, plus random-graph helpers used by oracle and
+invariant tests."""
 
 import io
 from array import array
@@ -11,11 +12,13 @@ from basketspace import (
     Baskets,
     CooccurrenceGraph,
     EmbeddingMatrix,
+    EmptyGraphError,
     InvalidParameterError,
     MalformedInputError,
     expand_hyperedges,
     parse_baskets,
 )
+from basketspace.embedding import ZERO_ROW_NORM, init_embedding
 
 # Three-basket demo corpus used throughout the tests.
 DEMO_TEXT = "p1 p3 p4\np2 p4\np5 p6 p3\n"
@@ -32,6 +35,9 @@ DEMO_EDGES = {
     ("p3", "p6"): 1,
 }
 DEMO_DEGREES = {"p1": 2, "p2": 1, "p3": 4, "p4": 3, "p5": 2, "p6": 2}
+
+# Guard for the dense reference path, which materializes an n x n matrix.
+DENSE_REFERENCE_MAX_NODES = 10_000
 
 
 def graph_from_text(text: str) -> CooccurrenceGraph:
@@ -60,6 +66,50 @@ def reference_parse_baskets(lines, max_basket_products: int = 5000):
         offsets.append(len(items))
     baskets = Baskets(np.frombuffer(offsets, np.int64), np.frombuffer(items, np.int64))
     return baskets, list(index)
+
+
+def dense_reference_train(
+    graph: CooccurrenceGraph, d: int, iterations: int, seed: int
+) -> EmbeddingMatrix:
+    """Brute-force single-chunk reference used as a testing oracle.
+
+    Same contract as ``train(chunks=1)``, computed with an explicit dense
+    transition matrix and plain array loops; shares only the seeded row
+    initialization with the production path.
+    """
+    if d < 1:
+        raise InvalidParameterError(f"dimension must be >= 1, got {d}")
+    if iterations < 1:
+        raise InvalidParameterError(f"iteration count must be >= 1, got {iterations}")
+    if graph.edge_count == 0:
+        raise EmptyGraphError("the co-occurrence graph has no edges")
+    nodes = [int(v) for v in np.flatnonzero(graph.degrees > 0)]
+    if len(nodes) > DENSE_REFERENCE_MAX_NODES:
+        raise InvalidParameterError(
+            f"dense reference limited to {DENSE_REFERENCE_MAX_NODES} nodes, "
+            f"got {len(nodes)}"
+        )
+    local = {v: i for i, v in enumerate(nodes)}
+    n = len(nodes)
+    M = np.zeros((n, n), dtype=np.float64)
+    for a, b, w in zip(graph.a.tolist(), graph.b.tolist(), graph.w.tolist()):
+        M[local[a], local[b]] = w
+        M[local[b], local[a]] = w
+    M /= M.sum(axis=1, keepdims=True)
+    codes = [graph.codes[v] for v in nodes]
+    T = init_embedding(codes, d, seed)
+    for _ in range(iterations):
+        raw = M @ T
+        norms = np.linalg.norm(raw, axis=1)
+        zero = norms <= ZERO_ROW_NORM
+        if zero.any():
+            raw[zero] = T[zero]
+            norms[zero] = 1.0
+        T = raw / norms[:, None]
+    # Mirror the merge-stage normalization of the production path.
+    T = T / np.linalg.norm(T, axis=1, keepdims=True)
+    return EmbeddingMatrix(codes, T, iterations=iterations, seed=seed)
+
 
 
 def reference_read_embedding(stream) -> EmbeddingMatrix:

@@ -22,12 +22,9 @@ import pytest
 
 from basketspace import (
     BenchmarkConfig,
-    build_transition,
-    dense_reference_train,
     expand_hyperedges,
     generate_synthetic_market,
     parse_baskets,
-    partition_chunks,
     read_embedding,
     run_benchmark,
     top_k_batch,
@@ -35,7 +32,8 @@ from basketspace import (
     weighted_accuracy,
     write_embedding,
 )
-from conftest import DEMO_TEXT, graph_from_text, random_graph, ranked
+from basketspace.embedding import build_transition, partition_chunks
+from conftest import DEMO_TEXT, dense_reference_train, graph_from_text, random_graph, ranked
 
 
 def check(ok: bool, name: str, detail: str) -> None:

@@ -42,6 +42,9 @@ PINNED_NEIGHBORS_SHA256 = {
     (9, True): "98abbab5ad770257a52cabd67e467944a8ef2731ef4cf432c6621b31aa22f1d5",
 }
 PINNED_EVAL_SHA256 = "00c08acdd9757dbe74d1f5da3983abab15faf2bdd978fff319af0685497c93eb"
+# SHA-256 of the `.txt` table written next to that report, as rendered by
+# one `row(...)` call per headline metric.
+PINNED_EVAL_TABLE_SHA256 = "a6c8e3873643c165b7652a416b5704f24ee8c13e10cf618a491f38e363a6acf9"
 
 
 @pytest.fixture
@@ -408,6 +411,8 @@ class TestPinnedOutputs:
         )
         assert code == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == PINNED_EVAL_SHA256
+        table = out.with_suffix(".txt").read_bytes()
+        assert hashlib.sha256(table).hexdigest() == PINNED_EVAL_TABLE_SHA256
 
 
 class TestSynth:
@@ -478,6 +483,19 @@ class TestSynth:
         )
         assert code == 2
         assert "error" in capsys.readouterr().err
+
+    def test_truth_path_equal_to_output_exits_2(self, tmp_path, capsys, monkeypatch):
+        from basketspace import cli
+
+        def no_market(*args, **kwargs):
+            raise AssertionError("the market must not be generated")
+
+        monkeypatch.setattr(cli, "generate_synthetic_market", no_market)
+        out, truth = str(tmp_path / "m.txt"), f"{tmp_path}/./m.txt"
+        assert main(["synth", "--output", out, "--truth", truth]) == 2
+        err = capsys.readouterr().err
+        assert out in err and truth in err
+        assert not (tmp_path / "m.txt").exists()
 
 
 class TestEval:
@@ -595,6 +613,27 @@ class TestEval:
         err = capsys.readouterr().err
         assert f"no {relation} truth" in err
         assert named in err
+
+    def test_txt_output_exits_2_before_parsing(self, tmp_path, capsys, monkeypatch):
+        # The text table goes to the output path with a .txt suffix, which
+        # here is the JSON report's own path.
+        from basketspace import cli
+
+        def no_parse(*args, **kwargs):
+            raise AssertionError("the baskets must not be parsed")
+
+        monkeypatch.setattr(cli, "parse_baskets", no_parse)
+        baskets = tmp_path / "b.txt"
+        baskets.write_text("a b\n", encoding="utf-8")
+        out = tmp_path / "rep.txt"
+        assert main(["eval", "--input", str(baskets), "--output", str(out)]) == 2
+        assert str(out) in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_output_naming_a_directory_exits_2(self, market_files, monkeypatch):
+        # "." has no name to put a .txt suffix on; the write fails instead.
+        monkeypatch.chdir(market_files.parent)
+        assert main(["eval", "--input", str(market_files), "--output", ".", "--dim", "8"]) == 2
 
     def test_explicit_truth_flag(self, market_files, tmp_path):
         moved = tmp_path / "labels.txt"

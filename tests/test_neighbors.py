@@ -167,15 +167,16 @@ class TestTopK:
             top_k_batch(emb, ["q"], 0)
 
     def test_unknown_query_suggests_near_codes(self):
-        emb = embedding_from(
-            {"banana": [1.0, 0.0], "bandana": [0.0, 1.0], "cherry": [1.0, 1.0]}
-        )
+        codes = ["cherry", "bandana", "banana", "ban", "b", "band", "apple"]
+        emb = embedding_from({code: [1.0, float(i)] for i, code in enumerate(codes)})
         with pytest.raises(UnknownProductError) as exc:
             top_k_batch(emb, ["bana"], 1)
         message = str(exc.value)
         assert "bana" in message
         assert "banana" in message
         assert exc.value.exit_code == 3
+        # The five longest shared prefixes, ties by code.
+        assert exc.value.suggestions == ["banana", "ban", "band", "bandana", "b"]
 
     def test_candidate_restriction(self):
         emb = embedding_from(
@@ -333,10 +334,17 @@ class TestTopKBatch:
             top_k_batch(emb, ["q"], 1)
         assert top_codes(emb, ["q"], 1, candidates=["a"]) == [["a"]]
 
-    def test_row_norms_cached(self):
-        emb = embedding_from({"q": [3.0, 4.0], "a": [1.0, 0.0]})
-        assert emb.row_norms() is emb.row_norms()
-        assert emb.row_norms().tolist() == [5.0, 1.0]
+    def test_row_scaled_in_place_after_a_query(self):
+        # The space keeps no norms between calls: a row edited after a first
+        # query ranks as it does in a fresh space of the same arrays.
+        codes = [f"c{i}" for i in range(8)]
+        emb = EmbeddingMatrix(codes, np.random.default_rng(4).normal(size=(8, 3)))
+        top_k_batch(emb, codes, 3)
+        emb.vectors[2] *= 10.0
+        rows, sims = top_k_batch(emb, codes, 3)
+        fresh_rows, fresh_sims = top_k_batch(EmbeddingMatrix(codes, emb.vectors.copy()), codes, 3)
+        assert np.array_equal(rows, fresh_rows)
+        assert np.array_equal(sims, fresh_sims)
 
 
 TINY = 5e-324  # the smallest subnormal double

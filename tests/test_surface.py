@@ -1,0 +1,78 @@
+"""The package's public names, and the functions the benchmark traces by name."""
+
+import importlib
+import types
+
+import pytest
+
+import basketspace
+
+
+def test_public_names_are_pinned():
+    # The API the README documents; training stages stay in their module.
+    assert sorted(basketspace.__all__) == [
+        "Baskets",
+        "BasketspaceError",
+        "BenchmarkConfig",
+        "COMPLEMENT_ITERATIONS",
+        "ConfigurationMismatchWarning",
+        "CooccurrenceGraph",
+        "DEFAULT_DIMENSION",
+        "DataInconsistencyError",
+        "EmbeddingMatrix",
+        "EmptyGraphError",
+        "EvalReport",
+        "InternalConsistencyError",
+        "InvalidParameterError",
+        "MalformedInputError",
+        "SUBSTITUTE_ITERATIONS",
+        "SyntheticMarket",
+        "UnknownProductError",
+        "benchmark_baskets",
+        "expand_hyperedges",
+        "generate_synthetic_market",
+        "hits_at_k",
+        "pair_order_agreement",
+        "parse_baskets",
+        "random_hit_expectation",
+        "random_recommender",
+        "read_embedding",
+        "read_truth",
+        "recommend_complements",
+        "recommend_substitutes",
+        "run_benchmark",
+        "top_k_batch",
+        "train",
+        "weighted_accuracy",
+        "write_embedding",
+        "write_neighbors",
+    ]
+    for name in basketspace.__all__:
+        assert hasattr(basketspace, name), name
+
+
+# perfbench/layers.py times these functions by wrapping them, by name, in
+# the modules that bind them. A renamed or deleted one is silently reported
+# as a layer that takes 0 s, so the names are listed here literally rather
+# than read from layers.py.
+TRACED = [
+    ("ingest", "parse_baskets"),
+    ("ingest", "expand_hyperedges"),
+    ("embedding", "partition_chunks"),
+    ("embedding", "build_transition"),
+    ("embedding", "init_embedding"),
+    ("embedding", "iterate"),
+    ("embedding", "train"),
+    ("embedding", "write_embedding"),
+    ("embedding", "read_embedding"),
+    ("neighbors", "random_recommender"),
+    ("neighbors", "write_neighbors"),
+    ("evaluation", "benchmark_baskets"),
+    ("cli", "main"),
+]
+
+
+@pytest.mark.parametrize("module, name", TRACED)
+def test_traced_stage_is_a_module_function(module, name):
+    namespace = vars(importlib.import_module(f"basketspace.{module}"))
+    assert isinstance(namespace.get(name), types.FunctionType)
