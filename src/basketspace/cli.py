@@ -65,8 +65,19 @@ def _distinct_outputs(first: str | Path, second: str | Path) -> None:
         )
 
 
+def _output_directory(path: str | Path) -> None:
+    """Refuse an output whose directory does not exist, before any input is
+    read, rather than fail to write it after all the work."""
+    parent = Path(path).parent
+    if not parent.is_dir():
+        raise InvalidParameterError(
+            f"cannot write {str(path)!r}: {str(parent)!r} is not a directory"
+        )
+
+
 def cmd_embed(args: argparse.Namespace) -> int:
     started = time.monotonic()
+    _output_directory(args.output)
     # The baskets are dropped once expanded, before training sets the peak.
     with _open_input(args.input) as stream:
         graph = expand_hyperedges(*parse_baskets(stream, args.max_basket_size))
@@ -149,6 +160,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
         # out.with_suffix(".txt"), without its ValueError on "." or "/".
         text_path = out.parent / (out.stem + ".txt")
         _distinct_outputs(out, text_path)
+        _output_directory(out)
     with _open_input(args.input) as stream:
         graph = expand_hyperedges(*parse_baskets(stream))
     with _open_input(truth_path) as stream:

@@ -24,16 +24,16 @@ purchase context (substitutes). One pass can yield both.
 from __future__ import annotations
 
 import hashlib
+import importlib.machinery
+import importlib.util
 import os
 import struct
 import zlib
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from itertools import chain, islice
 from typing import Iterator, Sequence, TextIO
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import (
     EmptyGraphError,
@@ -41,7 +41,7 @@ from .errors import (
     InvalidParameterError,
     MalformedInputError,
 )
-from .ingest import CooccurrenceGraph
+from .ingest import CooccurrenceGraph, _distinct
 
 # A multiply result with norm at or below this is treated as a cancelled row.
 ZERO_ROW_NORM = 1e-30
@@ -88,17 +88,27 @@ class EmbeddingMatrix:
 
 @dataclass
 class TransitionMatrix:
-    """Row-stochastic transition matrix for one chunk.
+    """Row-stochastic transition matrix for one chunk, as the three arrays
+    of an (n_q, n_q) CSR matrix with m(a, b) = e_ab / deg_q(a).
+
+    The layout is the one ``scipy.sparse.csr_matrix`` gives: row r's
+    entries are ``indices[indptr[r]:indptr[r + 1]]`` (columns, ascending,
+    no repeats) and the same slice of ``data`` (their values).
 
     Attributes:
-        nodes: the graph's indices of the chunk's nodes, ascending.
-        matrix: (n_q, n_q) CSR matrix with m(a, b) = e_ab / deg_q(a).
+        nodes: the graph's indices of the chunk's nodes, ascending; row and
+            column r stand for node ``nodes[r]``.
+        indptr: int64 row offsets, length n_q + 1.
+        indices: int64 column of each stored entry.
+        data: float64 value of each stored entry.
         degrees: float64 chunk-local weighted degree deg_q of each node,
             aligned with ``nodes``.
     """
 
     nodes: np.ndarray
-    matrix: sp.csr_matrix
+    indptr: np.ndarray
+    indices: np.ndarray
+    data: np.ndarray
     degrees: np.ndarray
 
 
@@ -140,19 +150,21 @@ def build_transition(
     if not mask.any():
         raise InvalidParameterError(f"chunk {chunk_index} has no edges")
     w = graph.w[mask]
-    nodes = np.unique(np.concatenate([graph.a[mask], graph.b[mask]]))
+    nodes = _distinct(np.concatenate([graph.a[mask], graph.b[mask]]))
     ia = np.searchsorted(nodes, graph.a[mask])
     ib = np.searchsorted(nodes, graph.b[mask])
     n = len(nodes)
     deg = np.bincount(ia, weights=w, minlength=n) + np.bincount(ib, weights=w, minlength=n)
-    matrix = sp.csr_matrix(
-        (
-            np.concatenate([w / deg[ia], w / deg[ib]]),
-            (np.concatenate([ia, ib]), np.concatenate([ib, ia])),
-        ),
-        shape=(n, n),
-    )
-    return TransitionMatrix(nodes, matrix, deg)
+    # Edges are sorted by (a, b) with a < b, so within a row the (ib, ia)
+    # half holds the columns below the row, ascending, and the (ia, ib) half
+    # those above it; a stable sort by row leaves each row's columns sorted.
+    rows = np.concatenate([ib, ia])
+    order = np.argsort(rows, kind="stable")
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
+    indices = np.concatenate([ia, ib])[order]
+    data = np.concatenate([w / deg[ib], w / deg[ia]])[order]
+    return TransitionMatrix(nodes, indptr, indices, data, deg)
 
 
 _ZEROS = (0, 0, 0, 0)
@@ -220,26 +232,66 @@ def _row_norms(x: np.ndarray) -> np.ndarray:
     return np.sqrt(out, out=out)
 
 
-def _matmul_rows(matrix: sp.csr_matrix, vectors: np.ndarray, threads: int) -> np.ndarray:
-    """matrix @ vectors, optionally split across row blocks, using at most
+def _load_sparsetools():
+    """scipy's compiled ``scipy.sparse._sparsetools`` module, loaded from its
+    file so that neither ``scipy`` nor ``scipy.sparse`` is imported."""
+    folder = os.path.join(importlib.util.find_spec("scipy").submodule_search_locations[0], "sparse")
+    for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+        path = os.path.join(folder, "_sparsetools" + suffix)
+        if os.path.isfile(path):
+            spec = importlib.util.spec_from_file_location("scipy.sparse._sparsetools", path)
+            module = importlib.util.module_from_spec(spec)
+            spec.loader.exec_module(module)
+            return module
+    raise ImportError(f"no _sparsetools extension in {folder}")
+
+
+_csr_matvecs = None
+
+
+def _kernel():
+    """scipy's ``csr_matvecs(n_row, n_col, n_vecs, indptr, indices, data, x, y)``,
+    which adds the CSR matrix times the row-major dense x into y; loaded on
+    first use, by file path or, if that fails, by the normal import."""
+    global _csr_matvecs
+    if _csr_matvecs is None:
+        try:
+            _csr_matvecs = _load_sparsetools().csr_matvecs
+        except Exception:
+            from scipy.sparse._sparsetools import csr_matvecs
+
+            _csr_matvecs = csr_matvecs
+    return _csr_matvecs
+
+
+def _matmul_rows(M: TransitionMatrix, vectors: np.ndarray, threads: int) -> np.ndarray:
+    """M times vectors, optionally split across row blocks, using at most
     ``os.cpu_count()`` threads.
 
     Each row is accumulated over its stored neighbors in a fixed order, so
     the result is identical for every thread count.
     """
-    n = matrix.shape[0]
+    n, d = vectors.shape
+    kernel = _kernel()
+    x = vectors.reshape(-1)
+    # The kernel adds into its output, so the rows start at zero.
+    out = np.zeros((n, d), dtype=np.float64)
     threads = min(threads, os.cpu_count() or 1)
     if threads <= 1 or n < 2 * threads:
-        return matrix @ vectors
-    out = np.empty((n, vectors.shape[1]), dtype=np.float64)
-    bounds = np.linspace(0, n, threads + 1).astype(int)
+        threads = 1
+    bounds = np.linspace(0, n, threads + 1).astype(int).tolist()
 
     def work(i: int) -> None:
         a, b = bounds[i], bounds[i + 1]
-        out[a:b] = matrix[a:b] @ vectors
+        kernel(b - a, n, d, M.indptr[a : b + 1], M.indices, M.data, x, out[a:b].reshape(-1))
 
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        list(pool.map(work, range(threads)))
+    if threads == 1:
+        work(0)
+    else:
+        from concurrent.futures import ThreadPoolExecutor
+
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            list(pool.map(work, range(threads)))
     return out
 
 
@@ -249,12 +301,12 @@ def iterate(
     """One power-iteration step: multiply the rows by M, then L2-normalize
     them. Returns the new rows and how many of them cancelled to zero and
     kept their previous value instead."""
-    if vectors.shape[0] != M.matrix.shape[0]:
+    if vectors.shape[0] != len(M.nodes):
         raise InternalConsistencyError(
             f"embedding has {vectors.shape[0]} rows, "
-            f"transition matrix expects {M.matrix.shape[0]}"
+            f"transition matrix expects {len(M.nodes)}"
         )
-    raw = _matmul_rows(M.matrix, vectors, threads)
+    raw = _matmul_rows(M, vectors, threads)
     norms = _row_norms(raw)
     zero = norms <= ZERO_ROW_NORM
     replaced = int(zero.sum())
@@ -320,7 +372,7 @@ def train(
     start = init_embedding(codes, d, seed)
     buf = np.empty_like(start[: max(1, _BLOCK_VALUES // d)])
     replaced = [0] * len(counts)
-    for q in np.unique(chunk_ids).tolist():
+    for q in _distinct(chunk_ids).tolist():
         M = build_transition(graph, chunk_ids, q)
         pos = np.searchsorted(nodes, M.nodes)
         weights = (M.degrees / graph.degrees[M.nodes])[:, None]

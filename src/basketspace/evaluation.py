@@ -39,7 +39,7 @@ from .errors import (
     InvalidParameterError,
     MalformedInputError,
 )
-from .ingest import Baskets, CooccurrenceGraph, expand_hyperedges
+from .ingest import Baskets, CooccurrenceGraph, _distinct, expand_hyperedges
 from .neighbors import (
     random_recommender,
     recommend_complements,
@@ -511,7 +511,7 @@ def benchmark_baskets(
     # its theme. Summed in query order, one addition at a time.
     in_group = np.bincount(group)[group[query]]
     sizes = np.stack([in_group - 1, np.bincount(theme)[theme[query]] - in_group])
-    expect = {t: random_hit_expectation(n, t, k) for t in np.unique(sizes).tolist()}
+    expect = {t: random_hit_expectation(n, t, k) for t in _distinct(sizes.ravel()).tolist()}
     chance = np.array([[expect[t] for t in row] for row in sizes.tolist()])
     (exp_sub, exp_comp) = np.cumsum(chance, axis=1)[:, -1].tolist()
     (var_sub, var_comp) = np.cumsum(chance * (1.0 - chance), axis=1)[:, -1].tolist()

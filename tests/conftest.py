@@ -237,6 +237,15 @@ def graph_from_edges(edges: dict) -> CooccurrenceGraph:
     return CooccurrenceGraph(list(index), a, b, w, degrees)
 
 
+def dense_transition(M) -> np.ndarray:
+    """A :class:`TransitionMatrix` as a dense (n_q, n_q) float64 array."""
+    n = len(M.nodes)
+    dense = np.zeros((n, n), dtype=np.float64)
+    rows = np.repeat(np.arange(n), np.diff(M.indptr))
+    dense[rows, M.indices] = M.data
+    return dense
+
+
 def edge_weights(graph: CooccurrenceGraph) -> dict:
     """The graph's edges as {(a, b): weight} with a < b."""
     return dict(zip(zip(graph.a.tolist(), graph.b.tolist()), graph.w.tolist()))

@@ -54,14 +54,17 @@ def demo_file(tmp_path):
     return path
 
 
-def run_child(argv, address_space_mb=None, timeout=120):
+def run_child(argv, address_space_mb=None, timeout=120, then=""):
     """Run ``main(argv)`` in a child interpreter, with its address space
-    capped at ``address_space_mb`` if given; the cap binds the child only."""
+    capped at ``address_space_mb`` if given; the cap binds the child only.
+    ``then`` is code the child runs after ``main`` returns, before it exits
+    with main's exit code."""
     script = "import resource, sys\n"
     if address_space_mb is not None:
         limit = address_space_mb * 2**20
         script += f"resource.setrlimit(resource.RLIMIT_AS, ({limit}, {limit}))\n"
-    script += "from basketspace.cli import main\nsys.exit(main(sys.argv[1:]))\n"
+    script += "from basketspace.cli import main\ncode = main(sys.argv[1:])\n"
+    script += f"{then}sys.exit(code)\n"
     src = os.path.dirname(os.path.dirname(basketspace.__file__))
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     return subprocess.run(
@@ -175,6 +178,22 @@ class TestEmbed:
             ["embed", "--input", str(demo_file), "--output", str(tmp_path / "o.txt"), "--dim", "0"]
         )
         assert code == 2
+
+    def test_output_in_missing_directory_exits_2_before_parsing(
+        self, tmp_path, demo_file, capsys, monkeypatch
+    ):
+        from basketspace import cli
+
+        def no_parse(*args, **kwargs):
+            raise AssertionError("the baskets must not be parsed")
+
+        monkeypatch.setattr(cli, "parse_baskets", no_parse)
+        out = tmp_path / "nodir" / "x.emb"
+        assert main(["embed", "--input", str(demo_file), "--output", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot write ")
+        assert f"{str(out.parent)!r} is not a directory" in err
+        assert not out.parent.exists()
 
     def test_isolated_products_reported(self, tmp_path, capsys):
         path = tmp_path / "mixed.txt"
@@ -630,6 +649,22 @@ class TestEval:
         assert str(out) in capsys.readouterr().err
         assert not out.exists()
 
+    def test_output_in_missing_directory_exits_2_before_parsing(
+        self, market_files, tmp_path, capsys, monkeypatch
+    ):
+        from basketspace import cli
+
+        def no_parse(*args, **kwargs):
+            raise AssertionError("the baskets must not be parsed")
+
+        monkeypatch.setattr(cli, "parse_baskets", no_parse)
+        out = tmp_path / "nodir" / "r.json"
+        assert main(["eval", "--input", str(market_files), "--output", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot write ")
+        assert f"{str(out.parent)!r} is not a directory" in err
+        assert not out.parent.exists()
+
     def test_output_naming_a_directory_exits_2(self, market_files, monkeypatch):
         # "." has no name to put a .txt suffix on; the write fails instead.
         monkeypatch.chdir(market_files.parent)
@@ -687,6 +722,39 @@ class TestInvalidUtf8:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {path[bad]}: not UTF-8 text")
         assert "0xff" in err
+
+
+class TestStartup:
+    """Each command in a fresh interpreter: none imports scipy.sparse (the
+    multiply loads only scipy's compiled CSR kernel), neighbors loads no
+    scipy at all, and a one-thread run starts no thread pool."""
+
+    @pytest.fixture
+    def files(self, tmp_path, demo_file):
+        truth = tmp_path / "baskets.txt.truth"
+        truth.write_text("p1 0 0\np2 0 0\np3 0 1\np4 0 1\np5 0 2\np6 0 2\n", encoding="utf-8")
+        emb = tmp_path / "demo.emb"
+        assert main(["embed", "--input", str(demo_file), "--output", str(emb), "--dim", "8"]) == 0
+        return demo_file, emb
+
+    @pytest.mark.parametrize("command", ["neighbors", "embed", "eval"])
+    def test_modules_loaded_by_a_command(self, tmp_path, files, command):
+        baskets, emb = files
+        argv = {
+            "neighbors": ["neighbors", "--all", "--input", str(emb), "--k", "2"],
+            "embed": ["embed", "--input", str(baskets), "--output", str(tmp_path / "e.emb"),
+                      "--dim", "8", "--threads", "1"],
+            "eval": ["eval", "--input", str(baskets), "--output", str(tmp_path / "r.json"),
+                     "--dim", "8", "--threads", "1"],
+        }[command]
+        names = ("scipy", "scipy.sparse", "concurrent.futures")
+        result = run_child(argv, then=f"print(*(m for m in {names!r} if m in sys.modules))\n")
+        assert result.returncode == 0, result.stderr
+        loaded = result.stdout.split()
+        assert "scipy.sparse" not in loaded
+        assert "concurrent.futures" not in loaded
+        if command == "neighbors":
+            assert "scipy" not in loaded
 
 
 class TestOutOfMemory:

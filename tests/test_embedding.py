@@ -1,6 +1,7 @@
 """Chunk partitioning, transition matrices, iteration, merging, training,
 the dense reference path, and the embedding file format."""
 
+import concurrent.futures
 import dataclasses
 import hashlib
 import io
@@ -28,6 +29,7 @@ from basketspace import embedding
 from basketspace.embedding import build_transition, init_embedding, iterate, partition_chunks
 from conftest import (
     dense_reference_train,
+    dense_transition,
     edge_weights,
     graph_from_edges,
     graph_from_text,
@@ -107,8 +109,8 @@ class TestTransition:
     def test_single_edge(self):
         g = graph_from_text("a b\n")
         M = build_transition(g, partition_chunks(g, 1), 0)
-        assert M.matrix.shape == (2, 2)
-        dense = M.matrix.toarray()
+        dense = dense_transition(M)
+        assert dense.shape == (2, 2)
         assert np.array_equal(dense, np.array([[0.0, 1.0], [1.0, 0.0]]))
 
     def test_demo_row_is_degree_normalized(self, demo_graph):
@@ -116,7 +118,7 @@ class TestTransition:
         codes = demo_graph.codes
         local = {int(v): i for i, v in enumerate(M.nodes)}
         p4 = local[codes.index("p4")]
-        row = M.matrix.toarray()[p4]
+        row = dense_transition(M)[p4]
         # p4 co-occurs once each with p1, p2, p3: three equal steps.
         expected = np.zeros(len(M.nodes))
         for other in ("p1", "p2", "p3"):
@@ -127,7 +129,7 @@ class TestTransition:
         g = graph_from_text("a b\na b\na b\na c\n")
         M = build_transition(g, partition_chunks(g, 1), 0)
         local = {int(v): i for i, v in enumerate(M.nodes)}
-        row_a = M.matrix.toarray()[local[g.codes.index("a")]]
+        row_a = dense_transition(M)[local[g.codes.index("a")]]
         assert row_a[local[g.codes.index("b")]] == pytest.approx(0.75, abs=1e-15)
         assert row_a[local[g.codes.index("c")]] == pytest.approx(0.25, abs=1e-15)
 
@@ -136,10 +138,10 @@ class TestTransition:
         for _ in range(20):
             g = random_graph(rng)
             M = build_transition(g, partition_chunks(g, 1), 0)
-            sums = np.asarray(M.matrix.sum(axis=1)).ravel()
+            sums = dense_transition(M).sum(axis=1)
             assert np.allclose(sums, 1.0, atol=1e-12)
-            assert (M.matrix.data > 0).all()
-            assert (M.matrix.data <= 1).all()
+            assert (M.data > 0).all()
+            assert (M.data <= 1).all()
 
     def test_chunk_local_degrees(self):
         # Force an edge split and confirm each chunk normalizes by its own
@@ -154,9 +156,10 @@ class TestTransition:
         assert q_ab is not None
         M = build_transition(g, chunk_ids, q_ab)
         # In its own chunk the a-b edge is the only one, so both rows are 1.
-        assert M.matrix.shape == (2, 2)
-        assert np.allclose(np.asarray(M.matrix.sum(axis=1)).ravel(), 1.0)
-        assert M.matrix.toarray().max() == 1.0
+        dense = dense_transition(M)
+        assert dense.shape == (2, 2)
+        assert np.allclose(dense.sum(axis=1), 1.0)
+        assert dense.max() == 1.0
 
     def test_empty_chunk_rejected(self):
         g = graph_from_text("a b\n")
@@ -170,6 +173,101 @@ class TestTransition:
         chunk_ids = partition_chunks(demo_graph, 2)
         with pytest.raises(InvalidParameterError):
             build_transition(demo_graph, chunk_ids, 2)
+
+
+@pytest.fixture
+def pools(monkeypatch):
+    """Worker counts of the thread pools the multiply starts."""
+    started = []
+    real = concurrent.futures.ThreadPoolExecutor
+
+    def recording(max_workers):
+        started.append(max_workers)
+        return real(max_workers=max_workers)
+
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", recording)
+    return started
+
+
+def scipy_transition(graph, chunk_ids, q):
+    """Chunk q's transition matrix as ``scipy.sparse`` builds it from its
+    (row, column) pairs, with the same nodes and degrees."""
+    import scipy.sparse as sp
+
+    M = build_transition(graph, chunk_ids, q)
+    mask = chunk_ids == q
+    ia = np.searchsorted(M.nodes, graph.a[mask])
+    ib = np.searchsorted(M.nodes, graph.b[mask])
+    w, deg, n = graph.w[mask], M.degrees, len(M.nodes)
+    csr = sp.csr_matrix(
+        (
+            np.concatenate([w / deg[ia], w / deg[ib]]),
+            (np.concatenate([ia, ib]), np.concatenate([ib, ia])),
+        ),
+        shape=(n, n),
+    )
+    return M, csr
+
+
+def transitions_with_scipy(seed: int):
+    """(M, scipy CSR) for every chunk of random graphs at Q in {1, 3, 7}."""
+    rng = np.random.default_rng(seed)
+    for _ in range(12):
+        g = random_graph(rng, max_nodes=60, max_edges=400)
+        for q in (1, 3, 7):
+            chunk_ids = partition_chunks(g, q)
+            for chunk in np.unique(chunk_ids).tolist():
+                yield scipy_transition(g, chunk_ids, chunk)
+
+
+class TestCsrKernel:
+    def test_layout_equals_scipy_csr(self):
+        checked = 0
+        for M, csr in transitions_with_scipy(3):
+            assert M.indptr.dtype == M.indices.dtype == np.int64
+            assert M.data.dtype == np.float64
+            assert np.array_equal(M.indptr, csr.indptr)
+            assert np.array_equal(M.indices, csr.indices)
+            assert np.array_equal(M.data, csr.data)
+            checked += 1
+        assert checked > 36
+
+    def test_matmul_equals_scipy_bit_for_bit(self, monkeypatch, pools):
+        monkeypatch.setattr(embedding.os, "cpu_count", lambda: 2)
+        rng = np.random.default_rng(4)
+        for M, csr in transitions_with_scipy(5):
+            x = rng.standard_normal((len(M.nodes), 7))
+            expected = csr @ x
+            for threads in (1, 2):
+                assert np.array_equal(embedding._matmul_rows(M, x, threads), expected)
+        assert pools and set(pools) == {2}
+
+    def test_fallback_import_gives_identical_rows(self, monkeypatch):
+        from scipy.sparse import _sparsetools
+
+        g = random_graph(np.random.default_rng(8), max_nodes=40)
+        M = build_transition(g, partition_chunks(g, 1), 0)
+        x = init_embedding([g.codes[int(v)] for v in M.nodes], 16, seed=2)
+        loads = []
+        load = embedding._load_sparsetools
+
+        def counted():
+            loads.append(1)
+            return load()
+
+        monkeypatch.setattr(embedding, "_csr_matvecs", None)
+        monkeypatch.setattr(embedding, "_load_sparsetools", counted)
+        direct = embedding._matmul_rows(M, x, 1)
+        assert loads == [1]
+
+        def failing():
+            raise OSError("cannot load the extension")
+
+        monkeypatch.setattr(embedding, "_csr_matvecs", None)
+        monkeypatch.setattr(embedding, "_load_sparsetools", failing)
+        fallback = embedding._matmul_rows(M, x, 1)
+        assert embedding._kernel() is _sparsetools.csr_matvecs
+        assert np.array_equal(fallback, direct)
 
 
 class TestInit:
@@ -373,7 +471,7 @@ class TestIterate:
             codes = [g.codes[int(v)] for v in M.nodes]
             T = init_embedding(codes, 8, seed=1)
             stepped, _ = iterate(T, M)
-            raw = M.matrix.toarray() @ T
+            raw = dense_transition(M) @ T
             expected = raw / np.linalg.norm(raw, axis=1)[:, None]
             assert np.allclose(stepped, expected, atol=1e-12)
 
@@ -725,19 +823,6 @@ class TestCheckpoints:
 
 
 class TestThreadBound:
-    @pytest.fixture
-    def pools(self, monkeypatch):
-        """Worker counts of the thread pools train starts."""
-        started = []
-        real = embedding.ThreadPoolExecutor
-
-        def recording(max_workers):
-            started.append(max_workers)
-            return real(max_workers=max_workers)
-
-        monkeypatch.setattr(embedding, "ThreadPoolExecutor", recording)
-        return started
-
     def chain(self):
         return graph_from_edges({(f"v{i}", f"v{i + 1}"): i % 3 + 1 for i in range(12)})
 
