@@ -56,28 +56,27 @@ def _open_input(path: str) -> Iterator[TextIO]:
             ) from None
 
 
-def _distinct_outputs(first: str | Path, second: str | Path) -> None:
-    """Refuse two outputs of one command that resolve to the same file,
-    since the second would overwrite the first."""
-    if Path(first).resolve() == Path(second).resolve():
+def _check_outputs(*paths: str | Path) -> None:
+    """Refuse, before any input is read rather than after all the work, a
+    command's outputs that cannot all be written: two that resolve to the
+    same file (the second would overwrite the first), one whose directory
+    does not exist, or one that is a directory."""
+    if len(paths) == 2 and Path(paths[0]).resolve() == Path(paths[1]).resolve():
         raise InvalidParameterError(
-            f"output files {str(first)!r} and {str(second)!r} are the same file"
+            f"output files {str(paths[0])!r} and {str(paths[1])!r} are the same file"
         )
-
-
-def _output_directory(path: str | Path) -> None:
-    """Refuse an output whose directory does not exist, before any input is
-    read, rather than fail to write it after all the work."""
-    parent = Path(path).parent
-    if not parent.is_dir():
-        raise InvalidParameterError(
-            f"cannot write {str(path)!r}: {str(parent)!r} is not a directory"
-        )
+    for path in map(Path, paths):
+        if not path.parent.is_dir():
+            raise InvalidParameterError(
+                f"cannot write {str(path)!r}: {str(path.parent)!r} is not a directory"
+            )
+        if path.is_dir():
+            raise InvalidParameterError(f"cannot write {str(path)!r}: it is a directory")
 
 
 def cmd_embed(args: argparse.Namespace) -> int:
     started = time.monotonic()
-    _output_directory(args.output)
+    _check_outputs(args.output)
     # The baskets are dropped once expanded, before training sets the peak.
     with _open_input(args.input) as stream:
         graph = expand_hyperedges(*parse_baskets(stream, args.max_basket_size))
@@ -103,6 +102,8 @@ def cmd_embed(args: argparse.Namespace) -> int:
 
 
 def cmd_neighbors(args: argparse.Namespace) -> int:
+    if args.output:
+        _check_outputs(args.output)
     with _open_input(args.input) as stream:
         emb = read_embedding(stream)
     candidates = None
@@ -131,7 +132,7 @@ def cmd_neighbors(args: argparse.Namespace) -> int:
 
 def cmd_synth(args: argparse.Namespace) -> int:
     truth_path = args.truth or args.output + ".truth"
-    _distinct_outputs(args.output, truth_path)
+    _check_outputs(args.output, truth_path)
     market = generate_synthetic_market(
         themes=args.themes,
         groups_per_theme=args.groups,
@@ -159,8 +160,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
         out = Path(args.output)
         # out.with_suffix(".txt"), without its ValueError on "." or "/".
         text_path = out.parent / (out.stem + ".txt")
-        _distinct_outputs(out, text_path)
-        _output_directory(out)
+        _check_outputs(out, text_path)
     with _open_input(args.input) as stream:
         graph = expand_hyperedges(*parse_baskets(stream))
     with _open_input(truth_path) as stream:

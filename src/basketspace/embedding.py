@@ -40,6 +40,7 @@ from .errors import (
     InternalConsistencyError,
     InvalidParameterError,
     MalformedInputError,
+    at_least,
 )
 from .ingest import CooccurrenceGraph, _distinct
 
@@ -119,8 +120,7 @@ def partition_chunks(graph: CooccurrenceGraph, chunk_count: int) -> np.ndarray:
     over its two UTF-8 codes in sorted order, so the assignment does not
     depend on the order of the graph's codes.
     """
-    if chunk_count < 1:
-        raise InvalidParameterError(f"chunk count must be >= 1, got {chunk_count}")
+    at_least("chunk count", chunk_count, 1)
     if chunk_count == 1:
         return np.zeros(graph.edge_count, dtype=np.int64)
     codes = graph.codes
@@ -194,8 +194,7 @@ def init_embedding(codes: Sequence[str], d: int, seed: int) -> np.ndarray:
     chunk membership, or thread count. Each call reseeds one local
     generator per code, so concurrent calls do not share state.
     """
-    if d < 1:
-        raise InvalidParameterError(f"dimension must be >= 1, got {d}")
+    at_least("dimension", d, 1)
     vectors = np.empty((len(codes), d), dtype=np.float64)
     gen = np.random.Generator(np.random.Philox(0))
     for i, code in enumerate(codes):
@@ -353,15 +352,12 @@ def train(
     """
     single = np.ndim(iterations) == 0
     counts = [iterations] if single else list(iterations)
-    if d < 1:
-        raise InvalidParameterError(f"dimension must be >= 1, got {d}")
+    at_least("dimension", d, 1)
     if not counts:
         raise InvalidParameterError("need at least one iteration count")
     for count in counts:
-        if count < 1:
-            raise InvalidParameterError(f"iteration count must be >= 1, got {count}")
-    if threads < 1:
-        raise InvalidParameterError(f"thread count must be >= 1, got {threads}")
+        at_least("iteration count", count, 1)
+    at_least("thread count", threads, 1)
     if graph.edge_count == 0:
         raise EmptyGraphError("the co-occurrence graph has no edges")
     chunk_ids = partition_chunks(graph, chunks)

@@ -18,6 +18,13 @@ class InvalidParameterError(BasketspaceError):
     exit_code = 2
 
 
+def at_least(what: str, value, low) -> None:
+    """Refuse ``value`` below ``low`` with an :class:`InvalidParameterError`
+    that names it as ``what``."""
+    if value < low:
+        raise InvalidParameterError(f"{what} must be >= {low}, got {value}")
+
+
 class MalformedInputError(BasketspaceError):
     """An input file or stream does not follow its documented format."""
 

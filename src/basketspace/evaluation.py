@@ -38,6 +38,7 @@ from .errors import (
     InternalConsistencyError,
     InvalidParameterError,
     MalformedInputError,
+    at_least,
 )
 from .ingest import Baskets, CooccurrenceGraph, _distinct, expand_hyperedges
 from .neighbors import (
@@ -66,7 +67,6 @@ class SyntheticMarket:
         themes: number of themes.
         groups_per_theme: substitute groups per theme.
         group_size: products per group.
-        basket_count: number of generated baskets.
         pick_prob: per-group inclusion probability p.
         affinity: probability that an included group contributes the
             trip's style-matched member instead of a uniform one.
@@ -81,7 +81,6 @@ class SyntheticMarket:
     themes: int
     groups_per_theme: int
     group_size: int
-    basket_count: int
     pick_prob: float
     affinity: float
     seed: int
@@ -125,22 +124,15 @@ def generate_synthetic_market(
     Raises:
         InvalidParameterError: on parameters outside their documented range.
     """
-    if themes < 1:
-        raise InvalidParameterError(f"themes must be >= 1, got {themes}")
-    if groups_per_theme < 2:
-        raise InvalidParameterError(
-            f"groups per theme must be >= 2, got {groups_per_theme}"
-        )
-    if group_size < 2:
-        raise InvalidParameterError(f"group size must be >= 2, got {group_size}")
-    if baskets < 1:
-        raise InvalidParameterError(f"basket count must be >= 1, got {baskets}")
+    at_least("themes", themes, 1)
+    at_least("groups per theme", groups_per_theme, 2)
+    at_least("group size", group_size, 2)
+    at_least("basket count", baskets, 1)
     if not 0.0 < pick_prob <= 1.0:
         raise InvalidParameterError(f"pick probability must be in (0, 1], got {pick_prob}")
     if not 0.0 <= affinity <= 1.0:
         raise InvalidParameterError(f"affinity must be in [0, 1], got {affinity}")
-    if seed < 0:
-        raise InvalidParameterError(f"seed must be >= 0, got {seed}")
+    at_least("seed", seed, 0)
 
     G = groups_per_theme
     # Sizes whose arrays cannot be allocated are rejected before anything
@@ -181,7 +173,6 @@ def generate_synthetic_market(
         themes,
         groups_per_theme,
         group_size,
-        baskets,
         pick_prob,
         affinity,
         seed,
@@ -226,15 +217,6 @@ def read_truth(stream: TextIO) -> dict:
                 f"line {lineno}: theme and group must be integers"
             ) from None
     return membership
-
-
-def hits_at_k(recommendations: Sequence[str], truth: set, k: int) -> int:
-    """1 if any of the first k recommended codes is in ``truth``, else 0."""
-    if not truth:
-        raise InvalidParameterError("truth set must not be empty")
-    if k < 1:
-        raise InvalidParameterError(f"k must be >= 1, got {k}")
-    return int(any(code in truth for code in recommendations[:k]))
 
 
 def random_hit_expectation(n_products: int, truth_size: int, k: int) -> float:
@@ -379,7 +361,7 @@ def run_benchmark(market: SyntheticMarket, config: BenchmarkConfig) -> EvalRepor
         "themes": market.themes,
         "groups_per_theme": market.groups_per_theme,
         "group_size": market.group_size,
-        "baskets": market.basket_count,
+        "baskets": len(market.picks),
         "pick_prob": market.pick_prob,
         "affinity": market.affinity,
         "seed": market.seed,
@@ -446,18 +428,27 @@ def benchmark_baskets(
     Raises:
         DataInconsistencyError: if a product of the graph is missing from
             ``membership``.
-        InvalidParameterError: if ``config.query_sample`` is below 1, or if
-            a non-isolated product has no substitute truth (no other product
-            in its group) or no complement truth (no other group in its
-            theme).
+        InvalidParameterError: if ``config.query_sample`` or ``config.k`` is
+            below 1, if ``config.k`` is not below the number of non-isolated
+            products, or if a non-isolated product has no substitute truth
+            (no other product in its group) or no complement truth (no other
+            group in its theme).
     """
     missing = sorted(c for c in graph.codes if c not in membership)
     if missing:
         raise DataInconsistencyError(
             f"basket products missing from the truth file: {_listed(missing)}"
         )
-    if config.query_sample is not None and config.query_sample < 1:
-        raise InvalidParameterError(f"query sample must be >= 1, got {config.query_sample}")
+    if config.query_sample is not None:
+        at_least("query sample", config.query_sample, 1)
+    # The products train embeds: the non-isolated ones. An edgeless graph
+    # is left to train's EmptyGraphError.
+    present = [graph.codes[v] for v in np.flatnonzero(graph.degrees > 0).tolist()]
+    at_least("k", config.k, 1)
+    if 0 < len(present) <= config.k:
+        raise InvalidParameterError(
+            f"k={config.k} exceeds the {len(present) - 1} available products"
+        )
     membership = {code: (t, g) for code, (t, g) in membership.items()}
     # The truth codes of every group and every theme, in code order.
     by_group: dict = {}
@@ -465,11 +456,8 @@ def benchmark_baskets(
     for code in sorted(membership):
         by_group.setdefault(membership[code], []).append(code)
         by_theme.setdefault(membership[code][0], []).append(code)
-    # The products train embeds, in row order: the non-isolated ones.
-    embedded = [graph.codes[v] for v in np.flatnonzero(graph.degrees > 0).tolist()]
-    labels = [membership[code] for code in embedded]
-    lone = [c for c, tg in zip(embedded, labels) if len(by_group[tg]) == 1]
-    alone = [c for c, tg in zip(embedded, labels) if len(by_theme[tg[0]]) == len(by_group[tg])]
+    lone = [c for c in present if len(by_group[membership[c]]) == 1]
+    alone = [c for c in present if len(by_theme[membership[c][0]]) == len(by_group[membership[c]])]
     for relation, lacking, why in (
         ("substitute", lone, "no other product in its group"),
         ("complement", alone, "no other group in its theme"),
@@ -484,6 +472,9 @@ def benchmark_baskets(
         seed=config.seed,
         threads=config.threads,
     )
+    # Scored in the row order train returns, which both spaces share.
+    embedded = sub_space.codes
+    labels = [membership[code] for code in embedded]
     # Each embedded row gets a group id and a theme id, both in label order.
     n = len(embedded)
     group_ids = {tg: i for i, tg in enumerate(sorted(by_group))}

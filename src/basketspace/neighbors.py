@@ -24,6 +24,7 @@ from .errors import (
     ConfigurationMismatchWarning,
     InvalidParameterError,
     UnknownProductError,
+    at_least,
 )
 
 
@@ -104,8 +105,7 @@ def top_k_batch(
             candidate it is ranked against is a zero vector.
     """
     _reject_string(queries)
-    if k < 1:
-        raise InvalidParameterError(f"k must be >= 1, got {k}")
+    at_least("k", k, 1)
     codes = embeddings.codes
     index = {code: i for i, code in enumerate(codes)}
     queries = list(queries)
@@ -231,8 +231,7 @@ def random_recommender(
     (seed, query), whatever the other queries.
     """
     _reject_string(queries)
-    if k < 1:
-        raise InvalidParameterError(f"k must be >= 1, got {k}")
+    at_least("k", k, 1)
     n = len(vocabulary)
     position = {code: i for i, code in enumerate(vocabulary)}
     gen = np.random.Generator(np.random.Philox(0))

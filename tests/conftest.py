@@ -205,6 +205,15 @@ def ranked(codes, rows, sims=None) -> list:
     ]
 
 
+def hits_at_k(recommendations, truth: set, k: int) -> int:
+    """Oracle: 1 if any of the first k recommended codes is in ``truth``, else 0."""
+    if not truth:
+        raise InvalidParameterError("truth set must not be empty")
+    if k < 1:
+        raise InvalidParameterError(f"k must be >= 1, got {k}")
+    return int(any(code in truth for code in recommendations[:k]))
+
+
 def first_recommendation_hit_rate(queries_with_truth, recommender) -> float:
     """Oracle: fraction of (query, truth set) pairs whose rank-1
     recommendation in ``recommender(query)``, a ranked list of codes, is

@@ -670,6 +670,21 @@ class TestEval:
         monkeypatch.chdir(market_files.parent)
         assert main(["eval", "--input", str(market_files), "--output", ".", "--dim", "8"]) == 2
 
+    @pytest.mark.parametrize(
+        "k, message",
+        [("0", "k must be >= 1, got 0"), ("100000", "k=100000 exceeds the 71 available products")],
+        ids=["below-one", "above-pool"],
+    )
+    def test_bad_k_exits_2_before_training(self, market_files, capsys, monkeypatch, k, message):
+        from basketspace import evaluation
+
+        def no_train(*args, **kwargs):
+            raise AssertionError("train must not run")
+
+        monkeypatch.setattr(evaluation, "train", no_train)
+        assert main(["eval", "--input", str(market_files), "--k", k]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
     def test_explicit_truth_flag(self, market_files, tmp_path):
         moved = tmp_path / "labels.txt"
         moved.write_bytes((market_files.parent / "market.txt.truth").read_bytes())
@@ -677,6 +692,39 @@ class TestEval:
             ["eval", "--input", str(market_files), "--truth", str(moved), "--dim", "16"]
         )
         assert code == 0
+
+
+class TestOutputPreflight:
+    """Every command refuses an output it cannot write before it opens any
+    input: here the input does not exist, and synth's generator fails."""
+
+    @pytest.mark.parametrize("command", ["embed", "neighbors", "synth", "eval"])
+    @pytest.mark.parametrize("target", ["in-missing-directory", "existing-directory"])
+    def test_unwritable_output_exits_2_naming_it(
+        self, tmp_path, capsys, monkeypatch, command, target
+    ):
+        from basketspace import cli
+
+        def no_market(*args, **kwargs):
+            raise AssertionError("the market must not be generated")
+
+        monkeypatch.setattr(cli, "generate_synthetic_market", no_market)
+        if target == "in-missing-directory":
+            out = tmp_path / "nodir" / "out.json"
+        else:
+            out = tmp_path / "out"
+            out.mkdir()
+        missing = ["--input", str(tmp_path / "no-such-input.txt")]
+        argv = [command, "--output", str(out)] + {
+            "embed": missing,
+            "neighbors": missing + ["--all"],
+            "synth": [],
+            "eval": missing,
+        }[command]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot write {str(out)!r}: ")
+        assert err.endswith(" a directory\n")
 
 
 class TestInvalidUtf8:

@@ -16,7 +16,6 @@ from basketspace import (
     InvalidParameterError,
     benchmark_baskets,
     generate_synthetic_market,
-    hits_at_k,
     pair_order_agreement,
     random_hit_expectation,
     random_recommender,
@@ -28,7 +27,7 @@ from basketspace import (
     weighted_accuracy,
 )
 from basketspace.ingest import expand_hyperedges, parse_baskets
-from conftest import first_recommendation_hit_rate, graph_from_text, ranked
+from conftest import first_recommendation_hit_rate, graph_from_text, hits_at_k, ranked
 
 
 def small_market(**overrides):
@@ -577,6 +576,26 @@ class TestBenchmark:
             lambda graph, iterations, **kw: [train(graph, iterations=c, **kw) for c in iterations],
         )
         assert run_benchmark(market, config).to_json() == one_pass.to_json()
+
+    def test_scores_the_rows_train_returns(self, market, report, monkeypatch):
+        # The same spaces with their rows in another order score the same;
+        # only the random baseline, which picks by position, may change.
+        from basketspace import evaluation
+
+        real_train = evaluation.train
+
+        def permuted_train(graph, **kwargs):
+            spaces = real_train(graph, **kwargs)
+            order = np.random.default_rng(1).permutation(len(spaces[0].codes))
+            for space in spaces:
+                space.codes = [space.codes[i] for i in order.tolist()]
+                space.vectors = space.vectors[order]
+            return spaces
+
+        monkeypatch.setattr(evaluation, "train", permuted_train)
+        permuted = run_benchmark(market, BenchmarkConfig(dimension=64, seed=0))
+        for section in ("substitutes", "complements", "order_agreement"):
+            assert getattr(permuted, section) == getattr(report, section), section
 
     def test_report_key_order(self, report):
         import json

@@ -31,7 +31,6 @@ def test_public_names_are_pinned():
         "benchmark_baskets",
         "expand_hyperedges",
         "generate_synthetic_market",
-        "hits_at_k",
         "pair_order_agreement",
         "parse_baskets",
         "random_hit_expectation",
