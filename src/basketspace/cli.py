@@ -10,7 +10,7 @@ from __future__ import annotations
 import argparse
 import sys
 import time
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from pathlib import Path
 from typing import Iterator, TextIO
 
@@ -43,17 +43,22 @@ def _progress(message: str) -> None:
 
 
 @contextmanager
-def _open_input(path: str) -> Iterator[TextIO]:
-    """Open an input file as UTF-8 text; bytes that do not decode end in a
-    :class:`MalformedInputError` that names the file."""
-    with open(path, encoding="utf-8") as stream:
-        try:
-            yield stream
-        except UnicodeDecodeError as exc:
-            raise MalformedInputError(
-                f"{path}: not UTF-8 text: cannot decode byte "
-                f"0x{exc.object[exc.start]:02x} ({exc.reason})"
-            ) from None
+def _decoding(path: str) -> Iterator[None]:
+    """Turn bytes of ``path`` that do not decode as UTF-8 into a
+    :class:`MalformedInputError` that names it; one block per input read."""
+    try:
+        yield
+    except UnicodeDecodeError as exc:
+        raise MalformedInputError(
+            f"{path}: not UTF-8 text: cannot decode byte "
+            f"0x{exc.object[exc.start]:02x} ({exc.reason})"
+        ) from None
+
+
+def _open_input(path: str | None) -> TextIO | nullcontext:
+    """``path`` opened as UTF-8 text, or an empty context for no path. Every
+    input is opened before any is read, so a missing one is found at once."""
+    return open(path, encoding="utf-8") if path else nullcontext()
 
 
 def _check_outputs(*paths: str | Path) -> None:
@@ -78,7 +83,7 @@ def cmd_embed(args: argparse.Namespace) -> int:
     started = time.monotonic()
     _check_outputs(args.output)
     # The baskets are dropped once expanded, before training sets the peak.
-    with _open_input(args.input) as stream:
+    with _open_input(args.input) as stream, _decoding(args.input):
         graph = expand_hyperedges(*parse_baskets(stream, args.max_basket_size))
     isolated = int((graph.degrees == 0).sum())
     emb = train(
@@ -104,21 +109,22 @@ def cmd_embed(args: argparse.Namespace) -> int:
 def cmd_neighbors(args: argparse.Namespace) -> int:
     if args.output:
         _check_outputs(args.output)
-    with _open_input(args.input) as stream:
-        emb = read_embedding(stream)
-    candidates = None
-    if args.candidates:
-        candidates, known = [], set(emb.codes)
-        with _open_input(args.candidates) as stream:
-            for lineno, line in enumerate(stream, start=1):
-                tokens = line.split()
-                if not tokens or not tokens[0].startswith("#"):
-                    candidates += tokens
-                elif tokens[0] in known:
-                    _progress(
-                        f"warning: {args.candidates}: line {lineno} skipped as a comment, "
-                        f"but its first token {tokens[0]!r} is an embedded product code"
-                    )
+    with _open_input(args.input) as stream, _open_input(args.candidates) as listed:
+        with _decoding(args.input):
+            emb = read_embedding(stream)
+        candidates = None
+        if args.candidates:
+            candidates, known = [], set(emb.codes)
+            with _decoding(args.candidates):
+                for lineno, line in enumerate(listed, start=1):
+                    tokens = line.split()
+                    if not tokens or not tokens[0].startswith("#"):
+                        candidates += tokens
+                    elif tokens[0] in known:
+                        _progress(
+                            f"warning: {args.candidates}: line {lineno} skipped as a comment, "
+                            f"but its first token {tokens[0]!r} is an embedded product code"
+                        )
     queries = emb.codes if args.all else [args.query]
     rows, sims = top_k_batch(emb, queries, args.k, candidates)
     if args.output:
@@ -161,10 +167,11 @@ def cmd_eval(args: argparse.Namespace) -> int:
         # out.with_suffix(".txt"), without its ValueError on "." or "/".
         text_path = out.parent / (out.stem + ".txt")
         _check_outputs(out, text_path)
-    with _open_input(args.input) as stream:
-        graph = expand_hyperedges(*parse_baskets(stream))
-    with _open_input(truth_path) as stream:
-        membership = read_truth(stream)
+    with _open_input(args.input) as stream, _open_input(truth_path) as truth:
+        with _decoding(args.input):
+            graph = expand_hyperedges(*parse_baskets(stream))
+        with _decoding(truth_path):
+            membership = read_truth(truth)
     config = BenchmarkConfig(
         dimension=args.dim,
         substitute_iterations=args.iterations,

@@ -199,7 +199,10 @@ def init_embedding(codes: Sequence[str], d: int, seed: int) -> np.ndarray:
     gen = np.random.Generator(np.random.Philox(0))
     for i, code in enumerate(codes):
         reseed_philox(gen, f"{seed}\x1e{code}")
-        vectors[i] = gen.uniform(-1.0, 1.0, d)
+        gen.random(out=vectors[i])
+    # uniform(-1, 1) is -1 + 2 * random() from the same stream; 2 * u is exact.
+    vectors *= 2.0
+    vectors -= 1.0
     # uniform() can return its low endpoint, which the open interval
     # excludes, and a row can be too short to normalize. Such rows are drawn
     # again from their own seed and fixed by redrawing. A row's norm is at
@@ -400,19 +403,76 @@ def train(
     return spaces[0] if single else spaces
 
 
+# write_embedding's lookup tables, built on its first call: (groups, marks)
+# as uint32 words of 4 ASCII bytes. groups[g] is the 4 digits of g < 10**4,
+# groups[10**4 + g] the same with trailing zeros as NUL bytes; marks holds
+# " 0.", " -0." and a word whose last byte is a newline.
+_DIGIT_TABLES = None
+
+
 def write_embedding(emb: EmbeddingMatrix, stream: TextIO) -> None:
     """Write the text format: ``<row_count> <d>`` header, then per node
-    ``<code> <v1> ... <vd>`` at 9 significant digits.
+    ``<code> <v1> ... <vd>`` at 9 significant digits, each value as
+    ``'%.9g' % x`` gives it.
 
     Values are rounded for writing; cosine ties closer than about 1e-8 may
     resolve differently after a round-trip.
+
+    Raises:
+        InvalidParameterError: if d < 1, a shape the reader refuses.
     """
+    global _DIGIT_TABLES
     n, d = emb.vectors.shape
+    at_least("dimension", d, 1)
+    if _DIGIT_TABLES is None:
+        digits = np.arange(10_000)[:, None] // np.array([1000, 100, 10, 1]) % 10
+        text = (digits + ord("0")).astype(np.uint8)
+        bare = np.where(np.cumsum(digits[:, ::-1], axis=1)[:, ::-1] > 0, text, 0)
+        groups = np.concatenate([text, bare]).astype(np.uint8).view(np.uint32).ravel()
+        _DIGIT_TABLES = groups, np.frombuffer(b" 0.\0 -0.\0\0\0\n", np.uint32)
     stream.write(f"{n} {d}\n")
-    # '%.9g' % x equals format(x, ".9g"); one row is converted at a time.
-    line = "%s" + " %.9g" * d + "\n"
-    for code, row in zip(emb.codes, emb.vectors):
-        stream.write(line % (code, *row.tolist()))
+    step = max(1, _BLOCK_VALUES // d)
+    for a in range(0, n, step):
+        block = np.asarray(emb.vectors[a : a + step], dtype=np.float64)
+        rows = _format_rows(block, *_DIGIT_TABLES)
+        stream.write("".join(map("%s%s\n".__mod__, zip(emb.codes[a : a + step], rows))))
+
+
+def _format_rows(x: np.ndarray, groups: np.ndarray, marks: np.ndarray) -> list:
+    """The rows of the float64 block x as text, each value ``" " + '%.9g' % v``
+    built in a 20-byte slot that NUL bytes pad.
+
+    A value with 1e-4 <= |v| < 1 prints as ``0.`` and 12 fraction digits,
+    less trailing zeros: its 9 digits n = rint(y), y = |v| * 10**(8 - e) with
+    e = floor(log10 |v|), shifted by 10**(e + 4). y lies within 2**-24 of the
+    exact product, so n is correctly rounded unless y is within 2**-20 of a
+    tie or n carries to 10**9. Those values and all others take ``%``.
+    """
+    mag = np.abs(x)
+    fast = (mag >= 1e-4) & (mag < 1.0)
+    np.copyto(mag, 0.5, where=~fast)  # keeps the arithmetic below finite
+    # e + 4, from comparisons with the powers of ten.
+    e4 = (mag >= 1e-3).astype(np.intp) + (mag >= 1e-2) + (mag >= 1e-1)
+    y = mag * np.array([1e12, 1e11, 1e10, 1e9]).take(e4)
+    n = np.rint(y)
+    fast &= (n >= 1e8) & (n < 1e9) & (np.abs(y - np.floor(y) - 0.5) > 2.0**-20)
+    fraction = n.astype(np.int64) * np.array([1, 10, 100, 1000]).take(e4)
+    high = fraction // 10_000
+    g1, g3 = high // 10_000, fraction - high * 10_000
+    g2 = high - g1 * 10_000
+    slots = np.zeros(x.shape + (5,), dtype=np.uint32)
+    slots[..., 0] = marks[np.signbit(x).view(np.uint8)]
+    # The last non-zero group and the zero groups after it lose trailing zeros.
+    # Clipped: a refused carry to 10**9 at e = -1 gives g1 = 10**4.
+    slots[..., 1] = groups.take(g1 + 10_000 * ((g2 | g3) == 0), mode="clip")
+    slots[..., 2] = groups[g2 + 10_000 * (g3 == 0)]
+    slots[..., 3] = groups[g3 + 10_000]
+    slots[:, -1, 4] = marks[2]
+    slow = np.flatnonzero(~fast)
+    # At most 17 bytes, such as " -1.79769313e+308"; the newline is byte 19.
+    text = np.array([" %.9g" % v for v in x.ravel()[slow].tolist()], dtype="S17")
+    slots.view(np.uint8).reshape(-1, 20)[slow, :17] = text.view(np.uint8).reshape(-1, 17)
+    return slots.tobytes().translate(None, b"\0").decode("ascii").split("\n")
 
 
 def read_embedding(stream: TextIO) -> EmbeddingMatrix:

@@ -1,6 +1,6 @@
 """Shared fixtures: the demo corpus with hand-enumerated expectations,
-the dense training oracle, plus random-graph helpers used by oracle and
-invariant tests."""
+the dense training oracle, the embedding reader and writer oracles, plus
+random-graph helpers used by oracle and invariant tests."""
 
 import io
 from array import array
@@ -160,6 +160,16 @@ def reference_read_embedding(stream) -> EmbeddingMatrix:
                 f"line {lineno}: row beyond the {n} the header declares"
             )
     return EmbeddingMatrix(codes, vectors)
+
+
+def reference_write_embedding(emb: EmbeddingMatrix, stream) -> None:
+    """Oracle: :func:`basketspace.write_embedding` as one ``%`` call per
+    row, every value formatted by ``'%.9g'``."""
+    n, d = emb.vectors.shape
+    stream.write(f"{n} {d}\n")
+    line = "%s" + " %.9g" * d + "\n"
+    for code, row in zip(emb.codes, emb.vectors):
+        stream.write(line % (code, *row.tolist()))
 
 
 def basket_rows(baskets) -> list:

@@ -727,6 +727,34 @@ class TestOutputPreflight:
         assert err.endswith(" a directory\n")
 
 
+class TestInputsOpenedFirst:
+    """A command with two inputs opens both before it parses either, so a
+    missing second input is refused before the first is read."""
+
+    @pytest.mark.parametrize("command", ["eval", "neighbors"])
+    def test_missing_second_input_exits_2_before_parsing(
+        self, tmp_path, demo_file, capsys, monkeypatch, command
+    ):
+        from basketspace import cli
+
+        def no_read(*args, **kwargs):
+            raise AssertionError("no input may be parsed")
+
+        monkeypatch.setattr(cli, "parse_baskets", no_read)
+        monkeypatch.setattr(cli, "read_embedding", no_read)
+        missing = tmp_path / "nofile.txt"
+        argv = {
+            "eval": ["eval", "--input", str(demo_file), "--truth", str(missing)],
+            "neighbors": [
+                "neighbors", "--input", str(demo_file), "--all", "--candidates", str(missing),
+            ],
+        }[command]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == (
+            f"error: [Errno 2] No such file or directory: {str(missing)!r}\n"
+        )
+
+
 class TestInvalidUtf8:
     """An input file that is not UTF-8 exits 2 with its name, whichever
     reader meets it."""
@@ -775,7 +803,8 @@ class TestInvalidUtf8:
 class TestStartup:
     """Each command in a fresh interpreter: none imports scipy.sparse (the
     multiply loads only scipy's compiled CSR kernel), neighbors loads no
-    scipy at all, and a one-thread run starts no thread pool."""
+    scipy at all, a one-thread run starts no thread pool, and only a write
+    builds the embedding writer's digit tables."""
 
     @pytest.fixture
     def files(self, tmp_path, demo_file):
@@ -803,6 +832,22 @@ class TestStartup:
         assert "concurrent.futures" not in loaded
         if command == "neighbors":
             assert "scipy" not in loaded
+
+
+    def test_digit_tables_are_built_by_the_first_write(self, tmp_path, files):
+        # The child imports basketspace.cli before main runs, so a neighbors
+        # run without the tables also shows that start-up does not build them.
+        baskets, emb = files
+        check = "print(sys.modules['basketspace.embedding']._DIGIT_TABLES is None)\n"
+        runs = [
+            (["neighbors", "--all", "--input", str(emb), "--output", str(tmp_path / "n.tsv")], "True"),
+            (["embed", "--input", str(baskets), "--output", str(tmp_path / "e.emb"), "--dim", "8"],
+             "False"),
+        ]
+        for argv, unbuilt in runs:
+            result = run_child(argv, then=check)
+            assert result.returncode == 0, result.stderr
+            assert result.stdout.split() == [unbuilt], argv[0]
 
 
 class TestOutOfMemory:

@@ -5,8 +5,10 @@ import concurrent.futures
 import dataclasses
 import hashlib
 import io
+import struct
 import tracemalloc
 import re
+import warnings
 import zlib
 from unittest import mock
 
@@ -36,6 +38,7 @@ from conftest import (
     normalize_rows,
     random_graph,
     reference_read_embedding,
+    reference_write_embedding,
     vector_of,
 )
 
@@ -331,6 +334,21 @@ class TestInit:
                 expected /= np.linalg.norm(expected, axis=1, keepdims=True)
                 assert np.array_equal(got, expected), (d, seed)
 
+    def test_rows_equal_reseeded_uniform_draws(self):
+        # Each row is drawn into place by random() and mapped to 2u - 1
+        # afterwards; that must equal uniform(-1, 1) from the same stream.
+        codes = [f"p{i}" for i in range(2900)] + [f"商品{i}" for i in range(50)]
+        codes += [f"café{i}" for i in range(50)]
+        gen = np.random.Generator(np.random.Philox(0))
+        for d in (1, 7, 128):
+            rows = []
+            for code in codes:
+                embedding.reseed_philox(gen, f"11\x1e{code}")
+                rows.append(gen.uniform(-1.0, 1.0, d))
+            expected = np.array(rows)
+            expected /= np.linalg.norm(expected, axis=1, keepdims=True)
+            assert np.array_equal(init_embedding(codes, d, 11), expected), d
+
     def test_rows_that_draw_an_endpoint_or_a_zero_row_are_redrawn(self, monkeypatch):
         # A generator whose first draw after each reseed puts the excluded
         # endpoint -1.0 into a row that starts below -0.5 and returns a zero
@@ -355,6 +373,18 @@ class TestInit:
                     row[:] = 0.0
                     rigged["zero"] += 1
                 return row
+
+            def random(self, out):
+                # init_embedding's first draw, rigged alike: it maps u to 2u - 1.
+                fresh = not any(self.bit_generator.state["state"]["counter"])
+                self._gen.random(out=out)
+                if fresh and 2.0 * out[0] - 1.0 < -0.5:
+                    out[0] = 0.0
+                    rigged["endpoint"] += 1
+                elif fresh and 2.0 * out[0] - 1.0 > 0.5:
+                    out[:] = 0.5
+                    rigged["zero"] += 1
+                return out
 
         def per_row_loop(codes, d, seed):
             gen = Rigged(np.random.Philox(0))
@@ -1070,3 +1100,87 @@ class TestEmbeddingFile:
     def test_read_skips_trailing_blank_and_comment_lines(self):
         back = read_embedding(io.StringIO("1 2\na 0.1 0.2\n\n# end\n"))
         assert back.codes == ["a"]
+
+
+def written(write, vectors, codes=None) -> list:
+    """The lines ``write`` gives for ``vectors`` under codes r0, r1, ...;
+    a list, so that a mismatch is reported by its first differing line."""
+    codes = [f"r{i}" for i in range(len(vectors))] if codes is None else codes
+    out = io.StringIO()
+    write(EmbeddingMatrix(codes, vectors), out)
+    return out.getvalue().split("\n")
+
+
+def ulp_neighbours(values, reach: int = 4) -> np.ndarray:
+    """``values`` and the floats up to ``reach`` ulps either side of each."""
+    out, down, up = [values], values, values
+    for _ in range(reach):
+        down, up = np.nextafter(down, -np.inf), np.nextafter(up, np.inf)
+        out += [down, up]
+    return np.concatenate(out)
+
+
+# Floats whose exponent puts them at or next to 1e-4 <= |x| < 1, as bits.
+FAST_BAND = st.integers(struct.unpack("<q", struct.pack("<d", 9e-5))[0], 0x3FF0000000000000)
+
+
+class TestWriter:
+    """write_embedding against the per-row '%.9g' oracle."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.integers(1, 5),
+        st.lists(
+            st.one_of(st.integers(0, 2**64 - 1), FAST_BAND, FAST_BAND.map(lambda b: b | 2**63)),
+            max_size=40,
+        ),
+    )
+    def test_raw_bit_patterns(self, d, bits):
+        bits = bits[: len(bits) // d * d]
+        vectors = np.array(bits, dtype=np.uint64).view(np.float64).reshape(-1, d)
+        assert written(write_embedding, vectors) == written(reference_write_embedding, vectors)
+
+    def test_near_ties_and_their_neighbours(self):
+        # (m + 0.5) / 10**p is a tie at the ninth significant digit; its
+        # nearest float lies on either side of it, and so do the floats a
+        # few ulps away.
+        rng = np.random.default_rng(20)
+        ties = [(rng.integers(10**8, 10**9, 2000) + 0.5) / 10.0**p for p in range(9, 13)]
+        values = ulp_neighbours(np.concatenate(ties))
+        vectors = np.concatenate([values, -values]).reshape(-1, 8)
+        assert written(write_embedding, vectors) == written(reference_write_embedding, vectors)
+
+    def test_powers_of_ten_carries_and_specials(self):
+        powers = ulp_neighbours(np.array([1e-5, 1e-4, 1e-3, 1e-2, 1e-1, 1.0]), reach=8)
+        # Each rounds up to ten times its leading power at 9 digits.
+        carries = np.array([0.9999999995, 0.0999999999995, 0.00999999999995, 0.000999999999995])
+        specials = np.array([0.0, 5e-324, 1e-310, 2.2250738585072014e-308, 1e-300, 0.5, 1e22])
+        values = np.concatenate([powers, ulp_neighbours(carries, reach=2), specials])
+        vectors = np.concatenate([values, -values]).reshape(-1, 1)
+        assert written(write_embedding, vectors) == written(reference_write_embedding, vectors)
+
+    @pytest.mark.parametrize("d", [1, 2, 127, 128, 129, 1024])
+    @pytest.mark.parametrize("rows", ["none", "one", "block-1", "block", "block+1"])
+    def test_block_edges(self, d, rows):
+        block = embedding._BLOCK_VALUES // d
+        n = {"none": 0, "one": 1, "block-1": block - 1, "block": block, "block+1": block + 1}[rows]
+        rng = np.random.default_rng(d)
+        vectors = normalize_rows(rng.standard_normal((n, d))) if n else np.empty((0, d))
+        edges = vectors.flat[::11]
+        vectors.flat[::11] = np.resize([0.0, -0.0, 1e-5, 1.5, 0.9999999995], edges.size)
+        # Codes that are not ASCII or start with '#' are written as they are.
+        codes = [("#", "", "商品", "café🛒")[i % 4] + str(i) for i in range(n)]
+        got = written(write_embedding, vectors, codes)
+        assert got == written(reference_write_embedding, vectors, codes)
+        assert len(got) == n + 2 and got[-1] == ""
+
+    def test_rows_without_values_rejected(self):
+        with pytest.raises(InvalidParameterError, match="^dimension must be >= 1, got 0$"):
+            write_embedding(EmbeddingMatrix(["a"], np.empty((1, 0))), io.StringIO())
+
+    def test_no_runtime_warning_on_zeros_subnormals_and_infinities(self):
+        vectors = np.array([[0.0, -0.0, 5e-324, -1e-310], [np.inf, -np.inf, np.nan, 1e308]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = written(write_embedding, vectors)
+        assert got == written(reference_write_embedding, vectors)
