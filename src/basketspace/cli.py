@@ -12,7 +12,7 @@ import sys
 import time
 from contextlib import contextmanager, nullcontext
 from pathlib import Path
-from typing import Iterator, TextIO
+from typing import Iterator, Sequence, TextIO
 
 from .embedding import (
     DEFAULT_DIMENSION,
@@ -34,7 +34,7 @@ from .evaluation import (
     generate_synthetic_market,
     read_truth,
 )
-from .ingest import DEFAULT_MAX_BASKET_PRODUCTS, expand_hyperedges, parse_baskets
+from .ingest import DEFAULT_MAX_BASKET_PRODUCTS, _content_lines, expand_hyperedges, parse_baskets
 from .neighbors import top_k_batch, write_neighbors
 
 
@@ -61,16 +61,17 @@ def _open_input(path: str | None) -> TextIO | nullcontext:
     return open(path, encoding="utf-8") if path else nullcontext()
 
 
-def _check_outputs(*paths: str | Path) -> None:
-    """Refuse, before any input is read rather than after all the work, a
-    command's outputs that cannot all be written: two that resolve to the
-    same file (the second would overwrite the first), one whose directory
-    does not exist, or one that is a directory."""
-    if len(paths) == 2 and Path(paths[0]).resolve() == Path(paths[1]).resolve():
-        raise InvalidParameterError(
-            f"output files {str(paths[0])!r} and {str(paths[1])!r} are the same file"
-        )
-    for path in map(Path, paths):
+def _check_outputs(outputs: Sequence, inputs: Sequence = ()) -> None:
+    """Refuse, before any input is read rather than after all the work, an
+    output that resolves to an input or an earlier output of the command,
+    one whose directory does not exist, or one that is a directory."""
+    taken = {Path(p).resolve(): f"input {str(p)!r}" for p in inputs if p}
+    for output, path in zip(outputs, map(Path, outputs)):
+        if (resolved := path.resolve()) in taken:
+            raise InvalidParameterError(
+                f"cannot write {str(output)!r}: it is the same file as the {taken[resolved]}"
+            )
+        taken[resolved] = f"output {str(output)!r}"
         if not path.parent.is_dir():
             raise InvalidParameterError(
                 f"cannot write {str(path)!r}: {str(path.parent)!r} is not a directory"
@@ -81,7 +82,7 @@ def _check_outputs(*paths: str | Path) -> None:
 
 def cmd_embed(args: argparse.Namespace) -> int:
     started = time.monotonic()
-    _check_outputs(args.output)
+    _check_outputs([args.output], [args.input])
     # The baskets are dropped once expanded, before training sets the peak.
     with _open_input(args.input) as stream, _decoding(args.input):
         graph = expand_hyperedges(*parse_baskets(stream, args.max_basket_size))
@@ -108,23 +109,14 @@ def cmd_embed(args: argparse.Namespace) -> int:
 
 def cmd_neighbors(args: argparse.Namespace) -> int:
     if args.output:
-        _check_outputs(args.output)
+        _check_outputs([args.output], [args.input, args.candidates])
     with _open_input(args.input) as stream, _open_input(args.candidates) as listed:
         with _decoding(args.input):
             emb = read_embedding(stream)
         candidates = None
         if args.candidates:
-            candidates, known = [], set(emb.codes)
             with _decoding(args.candidates):
-                for lineno, line in enumerate(listed, start=1):
-                    tokens = line.split()
-                    if not tokens or not tokens[0].startswith("#"):
-                        candidates += tokens
-                    elif tokens[0] in known:
-                        _progress(
-                            f"warning: {args.candidates}: line {lineno} skipped as a comment, "
-                            f"but its first token {tokens[0]!r} is an embedded product code"
-                        )
+                candidates = [code for _, line in _content_lines(listed) for code in line.split()]
     queries = emb.codes if args.all else [args.query]
     rows, sims = top_k_batch(emb, queries, args.k, candidates)
     if args.output:
@@ -138,7 +130,7 @@ def cmd_neighbors(args: argparse.Namespace) -> int:
 
 def cmd_synth(args: argparse.Namespace) -> int:
     truth_path = args.truth or args.output + ".truth"
-    _check_outputs(args.output, truth_path)
+    _check_outputs([args.output, truth_path])
     market = generate_synthetic_market(
         themes=args.themes,
         groups_per_theme=args.groups,
@@ -166,7 +158,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
         out = Path(args.output)
         # out.with_suffix(".txt"), without its ValueError on "." or "/".
         text_path = out.parent / (out.stem + ".txt")
-        _check_outputs(out, text_path)
+        _check_outputs([out, text_path], [args.input, truth_path])
     with _open_input(args.input) as stream, _open_input(truth_path) as truth:
         with _decoding(args.input):
             graph = expand_hyperedges(*parse_baskets(stream))

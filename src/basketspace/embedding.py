@@ -42,7 +42,7 @@ from .errors import (
     MalformedInputError,
     at_least,
 )
-from .ingest import CooccurrenceGraph, _distinct
+from .ingest import CooccurrenceGraph, _content_lines, _distinct
 
 # A multiply result with norm at or below this is treated as a cancelled row.
 ZERO_ROW_NORM = 1e-30
@@ -486,8 +486,8 @@ def read_embedding(stream: TextIO) -> EmbeddingMatrix:
 
     Raises:
         MalformedInputError: on a bad header or one declaring a shape too
-            large for memory, a short, duplicate, non-numeric or non-finite
-            row, or a row beyond the declared count.
+            large for memory, a short, ``#``-coded, duplicate, non-numeric or
+            non-finite row, or a row beyond the declared count.
     """
     header = stream.readline()
     parts = header.split()
@@ -520,17 +520,15 @@ def read_embedding(stream: TextIO) -> EmbeddingMatrix:
             clean = block.shape == (stop - start, d) and np.isfinite(block).all()
         except ValueError:
             clean = False
+        clean = clean and " #" not in " " + " ".join(new)  # "#" codes: see _read_rows
         if clean and len(set(new)) == len(new) and seen.isdisjoint(new):
             vectors[start:stop] = block
             codes += new
             seen.update(new)
         else:
             _read_rows(chain(lines, stream), start, stop, vectors, codes, seen)
-    for lineno, line in enumerate(stream, start=n + 2):
-        if line.strip() and not line.lstrip().startswith("#"):
-            raise MalformedInputError(
-                f"line {lineno}: row beyond the {n} the header declares"
-            )
+    for lineno, _ in _content_lines(stream, n + 2):
+        raise MalformedInputError(f"line {lineno}: row beyond the {n} the header declares")
     return EmbeddingMatrix(codes, vectors, iterations=None, seed=None)
 
 
@@ -558,6 +556,10 @@ def _read_rows(lines: Iterator[str], start: int, stop: int, vectors, codes, seen
                 f"line {i + 2}: expected a code and {d} values, got {len(tokens)} tokens"
             )
         code = tokens[0]
+        if code[0] == "#":
+            raise MalformedInputError(
+                f"line {i + 2}: product code {code!r} starts with '#', which marks a comment line"
+            )
         if code in seen:
             # Row j sits on line j + 2; a code -> line dict would cost
             # memory on every read, the search only on this error.

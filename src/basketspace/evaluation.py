@@ -40,7 +40,7 @@ from .errors import (
     MalformedInputError,
     at_least,
 )
-from .ingest import Baskets, CooccurrenceGraph, _distinct, expand_hyperedges
+from .ingest import Baskets, CooccurrenceGraph, _content_lines, _distinct, expand_hyperedges
 from .neighbors import (
     random_recommender,
     recommend_complements,
@@ -74,8 +74,6 @@ class SyntheticMarket:
         product_codes: the code of every product id.
         picks: int64 (baskets, groups_per_theme) product ids, -1 where the
             basket skipped the group.
-        theme_draws: theme draw counts, including draws rejected for
-            producing an empty basket (kept for unbiased rate estimates).
     """
 
     themes: int
@@ -86,7 +84,6 @@ class SyntheticMarket:
     seed: int
     product_codes: list
     picks: np.ndarray
-    theme_draws: np.ndarray
 
     def membership(self) -> dict:
         """code -> (theme index, group index)."""
@@ -118,8 +115,7 @@ def generate_synthetic_market(
     """Generate a planted market.
 
     Empty draws (no group included) are rejected and redrawn so exactly
-    ``baskets`` baskets are produced; ``theme_draws`` still counts the
-    rejected draws so per-draw rates stay unbiased.
+    ``baskets`` baskets are produced.
 
     Raises:
         InvalidParameterError: on parameters outside their documented range.
@@ -151,7 +147,6 @@ def generate_synthetic_market(
     ]
     rng = np.random.default_rng(seed)
     p_nonempty = 1.0 - (1.0 - pick_prob) ** G
-    theme_draws = np.zeros(themes, dtype=np.int64)
     remaining = baskets
     while remaining > 0:
         batch = int(remaining / p_nonempty * 1.2) + 16
@@ -164,7 +159,6 @@ def generate_synthetic_market(
         nonempty = included.any(axis=1)
         cum = np.cumsum(nonempty)
         cut = int(np.searchsorted(cum, remaining)) + 1 if cum[-1] >= remaining else batch
-        theme_draws += np.bincount(th[:cut], minlength=themes)
         ids = (th[:cut, None] * G + np.arange(G)) * group_size + members[:cut]
         rows = np.where(included[:cut], ids, -1)[nonempty[:cut]]
         picks[baskets - remaining :][: len(rows)] = rows
@@ -178,7 +172,6 @@ def generate_synthetic_market(
         seed,
         product_codes,
         picks,
-        theme_draws,
     )
 
 
@@ -194,10 +187,7 @@ def read_truth(stream: TextIO) -> dict:
     """
     membership: dict = {}
     first_line: dict = {}
-    for lineno, line in enumerate(stream, start=1):
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
+    for lineno, stripped in _content_lines(stream):
         parts = stripped.split()
         if len(parts) != 3:
             raise MalformedInputError(

@@ -1,8 +1,8 @@
 """Basket ingestion: basket parsing and co-occurrence graph construction.
 
 A basket file is plain UTF-8 text with one transaction per line: product
-codes separated by whitespace. Blank lines and lines starting with ``#``
-are skipped. Product order inside a line carries no meaning.
+codes separated by whitespace, in no meaningful order. A line whose first
+non-blank character is ``#`` is a comment, and no code starts with ``#``.
 
 Baskets are hyperedges over products, parsed into ragged index arrays
 with repeated codes dropped; they are expanded into a weighted pairwise
@@ -17,7 +17,7 @@ from array import array
 from collections import defaultdict
 from dataclasses import dataclass
 from itertools import chain, count, islice
-from typing import Iterable, NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -31,6 +31,12 @@ DEFAULT_MAX_BASKET_PRODUCTS = 5000
 # arrays stay alive until it is done and the code index keeps some of its
 # strings, so the size was chosen by peak memory rather than speed.
 _BATCH_LINES = 256
+
+
+def _content_lines(lines: Iterable[str], start: int = 1) -> Iterator[tuple[int, str]]:
+    """(line number from ``start``, stripped line) of each non-blank, non-comment line."""
+    stripped = enumerate(map(str.strip, lines), start)
+    return ((lineno, line) for lineno, line in stripped if line[:1] not in ("", "#"))
 
 
 class Baskets(NamedTuple):
@@ -49,7 +55,8 @@ def parse_baskets(
     lines: Iterable[str],
     max_basket_products: int = DEFAULT_MAX_BASKET_PRODUCTS,
 ) -> tuple[Baskets, list[str]]:
-    """Parse basket lines into baskets and their product codes.
+    """Parse basket lines into baskets and their product codes, skipping
+    blank and comment lines as :func:`_content_lines` does.
 
     Args:
         lines: text lines, such as an open file or a list of strings.
@@ -62,7 +69,7 @@ def parse_baskets(
         index ``i``.
 
     Raises:
-        MalformedInputError: on lines exceeding the product bound.
+        MalformedInputError: on a code starting with ``#`` or a line over the product bound.
         OSError: if the stream cannot be read.
     """
     # A missing code gets the next index, so indices follow first appearance.
@@ -73,16 +80,24 @@ def parse_baskets(
     lineno = 0  # lines read before the current batch
     while batch := list(islice(lines, _BATCH_LINES)):
         parts = list(map(str.split, batch))
+        hashed, code = len(parts), None  # the first line with a "#" code, and the code
         if "#" in "".join(batch):
             # A line is a comment when its first token starts with "#".
             parts = [[] if p and p[0][0] == "#" else p for p in parts]
+            if " #" in " " + " ".join(chain.from_iterable(parts)):
+                hashed, code = next((r, t) for r, p in enumerate(parts) for t in p if t[0] == "#")
         counts = np.fromiter(map(len, parts), np.int64, len(parts))
-        for r in np.flatnonzero(counts > max_basket_products).tolist():
+        for r in np.flatnonzero(counts[:hashed] > max_basket_products).tolist():
             if (size := len(set(parts[r]))) > max_basket_products:
                 raise MalformedInputError(
                     f"line {lineno + r + 1}: basket has {size} distinct "
                     f"products, exceeding the limit of {max_basket_products}"
                 )
+        if code:
+            raise MalformedInputError(
+                f"line {lineno + hashed + 1}: product code {code!r} starts with "
+                "'#', which marks a comment line"
+            )
         ids = np.fromiter(map(index.__getitem__, chain.from_iterable(parts)), np.int64)
         sizes = counts[counts > 0]
         row = np.repeat(np.arange(len(sizes)), sizes)

@@ -54,6 +54,12 @@ def reference_parse_baskets(lines, max_basket_products: int = 5000):
         tokens = line.split()
         if not tokens or tokens[0].startswith("#"):
             continue
+        for token in tokens:
+            if token.startswith("#"):
+                raise MalformedInputError(
+                    f"line {lineno}: product code {token!r} starts with '#', "
+                    "which marks a comment line"
+                )
         distinct = dict.fromkeys(tokens)
         if len(distinct) > max_basket_products:
             raise MalformedInputError(
@@ -141,6 +147,11 @@ def reference_read_embedding(stream) -> EmbeddingMatrix:
                 f"line {i + 2}: expected a code and {d} values, got {len(tokens)} tokens"
             )
         code = tokens[0]
+        if code.startswith("#"):
+            raise MalformedInputError(
+                f"line {i + 2}: product code {code!r} starts with '#', "
+                "which marks a comment line"
+            )
         if code in seen:
             raise MalformedInputError(
                 f"line {i + 2}: duplicate code {code!r}, first listed on line "

@@ -259,26 +259,28 @@ class TestNeighbors:
         neighbors = {line.split("\t")[2] for line in capsys.readouterr().out.splitlines()}
         assert neighbors <= {"p3", "p4"}
 
-    def test_code_starting_with_hash_round_trips(self, tmp_path, capsys):
-        # Only whole lines that start with '#' are comments; '#b' inside a
-        # basket line is a product code, and its embedding row starts with '#'.
+    def test_code_starting_with_hash_is_refused(self, tmp_path, capsys):
+        # A line whose first token starts with '#' is a comment, so no code
+        # may start with '#': not in a basket line, not in an embedding row.
         baskets = tmp_path / "b.txt"
         baskets.write_text("a #b\nc #b\na c\n# a comment\n", encoding="utf-8")
         space = tmp_path / "b.emb"
-        assert main(["embed", "--input", str(baskets), "--output", str(space), "--dim", "4"]) == 0
-        rows = space.read_text(encoding="utf-8").splitlines()[1:]
-        assert sorted(row.split()[0] for row in rows) == ["#b", "a", "c"]
-        capsys.readouterr()
-        assert main(["neighbors", "--input", str(space), "--query", "#b", "--k", "2"]) == 0
-        lines = capsys.readouterr().out.splitlines()
-        assert [line.split("\t")[:2] for line in lines] == [["#b", "1"], ["#b", "2"]]
-        assert {line.split("\t")[2] for line in lines} == {"a", "c"}
+        assert main(["embed", "--input", str(baskets), "--output", str(space), "--dim", "4"]) == 2
+        assert capsys.readouterr().err == (
+            "error: line 1: product code '#b' starts with '#', which marks a comment line\n"
+        )
+        assert not space.exists()
+        space.write_text("2 2\na 0.6 0.8\n#x 0.8 0.6\n", encoding="utf-8")
+        assert main(["neighbors", "--input", str(space), "--all"]) == 2
+        assert capsys.readouterr().err == (
+            "error: line 3: product code '#x' starts with '#', which marks a comment line\n"
+        )
 
-    def test_candidate_comment_line_naming_an_embedded_code_warns(self, tmp_path, capsys):
-        # The line '#b c' stays a comment, so the pool is empty and stdout
-        # is unchanged, but '#b' is a product of the space: say so once.
+    def test_candidate_comment_line_is_skipped_silently(self, tmp_path, capsys):
+        # '#b c' is a comment line, so the pool is empty, stdout is empty and
+        # nothing is said about it.
         baskets = tmp_path / "b.txt"
-        baskets.write_text("a #b\nc #b\na c\nd a\n", encoding="utf-8")
+        baskets.write_text("a b\nc b\na c\nd a\n", encoding="utf-8")
         space = tmp_path / "b.emb"
         assert main(["embed", "--input", str(baskets), "--output", str(space), "--dim", "4"]) == 0
         pool = tmp_path / "pool.txt"
@@ -286,16 +288,11 @@ class TestNeighbors:
         capsys.readouterr()
         args = ["neighbors", "--input", str(space), "--query", "a", "--k", "3"]
         assert main(args + ["--candidates", str(pool)]) == 0
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == (
-            f"warning: {pool}: line 2 skipped as a comment, "
-            "but its first token '#b' is an embedded product code\n"
-        )
-        pool.write_text("c #b\n", encoding="utf-8")
+        assert capsys.readouterr() == ("", "")
+        pool.write_text("  # b\nc b\n", encoding="utf-8")
         assert main(args + ["--candidates", str(pool)]) == 0
         captured = capsys.readouterr()
-        assert sorted(line.split("\t")[2] for line in captured.out.splitlines()) == ["#b", "c"]
+        assert sorted(line.split("\t")[2] for line in captured.out.splitlines()) == ["b", "c"]
         assert captured.err == ""
 
     def test_unknown_query_exits_3(self, embedding_file, capsys):
@@ -633,6 +630,18 @@ class TestEval:
         assert f"no {relation} truth" in err
         assert named in err
 
+    def test_code_starting_with_hash_exits_2_at_the_basket_line(self, tmp_path, capsys):
+        # Before '#b' was refused, no truth file could list it: its line is
+        # a comment, so eval exited 4 with '#b' missing from the truth.
+        baskets = tmp_path / "b.txt"
+        baskets.write_text("a #b\nc #b\na c\nd a\n", encoding="utf-8")
+        truth = tmp_path / "t.txt"
+        truth.write_text("a 0 0\n#b 0 0\nc 0 1\nd 0 1\n", encoding="utf-8")
+        assert main(["eval", "--input", str(baskets), "--truth", str(truth), "--dim", "4"]) == 2
+        assert capsys.readouterr().err == (
+            "error: line 1: product code '#b' starts with '#', which marks a comment line\n"
+        )
+
     def test_txt_output_exits_2_before_parsing(self, tmp_path, capsys, monkeypatch):
         # The text table goes to the output path with a .txt suffix, which
         # here is the JSON report's own path.
@@ -695,14 +704,15 @@ class TestEval:
 
 
 class TestOutputPreflight:
-    """Every command refuses an output it cannot write before it opens any
-    input: here the input does not exist, and synth's generator fails."""
+    """Every command refuses an output it cannot write before it reads any
+    input."""
 
     @pytest.mark.parametrize("command", ["embed", "neighbors", "synth", "eval"])
     @pytest.mark.parametrize("target", ["in-missing-directory", "existing-directory"])
     def test_unwritable_output_exits_2_naming_it(
         self, tmp_path, capsys, monkeypatch, command, target
     ):
+        # The input does not exist, and synth's generator fails.
         from basketspace import cli
 
         def no_market(*args, **kwargs):
@@ -725,6 +735,41 @@ class TestOutputPreflight:
         err = capsys.readouterr().err
         assert err.startswith(f"error: cannot write {str(out)!r}: ")
         assert err.endswith(" a directory\n")
+
+    @pytest.mark.parametrize(
+        "args, output, clobbered",
+        [
+            ("embed --input b.txt", "./b.txt", "b.txt"),
+            ("neighbors --input e.txt --all", "./e.txt", "e.txt"),
+            ("neighbors --input e.txt --all --candidates c.txt", "./c.txt", "c.txt"),
+            ("eval --input b.txt --truth t.txt", "./b.txt", "b.txt"),
+            ("eval --input b.txt --truth t.json", "./t.json", "t.json"),
+            # The .txt table next to the report m.json would be m.txt.
+            ("eval --input m.txt --truth t.txt", "m.json", "m.txt"),
+        ],
+    )
+    def test_output_that_is_an_input_exits_2_leaving_it_unchanged(
+        self, tmp_path, capsys, monkeypatch, args, output, clobbered
+    ):
+        from basketspace import cli
+
+        def no_read(*args, **kwargs):
+            raise AssertionError("no input may be read")
+
+        monkeypatch.setattr(cli, "parse_baskets", no_read)
+        monkeypatch.setattr(cli, "read_embedding", no_read)
+        argv = args.split()
+        for i, name in enumerate(argv):
+            if "." in name:
+                argv[i] = str(tmp_path / name)
+                (tmp_path / name).write_text(DEMO_TEXT, encoding="utf-8")
+        # "./" spells the input's path another way; the check resolves it.
+        assert main(argv + ["--output", f"{tmp_path}/{output}"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot write ")
+        assert err.endswith(f": it is the same file as the input {str(tmp_path / clobbered)!r}\n")
+        assert (tmp_path / clobbered).read_text(encoding="utf-8") == DEMO_TEXT
+        assert not (tmp_path / "m.json").exists()
 
 
 class TestInputsOpenedFirst:

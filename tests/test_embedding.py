@@ -23,6 +23,9 @@ from basketspace import (
     InternalConsistencyError,
     InvalidParameterError,
     MalformedInputError,
+    expand_hyperedges,
+    generate_synthetic_market,
+    parse_baskets,
     read_embedding,
     train,
     write_embedding,
@@ -717,6 +720,23 @@ class TestTrain:
         b = train(g, d=32, iterations=6, chunks=2, seed=4, threads=8)
         assert np.array_equal(a.vectors, b.vectors)
 
+    @pytest.mark.parametrize("chunks", [1, 4])
+    def test_shuffled_lines_give_the_same_rows_up_to_sum_order(self, chunks):
+        # Indices follow first appearance, so each row sums its neighbours
+        # in an order that the line order sets: the rows agree to rounding,
+        # not bit for bit.
+        out = io.StringIO()
+        generate_synthetic_market(themes=4, baskets=4000, seed=3).write_baskets(out)
+        lines = out.getvalue().splitlines(keepends=True)
+        shuffled = [lines[i] for i in np.random.default_rng(5).permutation(len(lines))]
+        a, b = (
+            train(expand_hyperedges(*parse_baskets(text)), d=16, chunks=chunks, seed=1)
+            for text in (lines, shuffled)
+        )
+        assert sorted(a.codes) == sorted(b.codes)
+        order = [b.codes.index(code) for code in a.codes]
+        np.testing.assert_allclose(b.vectors[order], a.vectors, rtol=0, atol=1e-12)
+
     def test_iteration_counts_differ(self, demo_graph):
         short = train(demo_graph, d=8, iterations=1, seed=0)
         long = train(demo_graph, d=8, iterations=6, seed=0)
@@ -920,26 +940,27 @@ BAD_VALUES = ("nan", "-inf", "1e400", "x")
 SEPARATORS = (" ", "  ", "\t", " \t ", "\x1c", "\xa0", "\u3000")
 
 
-def row_code(i: int) -> str:
-    """The code of row ``i``; every third starts with '#' and is no comment."""
-    return ("#" if i % 3 == 1 else "") + f"r{i}"
+def row_code(i: int, hashed: bool = False) -> str:
+    """The code of row ``i``; a hashed one starts with '#', which the
+    readers refuse."""
+    return ("#" if hashed else "") + f"r{i}"
 
 
 @st.composite
 def embedding_row(draw, d, i):
     """Line ``i`` among an embedding file's rows: mostly a clean row, else a
     row with tokens only np.asarray parses, a bad value, the code of an
-    earlier row, one value short, one extra (the usecols trap), a blank
-    line or a comment."""
+    earlier row, one value short, one extra (the usecols trap), a code
+    that starts with '#', a blank line or a comment."""
     kinds = ("clean",) * 12 + ("tricky",) * 3 + ("bad", "dup") * 2
-    kind = draw(st.sampled_from(kinds + ("short", "long", "blank", "comment")))
+    kind = draw(st.sampled_from(kinds + ("short", "long", "hash", "blank", "comment")))
     if kind == "blank":
         return draw(st.sampled_from(("\n", "  \n", "\t\n")))
     if kind == "comment":
         return "# note\n"
     width = {"short": d - 1, "long": d + 1}.get(kind, d)
     pool = TRICKY_VALUES if kind == "tricky" else PLAIN_VALUES
-    code = row_code(draw(st.integers(0, i - 1)) if kind == "dup" and i else i)
+    code = row_code(draw(st.integers(0, i - 1)) if kind == "dup" and i else i, kind == "hash")
     tokens = [code] + draw(st.lists(st.sampled_from(pool), min_size=width, max_size=width))
     if kind == "bad":
         tokens[draw(st.integers(1, width))] = draw(st.sampled_from(BAD_VALUES))

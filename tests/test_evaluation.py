@@ -73,7 +73,6 @@ class TestGenerator:
         a = small_market(seed=3)
         b = small_market(seed=3)
         assert np.array_equal(a.picks, b.picks)
-        assert np.array_equal(a.theme_draws, b.theme_draws)
 
     def test_seed_changes_baskets(self):
         assert not np.array_equal(small_market(seed=0).picks, small_market(seed=1).picks)
@@ -99,8 +98,6 @@ class TestGenerator:
         m = small_market(pick_prob=1.0, baskets=500)
         for row in pick_rows(m):
             assert len(row) == m.groups_per_theme
-        # No draw can come up empty, so none are rejected.
-        assert int(m.theme_draws.sum()) == 500
 
     def test_full_affinity_aligns_members(self):
         m = small_market(affinity=1.0, baskets=500)
@@ -109,25 +106,29 @@ class TestGenerator:
             assert len(set(members.tolist())) == 1
 
     def test_rejection_rate_matches_empty_probability(self):
+        # Empty draws, (1 - p)^G of them, are rejected, so a basket holds s
+        # groups with probability Binomial(G, p) at s over 1 - (1 - p)^G.
         m = small_market(baskets=20_000)
-        draws = int(m.theme_draws.sum())
-        assert draws >= 20_000
-        rejected = (draws - 20_000) / draws
-        assert rejected == pytest.approx((1 - 0.5) ** 4, abs=0.01)
+        G, p = m.groups_per_theme, m.pick_prob
+        sizes = np.bincount((m.picks >= 0).sum(axis=1), minlength=G + 1) / 20_000
+        accepted = 1 - (1 - p) ** G
+        expected = [math.comb(G, s) * p**s * (1 - p) ** (G - s) / accepted for s in range(1, G + 1)]
+        assert sizes[0] == 0
+        assert sizes[1:].tolist() == pytest.approx(expected, abs=0.01)
 
     def test_cross_group_rate_is_pick_prob_squared(self):
-        # Per draw, two specific groups co-occur with probability p^2.
-        # theme_draws includes rejected draws, so dividing co-occurrence
-        # counts by it estimates the unconditional rate without bias.
+        # Per draw, two specific groups co-occur with probability p^2; both
+        # make the draw non-empty, so per accepted basket the rate is p^2
+        # over 1 - (1 - p)^G.
         m = small_market(themes=2, baskets=8000)
-        G = m.groups_per_theme
+        G, p = m.groups_per_theme, m.pick_prob
         pair_count = 0
         for row in pick_rows(m):
             _, groups, _ = theme_group_member(m, np.array(row))
             present = len(set(groups.tolist()))
             pair_count += present * (present - 1) // 2
-        denominator = int(m.theme_draws.sum()) * G * (G - 1) // 2
-        assert pair_count / denominator == pytest.approx(0.25, abs=0.01)
+        denominator = 8000 * G * (G - 1) // 2
+        assert pair_count / denominator == pytest.approx(p**2 / (1 - (1 - p) ** G), abs=0.01)
 
     def test_parameter_validation(self):
         with pytest.raises(InvalidParameterError):

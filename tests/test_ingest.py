@@ -30,19 +30,26 @@ from conftest import (
 
 # Whitespace that str.split() separates on, beyond the ASCII kinds.
 SEPARATORS = (" ", "  ", "\t", "\x1c", "\xa0", "\u3000")
-# Few codes, so lines repeat them; "#" opens a comment only as a line's
-# first token.
+# Few codes, so lines repeat them. A line whose first token starts with "#"
+# is a comment; a later token that starts with "#" is refused, so later
+# tokens draw one rarely and most files still parse.
 TOKENS = ("a", "b", "c", "dd", "é", "#", "#a", "a#")
+LATER_TOKENS = TOKENS[:5] * 10 + TOKENS
 
 
 def basket_lines():
-    """Lines of a basket file: blank, comment and basket lines, with and
-    without a line ending."""
+    """Lines of a basket file: blank, comment and basket lines, lines that
+    a code starting with '#' spoils, with and without a line ending."""
+
+    def words(pool, most):
+        return st.lists(st.tuples(st.sampled_from(pool), st.sampled_from(SEPARATORS)), max_size=most)
+
     return st.lists(
         st.builds(
-            lambda lead, words, end: lead + "".join(w + sep for w, sep in words) + end,
+            lambda lead, first, later, end: lead + "".join(w + sep for w, sep in first + later) + end,
             st.sampled_from(("",) + SEPARATORS),
-            st.lists(st.tuples(st.sampled_from(TOKENS), st.sampled_from(SEPARATORS)), max_size=7),
+            words(TOKENS, 1),
+            words(LATER_TOKENS, 6),
             st.sampled_from(("", "\n", "\r\n")),
         ),
         max_size=12,
@@ -102,6 +109,21 @@ class TestParsing:
         assert len(codes) == 4
         # A comment's codes get no index.
         assert parse("b a\n# c\na d\n")[1] == ["b", "a", "d"]
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("a b\n# c #d\nx #y #z\n", "line 3: product code '#y' starts with '#'"),
+            ("  #a b\n\ta\u3000#\n", "line 2: product code '#' starts with '#'"),
+            # The first error in file order wins, within a batch as well.
+            ("a b c d\nx #y\n", "line 1: basket has 4 distinct products"),
+            ("x #y\na b c d\n", "line 1: product code '#y' starts with '#'"),
+        ],
+    )
+    def test_code_starting_with_hash_is_refused(self, text, message):
+        with pytest.raises(MalformedInputError) as exc:
+            parse(text, max_basket_products=3)
+        assert str(exc.value).startswith(message)
 
     def test_rows_hold_distinct_codes_in_first_appearance_order(self):
         baskets, codes = parse("a a b\nc b c a b\n")

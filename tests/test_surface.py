@@ -1,6 +1,9 @@
-"""The package's public names, and the functions the benchmark traces by name."""
+"""The package's public names, the functions the benchmark traces by name,
+and where the comment rule is spelled."""
 
+import ast
 import importlib
+import pathlib
 import types
 
 import pytest
@@ -75,3 +78,23 @@ TRACED = [
 def test_traced_stage_is_a_module_function(module, name):
     namespace = vars(importlib.import_module(f"basketspace.{module}"))
     assert isinstance(namespace.get(name), types.FunctionType)
+
+
+def test_comment_rule_is_spelled_in_one_place():
+    # Every "#" or " #" literal in the package: the line-at-a-time rule,
+    # its batched form in parse_baskets, and the embedding reader's refusal
+    # of codes that start with "#" (batched and per line). A reader with a
+    # rule of its own would add a function here.
+    found = set()
+    for path in pathlib.Path(basketspace.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.FunctionDef):
+                for inner in ast.walk(node):
+                    if isinstance(inner, ast.Constant) and inner.value in ("#", " #"):
+                        found.add((path.stem, node.name))
+    assert found == {
+        ("ingest", "_content_lines"),
+        ("ingest", "parse_baskets"),
+        ("embedding", "read_embedding"),
+        ("embedding", "_read_rows"),
+    }
