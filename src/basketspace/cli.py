@@ -61,17 +61,28 @@ def _open_input(path: str | None) -> TextIO | nullcontext:
     return open(path, encoding="utf-8") if path else nullcontext()
 
 
+def _file_key(path: Path) -> tuple | Path:
+    """``(st_dev, st_ino)`` of an existing file, which its hard links and
+    every spelling of its path share; otherwise the resolved path."""
+    try:
+        info = path.stat()
+    except OSError:
+        return path.resolve()
+    return info.st_dev, info.st_ino
+
+
 def _check_outputs(outputs: Sequence, inputs: Sequence = ()) -> None:
     """Refuse, before any input is read rather than after all the work, an
-    output that resolves to an input or an earlier output of the command,
-    one whose directory does not exist, or one that is a directory."""
-    taken = {Path(p).resolve(): f"input {str(p)!r}" for p in inputs if p}
+    output that is an input or an earlier output of the command (by path
+    or as a hard link), one whose directory does not exist, or one that is
+    a directory."""
+    taken = {_file_key(Path(p)): f"input {str(p)!r}" for p in inputs if p}
     for output, path in zip(outputs, map(Path, outputs)):
-        if (resolved := path.resolve()) in taken:
+        if (key := _file_key(path)) in taken:
             raise InvalidParameterError(
-                f"cannot write {str(output)!r}: it is the same file as the {taken[resolved]}"
+                f"cannot write {str(output)!r}: it is the same file as the {taken[key]}"
             )
-        taken[resolved] = f"output {str(output)!r}"
+        taken[key] = f"output {str(output)!r}"
         if not path.parent.is_dir():
             raise InvalidParameterError(
                 f"cannot write {str(path)!r}: {str(path.parent)!r} is not a directory"

@@ -127,14 +127,41 @@ def partition_chunks(graph: CooccurrenceGraph, chunk_count: int) -> np.ndarray:
     rank = np.empty(len(codes), dtype=np.int64)
     rank[sorted(range(len(codes)), key=codes.__getitem__)] = np.arange(len(codes))
     swap = rank[graph.a] > rank[graph.b]
-    lo = np.where(swap, graph.b, graph.a).tolist()
-    hi = np.where(swap, graph.a, graph.b).tolist()
+    lo = np.where(swap, graph.b, graph.a)
+    hi = np.where(swap, graph.a, graph.b)
     encoded = [code.encode("utf-8") for code in codes]
-    # crc32 continues from a running value, so each code's prefix is hashed once.
-    head = [zlib.crc32(e + b"\x1e") for e in encoded]
-    crcs = [zlib.crc32(encoded[y], head[x]) for x, y in zip(lo, hi)]
+    head = np.array([zlib.crc32(e + b"\x1e") for e in encoded], dtype=np.uint32)
+    tail = np.array([zlib.crc32(e) for e in encoded], dtype=np.uint32)
+    sizes = np.array([len(e) for e in encoded], dtype=np.int64)
+    # crc32(hi, start) is crc32(hi) ^ S(start), with S the linear map that
+    # runs a crc over len(hi) zero bytes.
+    crcs = tail[hi] ^ _crc_over_zeros(head[lo], sizes[hi])
     # A crc32 is below 2**32, so any larger count leaves it as it is.
-    return np.array(crcs, dtype=np.int64) % min(chunk_count, 2**32)
+    return crcs.astype(np.int64) % min(chunk_count, 2**32)
+
+
+def _crc_over_zeros(crcs: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """``zlib.crc32(bytes(n), c) ^ zlib.crc32(bytes(n))`` in place of each
+    uint32 c in ``crcs``, n its entry in ``lengths``: a GF(2)-linear map of
+    c, applied by four 256-entry tables, indexed by c's bytes, per set bit j
+    of n. The tables for 2**j zero bytes are those for 2**(j - 1) applied to
+    themselves."""
+
+    def apply(c: np.ndarray) -> np.ndarray:
+        low = tables[0][c & 0xFF] ^ tables[1][c >> 8 & 0xFF]
+        return low ^ tables[2][c >> 16 & 0xFF] ^ tables[3][c >> 24]
+
+    zero = zlib.crc32(b"\0")
+    tables = np.array(
+        [[zlib.crc32(b"\0", v << 8 * k) ^ zero for v in range(256)] for k in range(4)],
+        dtype=np.uint32,
+    )
+    for j in range(int(lengths.max(initial=0)).bit_length()):
+        if j:
+            tables = apply(tables)
+        pick = np.flatnonzero(lengths >> j & 1)
+        crcs[pick] = apply(crcs[pick])
+    return crcs
 
 
 def build_transition(
@@ -150,20 +177,30 @@ def build_transition(
     if not mask.any():
         raise InvalidParameterError(f"chunk {chunk_index} has no edges")
     w = graph.w[mask]
-    nodes = _distinct(np.concatenate([graph.a[mask], graph.b[mask]]))
-    ia = np.searchsorted(nodes, graph.a[mask])
-    ib = np.searchsorted(nodes, graph.b[mask])
+    present = np.zeros(len(graph.codes), dtype=bool)
+    present[graph.a[mask]] = True
+    present[graph.b[mask]] = True
+    nodes = np.flatnonzero(present)
+    local = np.cumsum(present) - 1
+    ia, ib = local[graph.a[mask]], local[graph.b[mask]]
     n = len(nodes)
     deg = np.bincount(ia, weights=w, minlength=n) + np.bincount(ib, weights=w, minlength=n)
-    # Edges are sorted by (a, b) with a < b, so within a row the (ib, ia)
-    # half holds the columns below the row, ascending, and the (ia, ib) half
-    # those above it; a stable sort by row leaves each row's columns sorted.
-    rows = np.concatenate([ib, ia])
-    order = np.argsort(rows, kind="stable")
+    # Entry (row, column) is keyed row * n + column. The keys are distinct,
+    # so any sort of them gives the (row, column) order of the CSR layout.
+    keys = np.concatenate([ib, ia])
     indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
-    indices = np.concatenate([ia, ib])[order]
-    data = np.concatenate([w / deg[ib], w / deg[ia]])[order]
+    np.cumsum(np.bincount(keys, minlength=n), out=indptr[1:])
+    keys *= n
+    keys[: len(ia)] += ia
+    keys[len(ia) :] += ib
+    data = np.concatenate([w / deg[ib], w / deg[ia]])
+    # Each array is dropped as soon as it is used, to keep the build's peak low.
+    del ia, ib, local
+    order = np.argsort(keys)
+    data = data[order]
+    indices = keys[order]
+    del keys, order
+    indices %= n
     return TransitionMatrix(nodes, indptr, indices, data, deg)
 
 
@@ -266,9 +303,11 @@ def _kernel():
     return _csr_matvecs
 
 
-def _matmul_rows(M: TransitionMatrix, vectors: np.ndarray, threads: int) -> np.ndarray:
-    """M times vectors, optionally split across row blocks, using at most
-    ``os.cpu_count()`` threads.
+def _matmul_rows(
+    M: TransitionMatrix, vectors: np.ndarray, threads: int, out: np.ndarray | None = None
+) -> np.ndarray:
+    """M times vectors, into ``out`` if given, optionally split across row
+    blocks, using at most ``os.cpu_count()`` threads.
 
     Each row is accumulated over its stored neighbors in a fixed order, so
     the result is identical for every thread count.
@@ -277,7 +316,8 @@ def _matmul_rows(M: TransitionMatrix, vectors: np.ndarray, threads: int) -> np.n
     kernel = _kernel()
     x = vectors.reshape(-1)
     # The kernel adds into its output, so the rows start at zero.
-    out = np.zeros((n, d), dtype=np.float64)
+    out = np.empty((n, d)) if out is None else out
+    out.fill(0.0)
     threads = min(threads, os.cpu_count() or 1)
     if threads <= 1 or n < 2 * threads:
         threads = 1
@@ -298,17 +338,28 @@ def _matmul_rows(M: TransitionMatrix, vectors: np.ndarray, threads: int) -> np.n
 
 
 def iterate(
-    vectors: np.ndarray, M: TransitionMatrix, threads: int = 1
+    vectors: np.ndarray, M: TransitionMatrix, threads: int = 1, out: np.ndarray | None = None
 ) -> tuple[np.ndarray, int]:
     """One power-iteration step: multiply the rows by M, then L2-normalize
     them. Returns the new rows and how many of them cancelled to zero and
-    kept their previous value instead."""
+    kept their previous value instead.
+
+    The new rows are written into ``out`` if given: a C-contiguous float64
+    array of the rows' shape that shares no memory with them.
+    """
     if vectors.shape[0] != len(M.nodes):
         raise InternalConsistencyError(
             f"embedding has {vectors.shape[0]} rows, "
             f"transition matrix expects {len(M.nodes)}"
         )
-    raw = _matmul_rows(M, vectors, threads)
+    if out is not None and (
+        out.shape != vectors.shape or out.dtype != np.float64
+        or not out.flags.c_contiguous or np.may_share_memory(out, vectors)
+    ):
+        raise InternalConsistencyError(
+            "a step's out must be a separate C-contiguous float64 array of the rows' shape"
+        )
+    raw = _matmul_rows(M, vectors, threads, out)
     norms = _row_norms(raw)
     zero = norms <= ZERO_ROW_NORM
     replaced = int(zero.sum())
@@ -366,27 +417,40 @@ def train(
     chunk_ids = partition_chunks(graph, chunks)
     nodes = np.flatnonzero(graph.degrees > 0)
     codes = [graph.codes[v] for v in nodes.tolist()]
-    # Sums before first rows: the other order put half of eval's peaks 1.4 MB up.
+    # Step s of a chunk writes its rows into the head of steps[s % 2]. Sums,
+    # steps, then first rows: steps last put embed's peak 0.3 MB up, sums
+    # after first rows put half of eval's peaks 1.4 MB up, and the steps as
+    # two arrays put eval's peak 1.1 MB up.
     merged = [_allocate(np.zeros, len(codes), d, InvalidParameterError) for _ in counts]
+    steps = _allocate(
+        lambda shape: np.empty((2, *shape)), len(codes), d, InvalidParameterError,
+        "step pair 2 x {} x {}",
+    )
     start = init_embedding(codes, d, seed)
-    buf = np.empty_like(start[: max(1, _BLOCK_VALUES // d)])
+    block = max(1, _BLOCK_VALUES // d)
     replaced = [0] * len(counts)
     for q in _distinct(chunk_ids).tolist():
         M = build_transition(graph, chunk_ids, q)
+        n = len(M.nodes)
         pos = np.searchsorted(nodes, M.nodes)
         weights = (M.degrees / graph.degrees[M.nodes])[:, None]
-        T, lost = start[pos], 0
+        # A chunk's nodes all have edges, so pos is in range; with an out,
+        # mode="raise" would gather into a temporary copy first.
+        T = np.take(start, pos, axis=0, out=steps[0, :n], mode="clip")
+        lost = 0
         for step in range(1, max(counts) + 1):
-            T, cancelled = iterate(T, M, threads=threads)
+            T, cancelled = iterate(T, M, threads, steps[step % 2, :n])
             lost += cancelled
+            # The rows this step read are free until the next step writes there.
+            spare = steps[(step + 1) % 2]
             for j, count in enumerate(counts):
                 if count == step:
-                    for a in range(0, len(pos), len(buf)):
-                        r = slice(a, min(a + len(buf), len(pos)))
-                        np.multiply(weights[r], T[r], out=buf[: r.stop - a])
-                        merged[j][pos[r]] += buf[: r.stop - a]
+                    for a in range(0, n, block):
+                        r = slice(a, min(a + block, n))
+                        np.multiply(weights[r], T[r], out=spare[r])
+                        merged[j][pos[r]] += spare[r]
                     replaced[j] += lost
-        del M, T  # so that the next chunk can reuse their memory
+        del M  # so that the next chunk can reuse its memory
     spaces = []
     for count, rows, lost in zip(counts, merged, replaced):
         norms = _row_norms(rows)

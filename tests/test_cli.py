@@ -771,6 +771,30 @@ class TestOutputPreflight:
         assert (tmp_path / clobbered).read_text(encoding="utf-8") == DEMO_TEXT
         assert not (tmp_path / "m.json").exists()
 
+    @pytest.mark.parametrize(
+        "args, linked",
+        [
+            ("embed --input b.txt", "b.txt"),
+            ("eval --input b.txt --truth t.txt", "t.txt"),
+            ("neighbors --input e.txt --all --candidates c.txt", "c.txt"),
+        ],
+    )
+    def test_output_that_is_a_hard_link_to_an_input_exits_2(
+        self, tmp_path, capsys, args, linked
+    ):
+        argv = args.split()
+        for i, name in enumerate(argv):
+            if "." in name:
+                argv[i] = str(tmp_path / name)
+                (tmp_path / name).write_text(DEMO_TEXT, encoding="utf-8")
+        os.link(tmp_path / linked, tmp_path / "h.txt")
+        assert main(argv + ["--output", str(tmp_path / "h.txt")]) == 2
+        assert capsys.readouterr().err == (
+            f"error: cannot write {str(tmp_path / 'h.txt')!r}: "
+            f"it is the same file as the input {str(tmp_path / linked)!r}\n"
+        )
+        assert (tmp_path / linked).read_text(encoding="utf-8") == DEMO_TEXT
+
 
 class TestInputsOpenedFirst:
     """A command with two inputs opens both before it parses either, so a

@@ -6,6 +6,7 @@ import dataclasses
 import hashlib
 import io
 import struct
+import time
 import tracemalloc
 import re
 import warnings
@@ -110,6 +111,41 @@ class TestPartition:
                 expected[(ca, cb)] = zlib.crc32(key) % q
             assert chunk_map(g, partition_chunks(g, q)) == expected
 
+    def test_ids_equal_crc32_of_the_joined_pair_at_every_length_to_400_bytes(self):
+        # The pair's crc is built from each code's own crc and a shift over
+        # the higher code's length, so it is pinned to zlib on the joined
+        # bytes for codes of every UTF-8 length from 1 to 400 bytes.
+        rng = np.random.default_rng(29)
+        pool = ["a", "Z", "7", "_", "é", "ß", "€", "中", "\U0001f600"]
+        codes = []
+        for size in range(1, 401):
+            code = ""
+            while len(code.encode("utf-8")) < size:
+                fits = [c for c in pool if len((code + c).encode("utf-8")) <= size]
+                code += fits[int(rng.integers(len(fits)))]
+            codes.append(code)
+        assert sorted(len(code.encode("utf-8")) for code in codes) == list(range(1, 401))
+        pairs = rng.choice(len(codes), size=(1500, 2))
+        g = graph_from_edges({(codes[x], codes[y]): 1 for x, y in pairs.tolist() if x != y})
+        for q in (2, 3, 7, 2**32 + 1):
+            expected = {
+                (lo, hi): zlib.crc32(lo.encode("utf-8") + b"\x1e" + hi.encode("utf-8")) % q
+                for lo, hi in chunk_map(g, partition_chunks(g, 1))
+            }
+            assert chunk_map(g, partition_chunks(g, q)) == expected
+
+    def test_a_million_byte_code_partitions_in_well_under_a_second(self):
+        # Hashing each pair's joined bytes would read the long code once
+        # per edge, 2 GB here.
+        big = "\u00e9" + "x" * 999_998
+        assert len(big.encode("utf-8")) == 1_000_000
+        g = graph_from_edges({(f"p{i}", big): 1 for i in range(2000)})
+        started = time.perf_counter()
+        chunk_ids = partition_chunks(g, 7)
+        assert time.perf_counter() - started < 0.5
+        for (lo, _), q in list(chunk_map(g, chunk_ids).items())[:20]:
+            assert q == zlib.crc32(lo.encode("utf-8") + b"\x1e" + big.encode("utf-8")) % 7
+
 
 class TestTransition:
     def test_single_edge(self):
@@ -179,6 +215,18 @@ class TestTransition:
         chunk_ids = partition_chunks(demo_graph, 2)
         with pytest.raises(InvalidParameterError):
             build_transition(demo_graph, chunk_ids, 2)
+
+    @pytest.mark.parametrize("chunk_count", [1, 3])
+    def test_memory_is_a_few_words_per_chunk_edge(self, chunk_count):
+        # The result holds 4 words per edge. A node map from the sorted
+        # distinct endpoints and a stable sort by row peaked at 13.4 to 14.3
+        # words; the presence mask and one sort of the entry keys at 9.5
+        # to 10.6.
+        g = wide_graph()
+        chunk_ids = partition_chunks(g, chunk_count)
+        for q in range(chunk_count):
+            _, peak = traced_peak(lambda: build_transition(g, chunk_ids, q))
+            assert peak <= 12 * 8 * np.count_nonzero(chunk_ids == q)
 
 
 @pytest.fixture
@@ -532,6 +580,40 @@ class TestIterate:
         assert np.array_equal(out[codes.index("b")], w)
         assert unit_rows(out, atol=1e-12)
 
+    def test_out_gives_the_same_rows_bit_for_bit(self, monkeypatch, pools):
+        # A random graph at one and two threads, and the path a-b-c whose
+        # middle row cancels and keeps its previous value.
+        monkeypatch.setattr(embedding.os, "cpu_count", lambda: 2)
+        g = random_graph(np.random.default_rng(7), max_nodes=40, max_edges=150)
+        M = build_transition(g, partition_chunks(g, 1), 0)
+        cases = [(init_embedding([g.codes[int(v)] for v in M.nodes], 16, seed=5), M)]
+        path = graph_from_text("a b\nb c\n")
+        u = normalize_rows(np.array([[1.0, 2.0, -2.0]]))[0]
+        by_code = {"a": u, "b": normalize_rows(np.ones((1, 3)))[0], "c": -u}
+        P = build_transition(path, partition_chunks(path, 1), 0)
+        cases.append((np.array([by_code[path.codes[v]] for v in P.nodes.tolist()]), P))
+        for T, M in cases:
+            for threads in (1, 2):
+                expected, replaced = iterate(T, M, threads)
+                buf = np.full_like(T, np.nan)
+                out, count = iterate(T, M, threads, out=buf)
+                assert out is buf and count == replaced
+                assert np.array_equal(out, expected)
+        assert replaced == 1 and set(pools) == {2}
+
+    def test_out_that_is_not_a_separate_array_of_the_rows_shape_rejected(self):
+        g = graph_from_text("a b\nb c\n")
+        M = build_transition(g, partition_chunks(g, 1), 0)
+        pair = np.zeros((2, 3, 4))
+        T = pair[0]
+        T[:] = init_embedding([g.codes[v] for v in M.nodes.tolist()], 4, seed=0)
+        before = T.copy()
+        for out in (T, pair.reshape(-1)[2:14].reshape(3, 4), pair[1, :2], pair[1].T.copy().T):
+            with pytest.raises(InternalConsistencyError, match="separate"):
+                iterate(T, M, out=out)
+        assert np.array_equal(T, before)
+        assert np.array_equal(iterate(T, M, out=pair[1])[0], iterate(T, M)[0])
+
     def test_memory_holds_no_second_rows_by_d_array(self):
         g = wide_graph()
         M = build_transition(g, partition_chunks(g, 1), 0)
@@ -606,7 +688,7 @@ def hand_chunks(monkeypatch, graph, rows: dict) -> None:
     """Make every chunk of ``graph`` in ``train`` end on the hand-made rows
     ``rows[tuple of its codes]`` in place of its iterations."""
 
-    def fake_iterate(vectors, M, threads=1):
+    def fake_iterate(vectors, M, threads=1, out=None):
         return rows[tuple(graph.codes[v] for v in M.nodes.tolist())], 0
 
     monkeypatch.setattr(embedding, "iterate", fake_iterate)
@@ -627,13 +709,15 @@ class TestMerge:
         # Bit for bit against an inline merge that adds each node's scaled
         # chunk rows in ascending chunk order.
         rng = np.random.default_rng(83)
+        mixed = 0
         for _ in range(5):
             g = random_graph(rng, max_nodes=30, max_edges=300)
             chunk_ids = partition_chunks(g, 5)
             W = chunk_weights(g, 5)
-            sums = {}
+            sums, whole = {}, set()
             for q in sorted(set(chunk_ids.tolist())):
                 M = build_transition(g, chunk_ids, q)
+                whole.add(len(M.nodes) == np.count_nonzero(g.degrees))
                 T = init_embedding([g.codes[v] for v in M.nodes.tolist()], 32, seed=4)
                 for _ in range(3):
                     T, _ = iterate(T, M)
@@ -644,6 +728,9 @@ class TestMerge:
             emb = train(g, d=32, iterations=3, chunks=5, seed=4)
             assert emb.codes == [g.codes[v] for v in sorted(sums)]
             assert np.array_equal(emb.vectors, expected)
+            # Both kinds of chunk, over every product and over some, occur.
+            mixed += whole == {True, False}
+        assert mixed > 0
 
     def test_two_chunk_hand_merge(self, monkeypatch):
         # Two hand-made chunk embeddings over a shared node, merged by
@@ -801,6 +888,21 @@ class TestTrain:
         finally:
             tracemalloc.stop()
         assert peak < 8 * 2**20
+
+    def test_step_pair_that_does_not_fit_is_named(self, monkeypatch, demo_graph):
+        # The sums fit and only the (2, products, d) step pair does not.
+        real = np.empty
+
+        def empty(shape, *args, **kwargs):
+            if isinstance(shape, tuple) and len(shape) == 3:
+                raise MemoryError
+            return real(shape, *args, **kwargs)
+
+        monkeypatch.setattr(embedding.np, "empty", empty)
+        n = int(np.count_nonzero(demo_graph.degrees))
+        with pytest.raises(InvalidParameterError) as info:
+            train(demo_graph, d=4, iterations=1, chunks=1, seed=0)
+        assert str(info.value) == f"step pair 2 x {n} x 4 does not fit in memory"
 
 
 def train_or_message(graph, **kwargs):
