@@ -14,7 +14,8 @@ The training loop:
    L2-normalize each row.
 5. Merge chunks per node with weights w(q, v) = deg_q(v) / deg(v), adding
    each chunk into one sum per requested iteration count, and L2-normalize
-   the merged rows.
+   the merged rows. A single chunk weighs every node 1.0, so its rows at a
+   count are that count's sum as they stand, and no sum is kept.
 
 Embeddings trained with a single iteration capture direct co-purchase
 structure (complements); more iterations (six by default) capture shared
@@ -384,13 +385,17 @@ def train(
     Every non-isolated product gets one initial row. Each chunk iterates
     its nodes' rows, then adds them, scaled by w(q, v), into one
     (nodes x d) sum in ascending chunk order, and is dropped. Merged rows
-    are L2-normalized and follow the order of the graph's codes.
+    are L2-normalized and follow the order of the graph's codes. When all
+    edges fall in one chunk, its rows are the sums bit for bit, so it
+    iterates in the initial rows and one (nodes x d) step array and keeps
+    no sum.
 
     ``iterations`` is one count, giving one space, or a sequence of counts
     such as ``(6, 1)``, giving a list of spaces in that order from one
     pass: each chunk iterates up to the largest count and adds its rows
-    into each count's own sum when it reaches that count. Every space
-    equals the one a separate call with its count returns.
+    into each count's own sum when it reaches that count; a single chunk
+    copies its rows at each smaller count instead. Every space equals the
+    one a separate call with its count returns, in an array of its own.
 
     Deterministic for fixed (graph, d, iterations, chunks, seed) at every
     thread count; ``threads`` above ``os.cpu_count()`` is clamped to it.
@@ -417,40 +422,67 @@ def train(
     chunk_ids = partition_chunks(graph, chunks)
     nodes = np.flatnonzero(graph.degrees > 0)
     codes = [graph.codes[v] for v in nodes.tolist()]
-    # Step s of a chunk writes its rows into the head of steps[s % 2]. Sums,
-    # steps, then first rows: steps last put embed's peak 0.3 MB up, sums
-    # after first rows put half of eval's peaks 1.4 MB up, and the steps as
-    # two arrays put eval's peak 1.1 MB up.
-    merged = [_allocate(np.zeros, len(codes), d, InvalidParameterError) for _ in counts]
-    steps = _allocate(
-        lambda shape: np.empty((2, *shape)), len(codes), d, InvalidParameterError,
-        "step pair 2 x {} x {}",
-    )
-    start = init_embedding(codes, d, seed)
-    block = max(1, _BLOCK_VALUES // d)
+    qs = _distinct(chunk_ids).tolist()
     replaced = [0] * len(counts)
-    for q in _distinct(chunk_ids).tolist():
-        M = build_transition(graph, chunk_ids, q)
-        n = len(M.nodes)
-        pos = np.searchsorted(nodes, M.nodes)
-        weights = (M.degrees / graph.degrees[M.nodes])[:, None]
-        # A chunk's nodes all have edges, so pos is in range; with an out,
-        # mode="raise" would gather into a temporary copy first.
-        T = np.take(start, pos, axis=0, out=steps[0, :n], mode="clip")
+    if len(qs) == 1:
+        # One chunk holds every node with weight deg_q(v) / deg(v) = 1.0 (sums
+        # of integers), and no step yields -0.0 (the kernel's sums start at
+        # +0.0), so a count's sum 0.0 + 1.0 * T is T bit for bit. Steps write
+        # into start and half in turn; the rows at the largest count stay where
+        # the last step wrote them, and each other count keeps a copy.
+        top = counts.index(max(counts))
+        merged = [
+            None if j == top else _allocate(np.empty, len(codes), d, InvalidParameterError)
+            for j in range(len(counts))
+        ]
+        half = _allocate(np.empty, len(codes), d, InvalidParameterError)
+        T = start = init_embedding(codes, d, seed)
+        M = build_transition(graph, chunk_ids, qs[0])
         lost = 0
         for step in range(1, max(counts) + 1):
-            T, cancelled = iterate(T, M, threads, steps[step % 2, :n])
+            T, cancelled = iterate(T, M, threads, (start, half)[step % 2])
             lost += cancelled
-            # The rows this step read are free until the next step writes there.
-            spare = steps[(step + 1) % 2]
             for j, count in enumerate(counts):
                 if count == step:
-                    for a in range(0, n, block):
-                        r = slice(a, min(a + block, n))
-                        np.multiply(weights[r], T[r], out=spare[r])
-                        merged[j][pos[r]] += spare[r]
-                    replaced[j] += lost
-        del M  # so that the next chunk can reuse its memory
+                    replaced[j] = lost
+                    if j != top:
+                        np.copyto(merged[j], T)
+        merged[top] = T
+        del M, start, half  # so that the spaces' checks below can reuse the memory
+    else:
+        # Step s of a chunk writes its rows into the head of steps[s % 2]. Sums,
+        # steps, then first rows: steps last put embed's peak 0.3 MB up, sums
+        # after first rows put half of eval's peaks 1.4 MB up, and the steps as
+        # two arrays put eval's peak 1.1 MB up.
+        merged = [_allocate(np.zeros, len(codes), d, InvalidParameterError) for _ in counts]
+        steps = _allocate(
+            lambda shape: np.empty((2, *shape)), len(codes), d, InvalidParameterError,
+            "step pair 2 x {} x {}",
+        )
+        start = init_embedding(codes, d, seed)
+        block = max(1, _BLOCK_VALUES // d)
+        for q in qs:
+            M = build_transition(graph, chunk_ids, q)
+            n = len(M.nodes)
+            pos = np.searchsorted(nodes, M.nodes)
+            weights = (M.degrees / graph.degrees[M.nodes])[:, None]
+            # A chunk's nodes all have edges, so pos is in range; with an out,
+            # mode="raise" would gather into a temporary copy first.
+            T = np.take(start, pos, axis=0, out=steps[0, :n], mode="clip")
+            lost = 0
+            for step in range(1, max(counts) + 1):
+                T, cancelled = iterate(T, M, threads, steps[step % 2, :n])
+                lost += cancelled
+                # The rows this step read are free until the next step writes there.
+                spare = steps[(step + 1) % 2]
+                for j, count in enumerate(counts):
+                    if count == step:
+                        for a in range(0, n, block):
+                            r = slice(a, min(a + block, n))
+                            np.multiply(weights[r], T[r], out=spare[r])
+                            merged[j][pos[r]] += spare[r]
+                        replaced[j] += lost
+            del M  # so that the next chunk can reuse its memory
     spaces = []
     for count, rows, lost in zip(counts, merged, replaced):
         norms = _row_norms(rows)

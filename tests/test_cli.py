@@ -54,6 +54,14 @@ def demo_file(tmp_path):
     return path
 
 
+def child_env() -> dict:
+    """This environment with the package's source directory first on
+    PYTHONPATH, so that a child interpreter imports the same package."""
+    src = os.path.dirname(os.path.dirname(basketspace.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONPATH": path}
+
+
 def run_child(argv, address_space_mb=None, timeout=120, then=""):
     """Run ``main(argv)`` in a child interpreter, with its address space
     capped at ``address_space_mb`` if given; the cap binds the child only.
@@ -65,11 +73,9 @@ def run_child(argv, address_space_mb=None, timeout=120, then=""):
         script += f"resource.setrlimit(resource.RLIMIT_AS, ({limit}, {limit}))\n"
     script += "from basketspace.cli import main\ncode = main(sys.argv[1:])\n"
     script += f"{then}sys.exit(code)\n"
-    src = os.path.dirname(os.path.dirname(basketspace.__file__))
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     return subprocess.run(
         [sys.executable, "-c", script, *argv],
-        env={**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": "1"},
+        env={**child_env(), "OPENBLAS_NUM_THREADS": "1"},
         capture_output=True,
         text=True,
         timeout=timeout,
@@ -1011,6 +1017,7 @@ class TestEntryPoint:
     def test_module_invocation(self):
         result = subprocess.run(
             [sys.executable, "-m", "basketspace", "--help"],
+            env=child_env(),
             capture_output=True,
             text=True,
             timeout=60,

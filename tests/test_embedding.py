@@ -754,8 +754,10 @@ class TestMerge:
         assert unit_rows(merged.vectors, atol=1e-12)
 
     def test_zero_total_weight_rejected(self, monkeypatch):
-        # A node whose chunk weights are all zero merges to a zero row.
-        g = graph_from_text("a b\n")
+        # A node whose chunk weights are all zero merges to a zero row. One
+        # chunk takes no weights, so the graph is split into two.
+        g = graph_from_text("a b\na c\n")
+        q = split_chunk_count(g)
         build = embedding.build_transition
         monkeypatch.setattr(
             embedding,
@@ -765,7 +767,7 @@ class TestMerge:
             ),
         )
         with pytest.raises(InternalConsistencyError, match="cancelled to zero"):
-            train(g, d=4, iterations=1, seed=0)
+            train(g, d=4, iterations=1, chunks=q, seed=0)
 
     def test_cancelled_merged_row_rejected(self, monkeypatch):
         # a's two edges carry equal weight in separate chunks; opposite
@@ -879,6 +881,21 @@ class TestTrain:
         # 5.26 times n*d*8; row blocks at 4.50.
         assert peak <= 5 * len(emb) * 128 * 8
 
+    @pytest.mark.parametrize("counts, arrays", [(6, 2.5), ((6, 1), 3.5)])
+    def test_one_chunk_holds_no_sums(self, counts, arrays):
+        # One chunk keeps its first rows, one step array and a copy per
+        # smaller count; first rows, sums and a step pair peaked at 4.16 and
+        # 5.16 times n*d*8.
+        rng = np.random.default_rng(0)
+        edges = {(f"p{i}", f"p{i + 1}"): 1 for i in range(1999)}
+        for a, b in rng.integers(0, 2000, (4000, 2)).tolist():
+            if a != b:
+                key = (f"p{min(a, b)}", f"p{max(a, b)}")
+                edges[key] = edges.get(key, 0) + 1
+        g = graph_from_edges(edges)
+        _, peak = traced_peak(lambda: train(g, d=256, iterations=counts, chunks=1, seed=0))
+        assert peak < arrays * 2000 * 256 * 8
+
     def test_memory_does_not_grow_with_chunk_count(self, demo_graph):
         # Six products in a million chunks: nothing may be sized products x Q.
         tracemalloc.start()
@@ -889,8 +906,11 @@ class TestTrain:
             tracemalloc.stop()
         assert peak < 8 * 2**20
 
-    def test_step_pair_that_does_not_fit_is_named(self, monkeypatch, demo_graph):
-        # The sums fit and only the (2, products, d) step pair does not.
+    def test_step_pair_that_does_not_fit_is_named(self, monkeypatch):
+        # The sums fit and only the (2, products, d) step pair does not. One
+        # chunk has no pair, so the graph is split into two.
+        g = graph_from_text("a b\na c\n")
+        q = split_chunk_count(g)
         real = np.empty
 
         def empty(shape, *args, **kwargs):
@@ -899,10 +919,9 @@ class TestTrain:
             return real(shape, *args, **kwargs)
 
         monkeypatch.setattr(embedding.np, "empty", empty)
-        n = int(np.count_nonzero(demo_graph.degrees))
         with pytest.raises(InvalidParameterError) as info:
-            train(demo_graph, d=4, iterations=1, chunks=1, seed=0)
-        assert str(info.value) == f"step pair 2 x {n} x 4 does not fit in memory"
+            train(g, d=4, iterations=1, chunks=q, seed=0)
+        assert str(info.value) == "step pair 2 x 3 x 4 does not fit in memory"
 
 
 def train_or_message(graph, **kwargs):
@@ -942,6 +961,14 @@ class TestCheckpoints:
                 assert one.zero_rows_replaced == alone.zero_rows_replaced
                 replaced += one.zero_rows_replaced
         assert replaced > 0
+
+    @pytest.mark.parametrize("counts", [(6, 1), (1, 6), (2, 2)])
+    def test_one_chunk_spaces_share_no_memory(self, demo_graph, counts):
+        # At one chunk the spaces are the step rows themselves, so equal
+        # counts must still get arrays of their own.
+        spaces = train(demo_graph, d=8, iterations=counts, chunks=1, seed=0)
+        assert not np.shares_memory(spaces[0].vectors, spaces[1].vectors)
+        assert unit_rows(spaces[0].vectors) and unit_rows(spaces[1].vectors)
 
     def test_zero_rows_replaced_counts_every_step(self):
         # d=1 rows are +-1, so rows cancel at several steps; a space counts
