@@ -14,8 +14,8 @@ The training loop:
    L2-normalize each row.
 5. Merge chunks per node with weights w(q, v) = deg_q(v) / deg(v), adding
    each chunk into one sum per requested iteration count, and L2-normalize
-   the merged rows. A single chunk weighs every node 1.0, so its rows at a
-   count are that count's sum as they stand, and no sum is kept.
+   the merged rows. A single chunk weighs every node 1.0, so its rows at the
+   largest count are that count's sum as they stand and get no sum.
 
 Embeddings trained with a single iteration capture direct co-purchase
 structure (complements); more iterations (six by default) capture shared
@@ -56,7 +56,7 @@ COMPLEMENT_ITERATIONS = 1
 # batches left more memory behind after the read; chosen by peak memory.
 _READ_VALUES = 1 << 13
 
-# Values per row block of the row norms and the chunk merge (256 at d=128).
+# Values per row block of row norms, merges and write_embedding (256 at d=128).
 _BLOCK_VALUES = 1 << 15
 
 
@@ -385,17 +385,15 @@ def train(
     Every non-isolated product gets one initial row. Each chunk iterates
     its nodes' rows, then adds them, scaled by w(q, v), into one
     (nodes x d) sum in ascending chunk order, and is dropped. Merged rows
-    are L2-normalized and follow the order of the graph's codes. When all
-    edges fall in one chunk, its rows are the sums bit for bit, so it
-    iterates in the initial rows and one (nodes x d) step array and keeps
-    no sum.
+    are L2-normalized and follow the order of the graph's codes. A single
+    chunk's rows at the largest count are that count's sum bit for bit, so
+    they become that space with no sum.
 
     ``iterations`` is one count, giving one space, or a sequence of counts
     such as ``(6, 1)``, giving a list of spaces in that order from one
     pass: each chunk iterates up to the largest count and adds its rows
-    into each count's own sum when it reaches that count; a single chunk
-    copies its rows at each smaller count instead. Every space equals the
-    one a separate call with its count returns, in an array of its own.
+    into each count's own sum when it reaches that count. Every space equals
+    the one a separate call with its count returns, in an array of its own.
 
     Deterministic for fixed (graph, d, iterations, chunks, seed) at every
     thread count; ``threads`` above ``os.cpu_count()`` is clamped to it.
@@ -424,65 +422,54 @@ def train(
     codes = [graph.codes[v] for v in nodes.tolist()]
     qs = _distinct(chunk_ids).tolist()
     replaced = [0] * len(counts)
-    if len(qs) == 1:
-        # One chunk holds every node with weight deg_q(v) / deg(v) = 1.0 (sums
-        # of integers), and no step yields -0.0 (the kernel's sums start at
-        # +0.0), so a count's sum 0.0 + 1.0 * T is T bit for bit. Steps write
-        # into start and half in turn; the rows at the largest count stay where
-        # the last step wrote them, and each other count keeps a copy.
-        top = counts.index(max(counts))
-        merged = [
-            None if j == top else _allocate(np.empty, len(codes), d, InvalidParameterError)
-            for j in range(len(counts))
-        ]
-        half = _allocate(np.empty, len(codes), d, InvalidParameterError)
-        T = start = init_embedding(codes, d, seed)
-        M = build_transition(graph, chunk_ids, qs[0])
-        lost = 0
+    # One chunk holds every node at weight deg_q(v) / deg(v) = 1.0 (sums of
+    # integers) and pos = arange, and no step yields -0.0 (the kernel's sums
+    # start at +0.0), so a sum 0.0 + 1.0 * T is T bit for bit: that chunk
+    # steps between its first rows and one array, and its rows at the largest
+    # count are that space. Sums, steps, then first rows: steps last put
+    # embed's peak 0.3 MB up, sums after first rows put half of eval's peaks
+    # 1.4 MB up, and the steps as two arrays put eval's peak 1.1 MB up.
+    one = len(qs) == 1
+    top = counts.index(max(counts)) if one else None
+    merged = [
+        None if j == top else _allocate(np.empty, len(codes), d, InvalidParameterError)
+        for j in range(len(counts))
+    ]
+    make = np.empty if one else lambda shape: np.empty((2, *shape))
+    what = "embedding shape {} x {}" if one else "step pair 2 x {} x {}"
+    steps = _allocate(make, len(codes), d, InvalidParameterError, what)
+    start = init_embedding(codes, d, seed)
+    for q in qs:
+        M = build_transition(graph, chunk_ids, q)
+        n = len(M.nodes)
+        block = min(max(1, _BLOCK_VALUES // d), n // 2)  # two blocks fit in n >= 2 rows
+        pos = np.searchsorted(nodes, M.nodes)
+        weights = (M.degrees / graph.degrees[M.nodes])[:, None]
+        pair = (start, steps) if one else (steps[0, :n], steps[1, :n])
+        # A chunk's nodes all have edges, so pos is in range; with an out,
+        # mode="raise" would gather into a temporary copy first.
+        T = start if one else np.take(start, pos, axis=0, out=pair[0], mode="clip")
         for step in range(1, max(counts) + 1):
-            T, cancelled = iterate(T, M, threads, (start, half)[step % 2])
-            lost += cancelled
+            T, cancelled = iterate(T, M, threads, pair[step % 2])
+            # The rows this step read are free until the next step writes there. The
+            # merge weighs and gathers in them: a gather with no out allocates a block.
+            spare = pair[(step + 1) % 2]
             for j, count in enumerate(counts):
-                if count == step:
-                    replaced[j] = lost
-                    if j != top:
-                        np.copyto(merged[j], T)
+                if count >= step:
+                    replaced[j] += cancelled
+                if count == step and j != top:
+                    if q == qs[0]:  # np.zeros up front put eval's peak 0.13 MB up
+                        merged[j].fill(0.0)
+                    for a in range(0, n, block):
+                        k = min(block, n - a)
+                        r, old = slice(a, a + k), slice(block, block + k)
+                        np.take(merged[j], pos[r], axis=0, out=spare[old], mode="clip")
+                        spare[old] += np.multiply(weights[r], T[r], out=spare[:k])
+                        merged[j][pos[r]] = spare[old]
+        del M  # so that the next chunk can reuse its memory
+    if one:
         merged[top] = T
-        del M, start, half  # so that the spaces' checks below can reuse the memory
-    else:
-        # Step s of a chunk writes its rows into the head of steps[s % 2]. Sums,
-        # steps, then first rows: steps last put embed's peak 0.3 MB up, sums
-        # after first rows put half of eval's peaks 1.4 MB up, and the steps as
-        # two arrays put eval's peak 1.1 MB up.
-        merged = [_allocate(np.zeros, len(codes), d, InvalidParameterError) for _ in counts]
-        steps = _allocate(
-            lambda shape: np.empty((2, *shape)), len(codes), d, InvalidParameterError,
-            "step pair 2 x {} x {}",
-        )
-        start = init_embedding(codes, d, seed)
-        block = max(1, _BLOCK_VALUES // d)
-        for q in qs:
-            M = build_transition(graph, chunk_ids, q)
-            n = len(M.nodes)
-            pos = np.searchsorted(nodes, M.nodes)
-            weights = (M.degrees / graph.degrees[M.nodes])[:, None]
-            # A chunk's nodes all have edges, so pos is in range; with an out,
-            # mode="raise" would gather into a temporary copy first.
-            T = np.take(start, pos, axis=0, out=steps[0, :n], mode="clip")
-            lost = 0
-            for step in range(1, max(counts) + 1):
-                T, cancelled = iterate(T, M, threads, steps[step % 2, :n])
-                lost += cancelled
-                # The rows this step read are free until the next step writes there.
-                spare = steps[(step + 1) % 2]
-                for j, count in enumerate(counts):
-                    if count == step:
-                        for a in range(0, n, block):
-                            r = slice(a, min(a + block, n))
-                            np.multiply(weights[r], T[r], out=spare[r])
-                            merged[j][pos[r]] += spare[r]
-                        replaced[j] += lost
-            del M  # so that the next chunk can reuse its memory
+    del T, start, steps, pair, spare  # so that the spaces' checks can reuse the memory
     spaces = []
     for count, rows, lost in zip(counts, merged, replaced):
         norms = _row_norms(rows)

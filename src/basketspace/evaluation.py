@@ -253,7 +253,8 @@ def pair_order_agreement(algorithm_pair: Sequence, expert_pair: Sequence) -> str
 
 @dataclass
 class BenchmarkConfig:
-    """Knobs for :func:`run_benchmark`. Defaults run in seconds."""
+    """Settings for :func:`run_benchmark` and :func:`benchmark_baskets`,
+    which ``eval`` calls. Defaults run in seconds."""
 
     dimension: int = 128
     substitute_iterations: int = 6

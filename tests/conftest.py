@@ -2,6 +2,12 @@
 the dense training oracle, the embedding reader and writer oracles, plus
 random-graph helpers used by oracle and invariant tests."""
 
+import sys
+
+# Write no bytecode cache into src/: the benchmark runs the checkout's
+# source, and a cache left by a test run skews its start-up and memory.
+sys.dont_write_bytecode = True
+
 import io
 from array import array
 

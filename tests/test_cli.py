@@ -56,10 +56,11 @@ def demo_file(tmp_path):
 
 def child_env() -> dict:
     """This environment with the package's source directory first on
-    PYTHONPATH, so that a child interpreter imports the same package."""
+    PYTHONPATH, so that a child interpreter imports the same package, and
+    with no bytecode cache written into it."""
     src = os.path.dirname(os.path.dirname(basketspace.__file__))
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    return {**os.environ, "PYTHONPATH": path}
+    return {**os.environ, "PYTHONPATH": path, "PYTHONDONTWRITEBYTECODE": "1"}
 
 
 def run_child(argv, address_space_mb=None, timeout=120, then=""):

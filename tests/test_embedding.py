@@ -580,6 +580,24 @@ class TestIterate:
         assert np.array_equal(out[codes.index("b")], w)
         assert unit_rows(out, atol=1e-12)
 
+    @pytest.mark.parametrize("d", [1, 16])
+    def test_no_step_yields_negative_zero(self, d):
+        # train's one-chunk space is its last step's rows, which equals a sum
+        # 0.0 + 1.0 * T only if T holds no -0.0. Rows of +-1 / sqrt(d) cancel
+        # exactly: whole rows at d=1, which steps replace, and entries at d=16.
+        rng = np.random.default_rng(d)
+        replaced = zeros = 0
+        for _ in range(20):
+            g = random_graph(rng, max_nodes=40, max_edges=60)
+            M = build_transition(g, partition_chunks(g, 1), 0)
+            T = normalize_rows(rng.choice([-1.0, 1.0], (len(M.nodes), d)))
+            for _ in range(6):
+                T, cancelled = iterate(T, M)
+                assert not (np.signbit(T) & (T == 0)).any()
+                replaced += cancelled
+                zeros += int(np.count_nonzero(T == 0))
+        assert (replaced if d == 1 else zeros) > 0
+
     def test_out_gives_the_same_rows_bit_for_bit(self, monkeypatch, pools):
         # A random graph at one and two threads, and the path a-b-c whose
         # middle row cancels and keeps its previous value.
@@ -653,7 +671,19 @@ class TestChunkWeights:
         M = build_transition(demo_graph, partition_chunks(demo_graph, 1), 0)
         assert np.array_equal(M.degrees, demo_graph.degrees[M.nodes])
         W = chunk_weights(demo_graph, 1)
-        assert np.allclose(W[:, 0], 1.0, atol=1e-15)
+        assert np.array_equal(W[:, 0], np.ones(len(W)))
+
+    def test_one_chunk_weights_are_one_at_identity_positions(self):
+        # train's one-chunk space is its last step's rows, which equals a sum
+        # 0.0 + w * T scattered through pos only if w is exactly 1.0 and pos
+        # the identity.
+        rng = np.random.default_rng(47)
+        for _ in range(20):
+            g = random_graph(rng)
+            M = build_transition(g, partition_chunks(g, 1), 0)
+            nodes = np.flatnonzero(g.degrees > 0)
+            assert np.array_equal(M.degrees / g.degrees[M.nodes], np.ones(len(nodes)))
+            assert np.array_equal(np.searchsorted(nodes, M.nodes), np.arange(len(nodes)))
 
     def test_rows_sum_to_one_for_covered_nodes(self):
         rng = np.random.default_rng(41)
@@ -895,6 +925,31 @@ class TestTrain:
         g = graph_from_edges(edges)
         _, peak = traced_peak(lambda: train(g, d=256, iterations=counts, chunks=1, seed=0))
         assert peak < arrays * 2000 * 256 * 8
+
+    @pytest.mark.parametrize("chunks", [1, 3])
+    @pytest.mark.parametrize("counts, arrays", [(6, 1.5), ((6, 1), 2.5)])
+    def test_spaces_are_checked_without_step_buffers(self, monkeypatch, counts, arrays, chunks):
+        # Memory traced at each row-norm call after the last step, that is in
+        # the spaces' checks: one (products x d) array per space. A step
+        # array left alive read about one array more.
+        g = wide_graph()
+        real_iterate, real_norms = embedding.iterate, embedding._row_norms
+        current = []
+
+        def stepped(*args, **kwargs):
+            result = real_iterate(*args, **kwargs)
+            current.clear()
+            return result
+
+        def norms(x):
+            current.append(tracemalloc.get_traced_memory()[0])
+            return real_norms(x)
+
+        monkeypatch.setattr(embedding, "iterate", stepped)
+        monkeypatch.setattr(embedding, "_row_norms", norms)
+        traced_peak(lambda: train(g, d=256, iterations=counts, chunks=chunks, seed=0))
+        assert len(current) == np.size(counts)
+        assert max(current) < arrays * np.count_nonzero(g.degrees) * 256 * 8
 
     def test_memory_does_not_grow_with_chunk_count(self, demo_graph):
         # Six products in a million chunks: nothing may be sized products x Q.
