@@ -34,7 +34,6 @@ from .evaluation import (
     pair_order_agreement,
     random_hit_expectation,
     read_truth,
-    run_benchmark,
     weighted_accuracy,
 )
 from .ingest import (
@@ -82,7 +81,6 @@ __all__ = [
     "read_truth",
     "recommend_complements",
     "recommend_substitutes",
-    "run_benchmark",
     "top_k_batch",
     "train",
     "weighted_accuracy",

@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import sys
 import time
+import warnings
 from contextlib import contextmanager, nullcontext
 from pathlib import Path
 from typing import Iterator, Sequence, TextIO
@@ -275,20 +276,24 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    try:
-        return args.func(args)
-    except BasketspaceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return exc.exit_code
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except MemoryError as exc:
-        print(f"error: out of memory during {args.command}: {exc}", file=sys.stderr)
-        return 2
-    except Exception as exc:  # pragma: no cover - defensive
-        print(f"internal error: {exc}", file=sys.stderr)
-        return 1
+    # A warning is shown as one line, without the source line that raised
+    # it; the caller's handler is back once the command returns.
+    with warnings.catch_warnings():
+        warnings.showwarning = lambda message, *_: _progress(f"warning: {message}")
+        try:
+            return args.func(args)
+        except BasketspaceError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return exc.exit_code
+        except OSError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
+        except MemoryError as exc:
+            print(f"error: out of memory during {args.command}: {exc}", file=sys.stderr)
+            return 2
+        except Exception as exc:  # pragma: no cover - defensive
+            print(f"internal error: {exc}", file=sys.stderr)
+            return 1
 
 
 if __name__ == "__main__":

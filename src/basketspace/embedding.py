@@ -72,6 +72,10 @@ class EmbeddingMatrix:
         seed: seed the rows were trained with, or None when unknown.
         zero_rows_replaced: how many multiply results cancelled to zero and
             were replaced by their previous value during training.
+
+    Raises:
+        InvalidParameterError: if ``vectors`` is not 2-D or its row count
+            is not the number of codes.
     """
 
     codes: list
@@ -79,6 +83,13 @@ class EmbeddingMatrix:
     iterations: int | None = None
     seed: int | None = None
     zero_rows_replaced: int = 0
+
+    def __post_init__(self) -> None:
+        if np.ndim(self.vectors) != 2 or len(self.codes) != len(self.vectors):
+            raise InvalidParameterError(
+                f"{len(self.codes)} codes for vectors of shape {np.shape(self.vectors)}; "
+                "need one 2-D row per code"
+            )
 
     @property
     def dimension(self) -> int:

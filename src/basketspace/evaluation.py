@@ -40,7 +40,7 @@ from .errors import (
     MalformedInputError,
     at_least,
 )
-from .ingest import Baskets, CooccurrenceGraph, _content_lines, _distinct, expand_hyperedges
+from .ingest import CooccurrenceGraph, _content_lines, _distinct
 from .neighbors import (
     random_recommender,
     recommend_complements,
@@ -67,10 +67,6 @@ class SyntheticMarket:
         themes: number of themes.
         groups_per_theme: substitute groups per theme.
         group_size: products per group.
-        pick_prob: per-group inclusion probability p.
-        affinity: probability that an included group contributes the
-            trip's style-matched member instead of a uniform one.
-        seed: generator seed.
         product_codes: the code of every product id.
         picks: int64 (baskets, groups_per_theme) product ids, -1 where the
             basket skipped the group.
@@ -79,9 +75,6 @@ class SyntheticMarket:
     themes: int
     groups_per_theme: int
     group_size: int
-    pick_prob: float
-    affinity: float
-    seed: int
     product_codes: list
     picks: np.ndarray
 
@@ -167,9 +160,6 @@ def generate_synthetic_market(
         themes,
         groups_per_theme,
         group_size,
-        pick_prob,
-        affinity,
-        seed,
         product_codes,
         picks,
     )
@@ -253,8 +243,8 @@ def pair_order_agreement(algorithm_pair: Sequence, expert_pair: Sequence) -> str
 
 @dataclass
 class BenchmarkConfig:
-    """Settings for :func:`run_benchmark` and :func:`benchmark_baskets`,
-    which ``eval`` calls. Defaults run in seconds."""
+    """Settings for :func:`benchmark_baskets`, which ``eval`` calls.
+    Defaults run in seconds."""
 
     dimension: int = 128
     substitute_iterations: int = 6
@@ -341,36 +331,6 @@ class EvalReport:
         return "\n".join(lines) + "\n"
 
 
-def run_benchmark(market: SyntheticMarket, config: BenchmarkConfig) -> EvalReport:
-    """Train both spaces on the market and score them against planted truth.
-
-    Deterministic for a fixed market and config, byte-for-byte, and equal
-    to :func:`benchmark_baskets` on the parsed output of
-    :meth:`SyntheticMarket.write_baskets`.
-    """
-    market_info = {
-        "themes": market.themes,
-        "groups_per_theme": market.groups_per_theme,
-        "group_size": market.group_size,
-        "baskets": len(market.picks),
-        "pick_prob": market.pick_prob,
-        "affinity": market.affinity,
-        "seed": market.seed,
-    }
-    # The rows and the first-appearance code list that parsing the
-    # market's basket file would give; a row never repeats a product.
-    picked = market.picks >= 0
-    flat = market.picks[picked]
-    _, first = np.unique(flat, return_index=True)
-    ids = flat[np.sort(first)]
-    index = np.empty(len(market.product_codes), dtype=np.int64)
-    index[ids] = np.arange(len(ids))
-    offsets = np.concatenate([[0], np.cumsum(picked.sum(axis=1))])
-    codes = [market.product_codes[p] for p in ids.tolist()]
-    graph = expand_hyperedges(Baskets(offsets, index[flat]), codes)
-    return benchmark_baskets(graph, market.membership(), config, market_info=market_info)
-
-
 def _listed(codes: list) -> str:
     """The first ten codes, comma-separated, with a count of the rest."""
     more = f" (+{len(codes) - 10} more)" if len(codes) > 10 else ""
@@ -412,7 +372,6 @@ def benchmark_baskets(
     graph: CooccurrenceGraph,
     membership: dict,
     config: BenchmarkConfig,
-    market_info: dict | None = None,
 ) -> EvalReport:
     """Benchmark a basket graph against a code -> (theme, group) truth map.
 
@@ -519,7 +478,7 @@ def benchmark_baskets(
 
     report = EvalReport(
         config=asdict(config),
-        market=market_info or {"products_in_truth": len(membership)},
+        market={"products_in_truth": len(membership)},
         n_embedded=n,
         n_queries=nq,
         substitutes={

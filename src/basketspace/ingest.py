@@ -21,7 +21,7 @@ from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
 
-from .errors import InvalidParameterError, MalformedInputError
+from .errors import InvalidParameterError, MalformedInputError, at_least
 
 # Baskets beyond this many distinct products are rejected: clique expansion
 # grows quadratically and a line that size is almost certainly not a basket.
@@ -69,9 +69,12 @@ def parse_baskets(
         index ``i``.
 
     Raises:
+        InvalidParameterError: if ``max_basket_products`` is below 1,
+            before any line is read.
         MalformedInputError: on a code starting with ``#`` or a line over the product bound.
         OSError: if the stream cannot be read.
     """
+    at_least("max basket size", max_basket_products, 1)
     # A missing code gets the next index, so indices follow first appearance.
     index = defaultdict(count().__next__)
     offsets = array("q", [0])

@@ -21,10 +21,12 @@ from basketspace import (
     EmptyGraphError,
     InvalidParameterError,
     MalformedInputError,
+    benchmark_baskets,
     expand_hyperedges,
     parse_baskets,
 )
 from basketspace.embedding import ZERO_ROW_NORM, init_embedding
+from basketspace.errors import at_least
 
 # Three-basket demo corpus used throughout the tests.
 DEMO_TEXT = "p1 p3 p4\np2 p4\np5 p6 p3\n"
@@ -51,8 +53,21 @@ def graph_from_text(text: str) -> CooccurrenceGraph:
     return expand_hyperedges(baskets, vocab)
 
 
+def market_graph(market) -> CooccurrenceGraph:
+    """The graph ``eval`` builds from the market's basket file."""
+    lines = io.StringIO()
+    market.write_baskets(lines)
+    return expand_hyperedges(*parse_baskets(lines.getvalue().splitlines()))
+
+
+def score_market(market, config):
+    """The report ``eval`` writes for the market's basket and truth files."""
+    return benchmark_baskets(market_graph(market), market.membership(), config)
+
+
 def reference_parse_baskets(lines, max_basket_products: int = 5000):
     """Oracle: :func:`basketspace.parse_baskets` as one Python loop per line."""
+    at_least("max basket size", max_basket_products, 1)
     index: dict = {}
     offsets = array("q", [0])
     items = array("q")

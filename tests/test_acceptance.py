@@ -12,7 +12,6 @@ unit in its last published place (+/- 0.005). The companion test pins the
 exact 415/1380, so the arithmetic itself is covered too. See the README.
 """
 
-import io
 import math
 import resource
 import time
@@ -22,11 +21,8 @@ import pytest
 
 from basketspace import (
     BenchmarkConfig,
-    expand_hyperedges,
     generate_synthetic_market,
-    parse_baskets,
     read_embedding,
-    run_benchmark,
     top_k_batch,
     train,
     weighted_accuracy,
@@ -38,20 +34,16 @@ from conftest import (
     dense_reference_train,
     dense_transition,
     graph_from_text,
+    market_graph,
     random_graph,
     ranked,
+    score_market,
 )
 
 
 def check(ok: bool, name: str, detail: str) -> None:
     print(f"{'PASS' if ok else 'FAIL'} {name}: {detail}")
     assert ok, f"{name}: {detail}"
-
-
-def market_graph(market):
-    lines = io.StringIO()
-    market.write_baskets(lines)
-    return expand_hyperedges(*parse_baskets(lines.getvalue().splitlines()))
 
 
 @pytest.fixture(scope="module")
@@ -61,7 +53,7 @@ def seed_suite():
     reports = []
     for seed in range(10):
         market = generate_synthetic_market(seed=seed)
-        reports.append(run_benchmark(market, BenchmarkConfig(dimension=128, seed=seed)))
+        reports.append(score_market(market, BenchmarkConfig(dimension=128, seed=seed)))
     return reports, time.monotonic() - started
 
 

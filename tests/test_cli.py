@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -159,6 +160,16 @@ class TestEmbed:
         )
         assert code == 2
         assert "thread count must be >= 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("limit", ["0", "-3"])
+    def test_max_basket_size_below_one_exit_2(self, tmp_path, demo_file, capsys, limit):
+        # The limit is refused as a parameter, not blamed on line 1.
+        out = tmp_path / "o.txt"
+        code = main(["embed", "--input", str(demo_file), "--output", str(out),
+                     "--max-basket-size", limit])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: max basket size must be >= 1, got {limit}\n"
+        assert not out.exists()
 
     def test_threads_above_cpu_count_are_clamped(self, tmp_path, demo_file, monkeypatch):
         a = run_embed(tmp_path, demo_file, "t1.txt", ["--threads", "1"])
@@ -553,10 +564,19 @@ class TestEval:
                             "--iterations", "2"])
         assert result.returncode == 0, result.stderr
         assert (
-            "substitute queries expect an embedding trained with at least 6 iterations"
-            in result.stderr
+            "\nwarning: substitute queries expect an embedding trained with at least 6 "
+            "iterations; this space records 2\n" in "\n" + result.stderr
         )
+        # One line, without the source path and line that raised it.
+        assert ".py:" not in result.stderr
         assert json.loads(result.stdout)["config"]["substitute_iterations"] == 2
+
+    def test_warning_handler_is_restored(self, market_files, capsys):
+        shown = warnings.showwarning
+        code = main(["eval", "--input", str(market_files), "--dim", "8", "--iterations", "2"])
+        assert code == 0
+        assert warnings.showwarning is shown
+        assert "warning: substitute queries expect" in capsys.readouterr().err
 
     def test_report_files(self, market_files, tmp_path, capsys):
         out = tmp_path / "report.json"

@@ -28,6 +28,7 @@ from basketspace import (
     generate_synthetic_market,
     parse_baskets,
     read_embedding,
+    top_k_batch,
     train,
     write_embedding,
 )
@@ -1173,6 +1174,27 @@ def read_outcome(read, text):
     except MalformedInputError as exc:
         return type(exc), str(exc)
     return emb.codes, emb.vectors.dtype, emb.vectors.shape, emb.vectors.tobytes()
+
+
+class TestEmbeddingMatrix:
+    @pytest.mark.parametrize(
+        "codes, shape",
+        [(["a", "b", "c"], (2, 4)), (["a"], (2, 4)), (["a", "b"], (2,)), (["a", "b"], (2, 4, 1))],
+        ids=["more-codes", "more-rows", "1-D", "3-D"],
+    )
+    def test_one_row_per_code(self, codes, shape):
+        # Unchecked, the writer wrote a file its reader refuses or dropped
+        # a row, and top-k raised a bare numpy error.
+        vectors = np.ones(shape)
+        message = "need one 2-D row per code"
+        with pytest.raises(InvalidParameterError, match=message):
+            EmbeddingMatrix(codes, vectors)
+        out = io.StringIO()
+        with pytest.raises(InvalidParameterError, match=message):
+            write_embedding(EmbeddingMatrix(codes, vectors), out)
+        assert out.getvalue() == ""
+        with pytest.raises(InvalidParameterError, match=message):
+            top_k_batch(EmbeddingMatrix(codes, vectors), ["a"], 1)
 
 
 class TestEmbeddingFile:

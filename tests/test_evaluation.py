@@ -22,12 +22,18 @@ from basketspace import (
     read_truth,
     recommend_complements,
     recommend_substitutes,
-    run_benchmark,
     train,
     weighted_accuracy,
 )
-from basketspace.ingest import expand_hyperedges, parse_baskets
-from conftest import first_recommendation_hit_rate, graph_from_text, hits_at_k, ranked
+from basketspace.evaluation import DEFAULT_PICK_PROB
+from conftest import (
+    first_recommendation_hit_rate,
+    graph_from_text,
+    hits_at_k,
+    market_graph,
+    ranked,
+    score_market,
+)
 
 
 def small_market(**overrides):
@@ -109,7 +115,7 @@ class TestGenerator:
         # Empty draws, (1 - p)^G of them, are rejected, so a basket holds s
         # groups with probability Binomial(G, p) at s over 1 - (1 - p)^G.
         m = small_market(baskets=20_000)
-        G, p = m.groups_per_theme, m.pick_prob
+        G, p = m.groups_per_theme, DEFAULT_PICK_PROB
         sizes = np.bincount((m.picks >= 0).sum(axis=1), minlength=G + 1) / 20_000
         accepted = 1 - (1 - p) ** G
         expected = [math.comb(G, s) * p**s * (1 - p) ** (G - s) / accepted for s in range(1, G + 1)]
@@ -121,7 +127,7 @@ class TestGenerator:
         # make the draw non-empty, so per accepted basket the rate is p^2
         # over 1 - (1 - p)^G.
         m = small_market(themes=2, baskets=8000)
-        G, p = m.groups_per_theme, m.pick_prob
+        G, p = m.groups_per_theme, DEFAULT_PICK_PROB
         pair_count = 0
         for row in pick_rows(m):
             _, groups, _ = theme_group_member(m, np.array(row))
@@ -182,10 +188,11 @@ class TestGenerator:
             assert line.split() == [m.product_codes[p] for p in row]
 
 
-# SHA-256 of the default market's files (seed 0) and of its d=32 report.
+# SHA-256 of the default market's files (seed 0) and of the d=32 report that
+# scoring them as `eval` does gives.
 PINNED_BASKETS_SHA256 = "dda6a1a0858ade1f88eaff7ff8f90c40107f7351898080e9b8f8ccdde7f31ad7"
 PINNED_TRUTH_SHA256 = "9c7f745f487b39df3826f5afa180df115423ae460bcaa86496a8157bedb8bd66"
-PINNED_REPORT_SHA256 = "bcca6a9b5ede6ffa331f40789de24bb4e7c4ef4dbb374c629ac93be01337cb22"
+PINNED_REPORT_SHA256 = "ae5fa078179ab391a172deb97653218e52059e8c42178513cc950f64c58cb2eb"
 
 
 class TestPinnedBytes:
@@ -200,46 +207,8 @@ class TestPinnedBytes:
         assert sha256(written(default_market, "write_truth")) == PINNED_TRUTH_SHA256
 
     def test_report_is_pinned(self, default_market):
-        report = run_benchmark(default_market, BenchmarkConfig(dimension=32, seed=0))
+        report = score_market(default_market, BenchmarkConfig(dimension=32, seed=0))
         assert sha256(report.to_json()) == PINNED_REPORT_SHA256
-
-
-class TestBenchmarkGraph:
-    """The graph run_benchmark scores equals the one parsed from the
-    market's own basket file."""
-
-    @pytest.mark.parametrize(
-        "overrides",
-        [
-            {},
-            {"pick_prob": 1.0},
-            {"affinity": 1.0},
-            {"affinity": 0.0, "pick_prob": 0.2},
-            {"themes": 1, "baskets": 300},
-            {"themes": 3, "groups_per_theme": 2, "group_size": 2, "baskets": 40, "seed": 5},
-        ],
-    )
-    def test_equals_parsed_basket_file(self, overrides, monkeypatch):
-        from basketspace import evaluation
-
-        m = small_market(**overrides)
-        seen = []
-
-        def capture(graph, membership, config, market_info=None):
-            seen.append(graph)
-            raise StopIteration
-
-        monkeypatch.setattr(evaluation, "benchmark_baskets", capture)
-        with pytest.raises(StopIteration):
-            run_benchmark(m, BenchmarkConfig(dimension=4))
-        (graph,) = seen
-        lines = written(m, "write_baskets").splitlines()
-        parsed = expand_hyperedges(*parse_baskets(lines))
-        assert graph.codes == parsed.codes
-        for name in ("a", "b", "w", "degrees"):
-            got, want = getattr(graph, name), getattr(parsed, name)
-            assert got.dtype == want.dtype
-            assert np.array_equal(got, want), name
 
 
 class TestTruthReader:
@@ -500,7 +469,7 @@ def market():
 
 @pytest.fixture(scope="module")
 def report(market):
-    return run_benchmark(market, BenchmarkConfig(dimension=64, seed=0))
+    return score_market(market, BenchmarkConfig(dimension=64, seed=0))
 
 
 class TestBenchmark:
@@ -540,7 +509,7 @@ class TestBenchmark:
             assert oa["evaluated"] <= report.n_queries
 
     def test_deterministic(self, market, report):
-        again = run_benchmark(market, BenchmarkConfig(dimension=64, seed=0))
+        again = score_market(market, BenchmarkConfig(dimension=64, seed=0))
         assert again.to_json() == report.to_json()
 
     def test_one_training_pass_and_one_init(self, market, monkeypatch):
@@ -561,7 +530,7 @@ class TestBenchmark:
 
         monkeypatch.setattr(evaluation, "train", counting_train)
         monkeypatch.setattr(embedding, "init_embedding", counting_init)
-        report = run_benchmark(market, BenchmarkConfig(dimension=16, chunks=3))
+        report = score_market(market, BenchmarkConfig(dimension=16, chunks=3))
         assert calls == [(6, 1)]
         assert rows == [report.n_embedded]
 
@@ -570,13 +539,13 @@ class TestBenchmark:
         from basketspace import evaluation
 
         config = BenchmarkConfig(dimension=16, chunks=3, seed=2, substitute_iterations=7)
-        one_pass = run_benchmark(market, config)
+        one_pass = score_market(market, config)
         monkeypatch.setattr(
             evaluation,
             "train",
             lambda graph, iterations, **kw: [train(graph, iterations=c, **kw) for c in iterations],
         )
-        assert run_benchmark(market, config).to_json() == one_pass.to_json()
+        assert score_market(market, config).to_json() == one_pass.to_json()
 
     def test_scores_the_rows_train_returns(self, market, report, monkeypatch):
         # The same spaces with their rows in another order score the same;
@@ -594,7 +563,7 @@ class TestBenchmark:
             return spaces
 
         monkeypatch.setattr(evaluation, "train", permuted_train)
-        permuted = run_benchmark(market, BenchmarkConfig(dimension=64, seed=0))
+        permuted = score_market(market, BenchmarkConfig(dimension=64, seed=0))
         for section in ("substitutes", "complements", "order_agreement"):
             assert getattr(permuted, section) == getattr(report, section), section
 
@@ -612,10 +581,6 @@ class TestBenchmark:
         ]
         assert payload["config"]["query_sample"] is None
 
-    def test_market_echoed_in_report(self, market, report):
-        assert report.market["themes"] == market.themes
-        assert report.market["seed"] == market.seed
-
     def test_text_table_renders_headline_rows(self, report):
         table = report.text_table()
         assert "hits@2" in table
@@ -624,7 +589,7 @@ class TestBenchmark:
         assert "theme-0 (n=" in table
 
     def test_query_sample(self, market):
-        report = run_benchmark(
+        report = score_market(
             market, BenchmarkConfig(dimension=32, seed=0, query_sample=10)
         )
         assert report.n_queries == 10
@@ -641,7 +606,7 @@ class TestBenchmark:
             monkeypatch.setattr(evaluation, name, recording)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", ConfigurationMismatchWarning)
-            run_benchmark(market, BenchmarkConfig(dimension=8, substitute_iterations=4, k=3))
+            score_market(market, BenchmarkConfig(dimension=8, substitute_iterations=4, k=3))
         n = len(market.product_codes)
         assert asked == [("recommend_substitutes", 4, n, 3), ("recommend_complements", 1, n, 3)]
 
@@ -657,7 +622,7 @@ class TestBenchmark:
     @pytest.mark.parametrize("sample", [0, -1])
     def test_query_sample_below_one_rejected(self, market, sample):
         with pytest.raises(InvalidParameterError, match=f"sample must be >= 1, got {sample}"):
-            run_benchmark(market, BenchmarkConfig(dimension=4, query_sample=sample))
+            score_market(market, BenchmarkConfig(dimension=4, query_sample=sample))
 
     @pytest.mark.parametrize(
         "config",
@@ -674,7 +639,7 @@ class TestBenchmark:
         # Truth-only codes: the first member of group (0, 0) in code order
         # and a whole group of theme 1, neither of them in any basket.
         membership.update({"t0g0a": (0, 0), "t1g9a": (1, 9), "t1g9b": (1, 9)})
-        graph = expand_hyperedges(*parse_baskets(written(market, "write_baskets").splitlines()))
+        graph = market_graph(market)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", ConfigurationMismatchWarning)
             report = benchmark_baskets(graph, membership, config)
@@ -694,7 +659,7 @@ class TestBenchmark:
         # A planted market where the rank-1 substitute suggestion lands in
         # the truth group at least ten times as often as chance.
         m = generate_synthetic_market(seed=0)
-        graph = expand_hyperedges(*parse_baskets(written(m, "write_baskets").splitlines()))
+        graph = market_graph(m)
         space = train(graph, d=128, iterations=6, seed=0)
         membership = m.membership()
         rng = np.random.default_rng(0)

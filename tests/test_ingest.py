@@ -140,6 +140,17 @@ class TestParsing:
             parse("a b\nc d e f\n", max_basket_products=3)
         assert "line 2" in str(exc.value)
 
+    @pytest.mark.parametrize("parser", [parse_baskets, reference_parse_baskets])
+    @pytest.mark.parametrize("limit", [0, -3])
+    def test_limit_below_one_refused_before_any_line_is_read(self, parser, limit):
+        def lines():
+            raise AssertionError("a line was read")
+            yield
+
+        with pytest.raises(InvalidParameterError) as exc:
+            parser(lines(), limit)
+        assert str(exc.value) == f"max basket size must be >= 1, got {limit}"
+
     def test_oversize_counts_distinct_products(self):
         # Repeats of one product do not count against the cap.
         baskets, _ = parse("a a a a b c\n", max_basket_products=3)

@@ -1,9 +1,10 @@
 """The package's public names, the functions the benchmark traces by name,
-and where the comment rule is spelled."""
+where the comment rule is spelled, and the README's library example."""
 
 import ast
 import importlib
 import pathlib
+import re
 import types
 
 import pytest
@@ -42,7 +43,6 @@ def test_public_names_are_pinned():
         "read_truth",
         "recommend_complements",
         "recommend_substitutes",
-        "run_benchmark",
         "top_k_batch",
         "train",
         "weighted_accuracy",
@@ -98,3 +98,12 @@ def test_comment_rule_is_spelled_in_one_place():
         ("embedding", "read_embedding"),
         ("embedding", "_read_rows"),
     }
+
+
+def test_readme_python_blocks_run():
+    # A renamed or deleted name that the README still uses fails here.
+    readme = pathlib.Path(__file__).resolve().parent.parent / "README.md"
+    blocks = re.findall(r"^```python\n(.*?)^```", readme.read_text(encoding="utf-8"), re.M | re.S)
+    assert blocks
+    for block in blocks:
+        exec(compile(block, str(readme), "exec"), {})
