@@ -31,7 +31,6 @@ from .evaluation import (
     SyntheticMarket,
     benchmark_baskets,
     generate_synthetic_market,
-    pair_order_agreement,
     random_hit_expectation,
     read_truth,
     weighted_accuracy,
@@ -73,7 +72,6 @@ __all__ = [
     "benchmark_baskets",
     "expand_hyperedges",
     "generate_synthetic_market",
-    "pair_order_agreement",
     "parse_baskets",
     "random_hit_expectation",
     "random_recommender",

@@ -85,11 +85,7 @@ class EmbeddingMatrix:
     zero_rows_replaced: int = 0
 
     def __post_init__(self) -> None:
-        if np.ndim(self.vectors) != 2 or len(self.codes) != len(self.vectors):
-            raise InvalidParameterError(
-                f"{len(self.codes)} codes for vectors of shape {np.shape(self.vectors)}; "
-                "need one 2-D row per code"
-            )
+        _check_rows(self)
 
     @property
     def dimension(self) -> int:
@@ -97,6 +93,16 @@ class EmbeddingMatrix:
 
     def __len__(self) -> int:
         return len(self.codes)
+
+
+def _check_rows(emb: EmbeddingMatrix) -> None:
+    """Refuse a space whose ``vectors`` are not one 2-D row per code, also
+    one changed after it was built, with InvalidParameterError."""
+    if np.ndim(emb.vectors) != 2 or len(emb.codes) != len(emb.vectors):
+        raise InvalidParameterError(
+            f"{len(emb.codes)} codes for vectors of shape {np.shape(emb.vectors)}; "
+            "need one 2-D row per code"
+        )
 
 
 @dataclass
@@ -129,19 +135,14 @@ def partition_chunks(graph: CooccurrenceGraph, chunk_count: int) -> np.ndarray:
     """Chunk id of every edge, aligned with the graph's edge arrays.
 
     An edge's chunk is ``crc32(code_lo + "\\x1e" + code_hi) % chunk_count``
-    over its two UTF-8 codes in sorted order, so the assignment does not
-    depend on the order of the graph's codes.
+    over its two UTF-8 codes in sorted order. The graph's codes increase,
+    so an edge's lower code is that of its endpoint ``a``.
     """
     at_least("chunk count", chunk_count, 1)
     if chunk_count == 1:
         return np.zeros(graph.edge_count, dtype=np.int64)
-    codes = graph.codes
-    rank = np.empty(len(codes), dtype=np.int64)
-    rank[sorted(range(len(codes)), key=codes.__getitem__)] = np.arange(len(codes))
-    swap = rank[graph.a] > rank[graph.b]
-    lo = np.where(swap, graph.b, graph.a)
-    hi = np.where(swap, graph.a, graph.b)
-    encoded = [code.encode("utf-8") for code in codes]
+    lo, hi = graph.a, graph.b
+    encoded = [code.encode("utf-8") for code in graph.codes]
     head = np.array([zlib.crc32(e + b"\x1e") for e in encoded], dtype=np.uint32)
     tail = np.array([zlib.crc32(e) for e in encoded], dtype=np.uint32)
     sizes = np.array([len(e) for e in encoded], dtype=np.int64)
@@ -513,9 +514,11 @@ def write_embedding(emb: EmbeddingMatrix, stream: TextIO) -> None:
     resolve differently after a round-trip.
 
     Raises:
-        InvalidParameterError: if d < 1, a shape the reader refuses.
+        InvalidParameterError: if the vectors are not one 2-D row per code,
+            or if d < 1; the reader refuses both.
     """
     global _DIGIT_TABLES
+    _check_rows(emb)
     n, d = emb.vectors.shape
     at_least("dimension", d, 1)
     if _DIGIT_TABLES is None:

@@ -16,23 +16,22 @@ structure informative; at affinity 0 member choice is uniform and only
 group-level structure remains.
 
 Metrics mirror a survey-style evaluation: Hits@k, answer-count-weighted
-accuracy over categories, exact-vs-reversed pair order agreement, and
-first-recommendation hit rates, with planted truth standing in for
-expert answers.
+accuracy over categories and first-recommendation hit rates, with planted
+truth standing in for expert answers.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from collections import Counter
 from dataclasses import asdict, dataclass
 from functools import partial
-from itertools import islice
 from typing import Sequence, TextIO
 
 import numpy as np
 
-from .embedding import _allocate, train
+from .embedding import COMPLEMENT_ITERATIONS, _allocate, train
 from .errors import (
     DataInconsistencyError,
     InternalConsistencyError,
@@ -226,34 +225,18 @@ def weighted_accuracy(per_category: Sequence) -> float:
     return total / answers
 
 
-def pair_order_agreement(algorithm_pair: Sequence, expert_pair: Sequence) -> str:
-    """Compare two ordered pairs: ``correct``, ``reversed``, or ``mismatch``."""
-    a = tuple(algorithm_pair)
-    e = tuple(expert_pair)
-    if len(a) != 2 or len(e) != 2:
-        raise InvalidParameterError("pairs must contain exactly two products")
-    if a[0] == a[1] or e[0] == e[1]:
-        raise InvalidParameterError("pairs must contain two distinct products")
-    if a == e:
-        return "correct"
-    if a == (e[1], e[0]):
-        return "reversed"
-    return "mismatch"
-
-
 @dataclass
 class BenchmarkConfig:
     """Settings for :func:`benchmark_baskets`, which ``eval`` calls.
-    Defaults run in seconds."""
+    Defaults run in seconds. The complement space always trains with
+    ``COMPLEMENT_ITERATIONS``, and every embedded product is a query."""
 
     dimension: int = 128
     substitute_iterations: int = 6
-    complement_iterations: int = 1
     chunks: int = 1
     seed: int = 0
     k: int = 2
     threads: int = 1
-    query_sample: int | None = None
 
 
 @dataclass
@@ -267,7 +250,6 @@ class EvalReport:
     substitutes: dict
     complements: dict
     random_baseline: dict
-    order_agreement: dict
 
     def to_json(self) -> str:
         return json.dumps(asdict(self), indent=2)
@@ -284,10 +266,6 @@ class EvalReport:
                 c["answers"] for c in section["per_category"]
             ):
                 raise InternalConsistencyError("answer counts do not add up")
-        for kind in ("substitute", "complement"):
-            oa = self.order_agreement[kind]
-            if oa["correct"] + oa["reversed"] > oa["evaluated"]:
-                raise InternalConsistencyError("order agreement counts exceed pairs")
 
     def text_table(self) -> str:
         """Aligned text rendering of the headline numbers."""
@@ -302,8 +280,6 @@ class EvalReport:
 
         k = self.config["k"]
         subs, comps, rand = self.substitutes, self.complements, self.random_baseline
-        sub_oa = self.order_agreement["substitute"]
-        comp_oa = self.order_agreement["complement"]
         row("metric", "substitutes", "complements")
         lines.append("-" * (w + 26))
         for label, sub, comp in [
@@ -314,9 +290,6 @@ class EvalReport:
             ("random expectation", rand["substitute_expectation"], rand["complement_expectation"]),
         ]:
             row(label, fmt(sub), fmt(comp))
-        row("pairs in exact order", sub_oa["correct"], comp_oa["correct"])
-        row("pairs in reversed order", sub_oa["reversed"], comp_oa["reversed"])
-        row("pairs evaluated", sub_oa["evaluated"], comp_oa["evaluated"])
         lines.append("")
         row("per-category accuracy", "substitutes", "complements")
         lines.append("-" * (w + 26))
@@ -337,13 +310,13 @@ def _listed(codes: list) -> str:
     return ", ".join(codes[:10]) + more
 
 
-def _hits(rows: np.ndarray, group: np.ndarray, theme: np.ndarray, query: np.ndarray):
+def _hits(rows: np.ndarray, group: np.ndarray, theme: np.ndarray):
     """Per ranked entry: whether it is a substitute of its query (same
-    group) and whether it is a complement (same theme, other group).
-    ``rows`` index the embedded products, and padding (-1) is neither."""
+    group) and whether it is a complement (same theme, other group). Row i
+    of ``rows`` ranks embedded product i's neighbours; padding (-1) is neither."""
     real = rows >= 0
-    same_group = (group[rows] == group[query][:, None]) & real
-    same_theme = (theme[rows] == theme[query][:, None]) & real
+    same_group = (group[rows] == group[:, None]) & real
+    same_theme = (theme[rows] == theme[:, None]) & real
     return same_group, same_theme & ~same_group
 
 
@@ -378,19 +351,17 @@ def benchmark_baskets(
     Raises:
         DataInconsistencyError: if a product of the graph is missing from
             ``membership``.
-        InvalidParameterError: if ``config.query_sample`` or ``config.k`` is
-            below 1, if ``config.k`` is not below the number of non-isolated
-            products, or if a non-isolated product has no substitute truth
+        InvalidParameterError: if ``config.k`` is below 1 or not below the
+            number of non-isolated products, or if a non-isolated product
+            has no substitute truth
             (no other product in its group) or no complement truth (no other
             group in its theme).
     """
-    missing = sorted(c for c in graph.codes if c not in membership)
+    missing = [c for c in graph.codes if c not in membership]  # in code order
     if missing:
         raise DataInconsistencyError(
             f"basket products missing from the truth file: {_listed(missing)}"
         )
-    if config.query_sample is not None:
-        at_least("query sample", config.query_sample, 1)
     # The products train embeds: the non-isolated ones. An edgeless graph
     # is left to train's EmptyGraphError.
     present = [graph.codes[v] for v in np.flatnonzero(graph.degrees > 0).tolist()]
@@ -400,14 +371,11 @@ def benchmark_baskets(
             f"k={config.k} exceeds the {len(present) - 1} available products"
         )
     membership = {code: (t, g) for code, (t, g) in membership.items()}
-    # The truth codes of every group and every theme, in code order.
-    by_group: dict = {}
-    by_theme: dict = {}
-    for code in sorted(membership):
-        by_group.setdefault(membership[code], []).append(code)
-        by_theme.setdefault(membership[code][0], []).append(code)
-    lone = [c for c in present if len(by_group[membership[c]]) == 1]
-    alone = [c for c in present if len(by_theme[membership[c][0]]) == len(by_group[membership[c]])]
+    # How many truth codes every group and every theme holds.
+    in_group = Counter(membership.values())
+    in_theme = Counter(t for t, _ in membership.values())
+    lone = [c for c in present if in_group[membership[c]] == 1]
+    alone = [c for c in present if in_theme[membership[c][0]] == in_group[membership[c]]]
     for relation, lacking, why in (
         ("substitute", lone, "no other product in its group"),
         ("complement", alone, "no other group in its theme"),
@@ -417,86 +385,62 @@ def benchmark_baskets(
     sub_space, comp_space = train(
         graph,
         d=config.dimension,
-        iterations=(config.substitute_iterations, config.complement_iterations),
+        iterations=(config.substitute_iterations, COMPLEMENT_ITERATIONS),
         chunks=config.chunks,
         seed=config.seed,
         threads=config.threads,
     )
-    # Scored in the row order train returns, which both spaces share.
+    # Every embedded product is a query, in the row order train returns
+    # (code order), which both spaces share.
     embedded = sub_space.codes
     labels = [membership[code] for code in embedded]
     # Each embedded row gets a group id and a theme id, both in label order.
     n = len(embedded)
-    group_ids = {tg: i for i, tg in enumerate(sorted(by_group))}
-    themes = sorted(by_theme)
+    group_ids = {tg: i for i, tg in enumerate(sorted(in_group))}
+    themes = sorted(in_theme)
     theme_ids = {t: i for i, t in enumerate(themes)}
     group = np.array([group_ids[tg] for tg in labels], dtype=np.int64)
     theme = np.array([theme_ids[t] for t, _ in labels], dtype=np.int64)
 
-    query = np.arange(n)
-    if config.query_sample is not None and config.query_sample < n:
-        query = np.random.default_rng(config.seed).choice(n, config.query_sample, replace=False)
-    queries = [embedded[i] for i in query.tolist()]
-    nq = len(queries)
     k = config.k
-    sub_rows, _ = recommend_substitutes(sub_space, queries, k)
-    comp_rows, _ = recommend_complements(comp_space, queries, k)
-    rand_rows = random_recommender(embedded, queries, k, config.seed)
-    sub, _ = _hits(sub_rows, group, theme, query)
+    sub_rows, _ = recommend_substitutes(sub_space, embedded, k)
+    comp_rows, _ = recommend_complements(comp_space, embedded, k)
+    rand_rows = random_recommender(embedded, embedded, k, config.seed)
+    sub, _ = _hits(sub_rows, group, theme)
     # The complement space probed against substitute truth as well.
-    sub_in_comp, comp = _hits(comp_rows, group, theme, query)
-    rand_sub, rand_comp = _hits(rand_rows, group, theme, query)
+    sub_in_comp, comp = _hits(comp_rows, group, theme)
+    rand_sub, rand_comp = _hits(rand_rows, group, theme)
 
     # The random recommender's expected hits per query, from the sizes of
     # its embedded truth: the rest of its group, and the other groups of
     # its theme. Summed in query order, one addition at a time.
-    in_group = np.bincount(group)[group[query]]
-    sizes = np.stack([in_group - 1, np.bincount(theme)[theme[query]] - in_group])
+    group_size = np.bincount(group)[group]
+    sizes = np.stack([group_size - 1, np.bincount(theme)[theme] - group_size])
     expect = {t: random_hit_expectation(n, t, k) for t in _distinct(sizes.ravel()).tolist()}
     chance = np.array([[expect[t] for t in row] for row in sizes.tolist()])
     (exp_sub, exp_comp) = np.cumsum(chance, axis=1)[:, -1].tolist()
     (var_sub, var_comp) = np.cumsum(chance * (1.0 - chance), axis=1)[:, -1].tolist()
 
-    # Order agreement against expert pairs in code order: the query's first
-    # two fellow members among its group's first three, and the first two
-    # codes of its theme outside its group.
-    outside = {
-        tg: list(islice((c for c in by_theme[tg[0]] if membership[c] != tg), 2))
-        for tg in by_group
-    }
-    verdicts = ("correct", "reversed", "mismatch", "evaluated")
-    order = {kind: dict.fromkeys(verdicts, 0) for kind in ("substitute", "complement")}
-    for q, s_pair, c_pair in zip(queries, sub_rows[:, :2].tolist(), comp_rows[:, :2].tolist()):
-        tg = membership[q]
-        for kind, pair, expert in (
-            ("substitute", s_pair, [c for c in by_group[tg][:3] if c != q][:2]),
-            ("complement", c_pair, outside[tg]),
-        ):
-            if len(pair) == len(expert) == 2 and pair[1] >= 0:
-                order[kind][pair_order_agreement([embedded[j] for j in pair], expert)] += 1
-                order[kind]["evaluated"] += 1
-
     report = EvalReport(
         config=asdict(config),
         market={"products_in_truth": len(membership)},
         n_embedded=n,
-        n_queries=nq,
+        n_queries=n,
         substitutes={
-            **_scores(sub, theme[query], themes),
-            "hits_at_k_in_complement_space": int(sub_in_comp.any(axis=1).sum()) / nq,
+            **_scores(sub, theme, themes),
+            "hits_at_k_in_complement_space": int(sub_in_comp.any(axis=1).sum()) / n,
         },
-        complements=_scores(comp, theme[query], themes),
+        complements=_scores(comp, theme, themes),
         random_baseline={
-            "substitute_hits_at_k": int(rand_sub.any(axis=1).sum()) / nq,
-            "substitute_expectation": exp_sub / nq,
-            "substitute_sigma": math.sqrt(var_sub) / nq,
-            "substitute_first_hit_rate": int(rand_sub[:, 0].sum()) / nq,
-            "complement_hits_at_k": int(rand_comp.any(axis=1).sum()) / nq,
-            "complement_expectation": exp_comp / nq,
-            "complement_sigma": math.sqrt(var_comp) / nq,
-            "complement_first_hit_rate": int(rand_comp[:, 0].sum()) / nq,
+            "substitute_hits_at_k": int(rand_sub.any(axis=1).sum()) / n,
+            "substitute_expectation": exp_sub / n,
+            "substitute_sigma": math.sqrt(var_sub) / n,
+            "substitute_first_hit_rate": int(rand_sub[:, 0].sum()) / n,
+            "complement_hits_at_k": int(rand_comp.any(axis=1).sum()) / n,
+            "complement_expectation": exp_comp / n,
+            "complement_sigma": math.sqrt(var_comp) / n,
+            "complement_first_hit_rate": int(rand_comp[:, 0].sum()) / n,
         },
-        order_agreement=order,
     )
     report.validate()
     return report

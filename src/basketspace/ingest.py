@@ -8,7 +8,7 @@ Baskets are hyperedges over products, parsed into ragged index arrays
 with repeated codes dropped; they are expanded into a weighted pairwise
 co-occurrence graph by clique expansion: within each basket, every
 unordered pair of distinct products gains one unit of edge weight. Quantities are not used and
-self-loops never occur.
+self-loops never occur. The graph numbers products in code order.
 """
 
 from __future__ import annotations
@@ -120,16 +120,21 @@ def parse_baskets(
 
 @dataclass
 class CooccurrenceGraph:
-    """Weighted undirected co-occurrence graph over a list of products.
+    """Weighted undirected co-occurrence graph over products numbered in
+    code order, whatever order the baskets came in.
 
     Attributes:
-        codes: the product codes; indices address ``codes`` and ``degrees``.
+        codes: the product codes, strictly increasing; indices address
+            ``codes`` and ``degrees``.
         a, b: int64 endpoint indices of each edge, ``a < b``, sorted by
             ``(a, b)``.
         w: int64 positive co-occurrence count of each edge, aligned with
             ``a`` and ``b``.
         degrees: weighted degree per product, deg(v) = sum of incident edge
             weights; zero for isolated products.
+
+    Raises:
+        InvalidParameterError: if ``codes`` do not strictly increase.
     """
 
     codes: list
@@ -137,6 +142,13 @@ class CooccurrenceGraph:
     b: np.ndarray
     w: np.ndarray
     degrees: np.ndarray
+
+    def __post_init__(self) -> None:
+        for prev, code in zip(self.codes, self.codes[1:]):
+            if prev >= code:
+                raise InvalidParameterError(
+                    f"graph codes must strictly increase, but {code!r} follows {prev!r}"
+                )
 
     @property
     def edge_count(self) -> int:
@@ -156,15 +168,20 @@ def _distinct(x: np.ndarray) -> np.ndarray:
 def expand_hyperedges(baskets: Baskets, codes: list) -> CooccurrenceGraph:
     """Clique-expand baskets into a weighted co-occurrence graph.
 
-    Each basket contributes +1 weight to every unordered pair of its
-    products. Singleton baskets contribute nothing.
+    Index i of ``baskets`` stands for ``codes[i]``. The graph numbers the
+    products in code order: its codes are ``sorted(codes)``. Each basket
+    contributes +1 weight to every unordered pair of its products.
+    Singleton baskets contribute nothing.
 
     Raises:
-        InvalidParameterError: if a row repeats a code; rows from
-            :func:`parse_baskets` never do.
+        InvalidParameterError: if ``codes`` or a row repeats a code;
+            :func:`parse_baskets` never returns either.
     """
     n = len(codes)
+    order = sorted(range(n), key=codes.__getitem__)
+    codes = [codes[i] for i in order]
     offsets, items = baskets
+    items = np.argsort(order)[items]  # each index's position in code order
     sizes = np.diff(offsets)
     # One block of rows per basket size; pair (a, b) with a < b gets the key
     # a*n + b.

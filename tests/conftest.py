@@ -271,11 +271,12 @@ def first_recommendation_hit_rate(queries_with_truth, recommender) -> float:
 
 
 def graph_from_edges(edges: dict) -> CooccurrenceGraph:
-    """Build a graph from {(code_a, code_b): weight} directly."""
-    index: dict = {}
+    """Build a graph from {(code_a, code_b): weight} directly, numbering
+    the products in code order as every graph does."""
+    index = {code: i for i, code in enumerate(sorted({c for pair in edges for c in pair}))}
     indexed = {}
     for (ca, cb), w in edges.items():
-        a, b = index.setdefault(ca, len(index)), index.setdefault(cb, len(index))
+        a, b = index[ca], index[cb]
         key = (a, b) if a < b else (b, a)
         indexed[key] = indexed.get(key, 0) + w
     keys = sorted(indexed)

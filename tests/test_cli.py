@@ -25,27 +25,25 @@ from basketspace.neighbors import _ARGMAX_MAX_K
 from conftest import DEMO_TEXT
 
 # SHA-256 of `embed --dim 16 --iterations 6 --seed 2 --chunks Q` on the
-# planted market of test_output_bytes_are_pinned, as written by the
-# dict-of-tuples implementation that the array-native graph replaced.
+# planted market of test_output_bytes_are_pinned, rows in code order.
 PINNED_EMBED_SHA256 = {
-    1: "c50ea1b398235a1758ec813581cb52af148821fd39e23ef5bb5e90ebea066acc",
-    3: "89d2552ea85e71f861eef60a6231509e41ffd82569557aad1c16d77d51513b87",
+    1: "50c81fbe39fbb9c4a6889e4d06f21462859b0f946eb2e08952e693559705004c",
+    3: "9c22cbf3f1faf450d1da5aa73b223e6ea9dc788720e642b45b5900caded765a2",
 }
 
 # SHA-256 of `neighbors --all --k K [--candidates]` and of the `eval` JSON
-# report on the 400-product market of TestPinnedOutputs, as written by the
-# kernel that partitioned every queried row. k=2 takes the argmax passes,
-# k=9 the per-row partition.
+# report on the 400-product market of TestPinnedOutputs, products in code
+# order. k=2 takes the argmax passes, k=9 the per-row partition.
 PINNED_NEIGHBORS_SHA256 = {
-    (2, False): "6463f44c1cac87f549814a7e9849f415e6beedf422ee3bc02657c8f9036cdd00",
-    (2, True): "bb414b59d2e96a4bde9e8a5d6cd517241207923a3aca574ae2bf9b4a7a20d3ea",
-    (9, False): "2d03d6d0419aaecec25ac760de32ce84e949de4323d737c41f788c3b214f5e0c",
-    (9, True): "98abbab5ad770257a52cabd67e467944a8ef2731ef4cf432c6621b31aa22f1d5",
+    (2, False): "61eabafd46bbd65e561adcd7e1265d78c1a1140c1644916445040b3a60da084d",
+    (2, True): "5b2c109dce147991892f0cb3a4717dafdc8cfb2f94350bd01728aaa846246437",
+    (9, False): "21c7d472494f447cbc51b08aceba6cf476caf4aa7846414befba0c2bb52e4217",
+    (9, True): "19a022dbcc90ce2d11cf1ef4314452e152272b06ccaa14939c0719258f42ba28",
 }
-PINNED_EVAL_SHA256 = "00c08acdd9757dbe74d1f5da3983abab15faf2bdd978fff319af0685497c93eb"
+PINNED_EVAL_SHA256 = "5cccba66d4f3b1d3fe904753a3d2a568f077497e4a3dff8e14b9dec4f5d016e2"
 # SHA-256 of the `.txt` table written next to that report, as rendered by
 # one `row(...)` call per headline metric.
-PINNED_EVAL_TABLE_SHA256 = "a6c8e3873643c165b7652a416b5704f24ee8c13e10cf618a491f38e363a6acf9"
+PINNED_EVAL_TABLE_SHA256 = "b9049e3101f521278ebbb896384805552aeac9e21644974b2ad4647039e6b28b"
 
 
 @pytest.fixture
@@ -447,6 +445,60 @@ class TestPinnedOutputs:
         assert hashlib.sha256(out.read_bytes()).hexdigest() == PINNED_EVAL_SHA256
         table = out.with_suffix(".txt").read_bytes()
         assert hashlib.sha256(table).hexdigest() == PINNED_EVAL_TABLE_SHA256
+
+
+class TestLineOrder:
+    """Products are numbered in code order, so the order of a basket file's
+    lines, and of the codes within a line, leaves every output byte as it is."""
+
+    @pytest.fixture(scope="class")
+    def files(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("line-order")
+        baskets = root / "m.txt"
+        assert main(
+            ["synth", "--output", str(baskets), "--themes", "6", "--groups", "3",
+             "--group-size", "6", "--baskets", "3000", "--seed", "4"]
+        ) == 0
+        rng = np.random.default_rng(8)
+        lines = baskets.read_text(encoding="utf-8").splitlines()
+        shuffled = {"lines": [lines[i] for i in rng.permutation(len(lines))]}
+        shuffled["lines-and-codes"] = [
+            " ".join(rng.permutation(line.split())) for line in shuffled["lines"]
+        ]
+        paths = {"original": baskets}
+        for name, text in shuffled.items():
+            paths[name] = root / f"{name}.txt"
+            paths[name].write_text("\n".join(text) + "\n", encoding="utf-8")
+        return paths, root / "m.txt.truth"
+
+    @staticmethod
+    def outputs(paths, command, extra):
+        """The bytes ``command`` writes for each basket file."""
+        written = {}
+        for name, path in paths.items():
+            out = path.parent / f"{name}-{command}.out"
+            assert main([command, "--input", str(path), "--output", str(out), *extra]) == 0
+            written[name] = [out.read_bytes()]
+            if command == "eval":
+                written[name].append(out.with_name(out.stem + ".txt").read_bytes())
+        return written
+
+    @pytest.mark.parametrize("chunks", [1, 4])
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_embed_bytes_do_not_depend_on_line_order(self, files, chunks, threads):
+        paths, _ = files
+        written = self.outputs(
+            paths, "embed",
+            ["--dim", "16", "--chunks", str(chunks), "--threads", str(threads), "--seed", "3"],
+        )
+        assert written["lines"] == written["original"]
+        assert written["lines-and-codes"] == written["original"]
+
+    def test_eval_report_and_table_do_not_depend_on_line_order(self, files):
+        paths, truth = files
+        written = self.outputs(paths, "eval", ["--truth", str(truth), "--dim", "16", "--seed", "3"])
+        assert written["lines"] == written["original"]
+        assert written["lines-and-codes"] == written["original"]
 
 
 class TestSynth:

@@ -841,10 +841,9 @@ class TestTrain:
         assert np.array_equal(a.vectors, b.vectors)
 
     @pytest.mark.parametrize("chunks", [1, 4])
-    def test_shuffled_lines_give_the_same_rows_up_to_sum_order(self, chunks):
-        # Indices follow first appearance, so each row sums its neighbours
-        # in an order that the line order sets: the rows agree to rounding,
-        # not bit for bit.
+    def test_shuffled_lines_give_identical_rows(self, chunks):
+        # Indices follow code order whatever the line order, so each row
+        # sums its neighbours in the same order: same rows, bit for bit.
         out = io.StringIO()
         generate_synthetic_market(themes=4, baskets=4000, seed=3).write_baskets(out)
         lines = out.getvalue().splitlines(keepends=True)
@@ -853,9 +852,8 @@ class TestTrain:
             train(expand_hyperedges(*parse_baskets(text)), d=16, chunks=chunks, seed=1)
             for text in (lines, shuffled)
         )
-        assert sorted(a.codes) == sorted(b.codes)
-        order = [b.codes.index(code) for code in a.codes]
-        np.testing.assert_allclose(b.vectors[order], a.vectors, rtol=0, atol=1e-12)
+        assert a.codes == b.codes == sorted(a.codes)
+        assert np.array_equal(a.vectors, b.vectors)
 
     def test_iteration_counts_differ(self, demo_graph):
         short = train(demo_graph, d=8, iterations=1, seed=0)
@@ -1195,6 +1193,30 @@ class TestEmbeddingMatrix:
         assert out.getvalue() == ""
         with pytest.raises(InvalidParameterError, match=message):
             top_k_batch(EmbeddingMatrix(codes, vectors), ["a"], 1)
+
+    @pytest.mark.parametrize(
+        "change",
+        [
+            lambda e: e.codes.append("c"),
+            lambda e: e.codes.pop(),
+            lambda e: setattr(e, "vectors", np.ones(2)),
+            lambda e: setattr(e, "vectors", np.ones((3, 2))),
+        ],
+        ids=["code-appended", "code-removed", "1-D-vectors", "extra-row"],
+    )
+    def test_space_changed_after_construction_is_refused(self, change):
+        # The writer and top-k check the space again: a code appended once
+        # it was built made the writer write a row its reader refuses and
+        # top-k raise a bare numpy error.
+        e = EmbeddingMatrix(["a", "b"], np.eye(2))
+        change(e)
+        message = "need one 2-D row per code"
+        out = io.StringIO()
+        with pytest.raises(InvalidParameterError, match=message):
+            write_embedding(e, out)
+        assert out.getvalue() == ""
+        with pytest.raises(InvalidParameterError, match=message):
+            top_k_batch(e, e.codes[-1:], 1)
 
 
 class TestEmbeddingFile:

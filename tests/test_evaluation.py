@@ -10,13 +10,13 @@ import numpy as np
 import pytest
 
 from basketspace import (
+    COMPLEMENT_ITERATIONS,
     BenchmarkConfig,
     ConfigurationMismatchWarning,
     DataInconsistencyError,
     InvalidParameterError,
     benchmark_baskets,
     generate_synthetic_market,
-    pair_order_agreement,
     random_hit_expectation,
     random_recommender,
     read_truth,
@@ -192,7 +192,7 @@ class TestGenerator:
 # scoring them as `eval` does gives.
 PINNED_BASKETS_SHA256 = "dda6a1a0858ade1f88eaff7ff8f90c40107f7351898080e9b8f8ccdde7f31ad7"
 PINNED_TRUTH_SHA256 = "9c7f745f487b39df3826f5afa180df115423ae460bcaa86496a8157bedb8bd66"
-PINNED_REPORT_SHA256 = "ae5fa078179ab391a172deb97653218e52059e8c42178513cc950f64c58cb2eb"
+PINNED_REPORT_SHA256 = "1ba90eb30cd57f597ad5d37f69b9c4f992629d108ada107be7d557cfa5785825"
 
 
 class TestPinnedBytes:
@@ -326,40 +326,6 @@ class TestWeightedAccuracy:
             weighted_accuracy([(1.2, 5)])
 
 
-class TestPairOrderAgreement:
-    def test_exact_order(self):
-        assert pair_order_agreement(("a", "b"), ("a", "b")) == "correct"
-
-    def test_reversed_order(self):
-        assert pair_order_agreement(("b", "a"), ("a", "b")) == "reversed"
-
-    def test_mismatch(self):
-        assert pair_order_agreement(("a", "c"), ("a", "b")) == "mismatch"
-
-    def test_swap_symmetry(self):
-        pairs = [("a", "b"), ("b", "a"), ("a", "c"), ("c", "d")]
-        for alg in pairs:
-            for expert in pairs:
-                verdict = pair_order_agreement(alg, expert)
-                flipped = pair_order_agreement((alg[1], alg[0]), expert)
-                if verdict == "correct":
-                    assert flipped == "reversed"
-                elif verdict == "reversed":
-                    assert flipped == "correct"
-                else:
-                    assert flipped == "mismatch"
-
-    def test_duplicate_entries_rejected(self):
-        with pytest.raises(InvalidParameterError):
-            pair_order_agreement(("a", "a"), ("a", "b"))
-        with pytest.raises(InvalidParameterError):
-            pair_order_agreement(("a", "b"), ("c", "c"))
-
-    def test_wrong_length_rejected(self):
-        with pytest.raises(InvalidParameterError):
-            pair_order_agreement(("a",), ("a", "b"))
-
-
 class TestFirstRecommendationHitRate:
     def test_counts_rank_one_only(self):
         def recommender(query):
@@ -386,14 +352,11 @@ def reference_scores(graph, membership, config) -> dict:
     one query at a time through the per-item metric definitions."""
     sub_space, comp_space = train(
         graph, d=config.dimension, chunks=config.chunks, seed=config.seed,
-        iterations=(config.substitute_iterations, config.complement_iterations),
+        iterations=(config.substitute_iterations, COMPLEMENT_ITERATIONS),
     )
     embedded = sub_space.codes
     n, k = len(embedded), config.k
     queries = list(embedded)
-    if config.query_sample is not None and config.query_sample < n:
-        picks = np.random.default_rng(config.seed).choice(n, config.query_sample, replace=False)
-        queries = [embedded[int(i)] for i in picks]
     lists = zip(
         ranked(embedded, recommend_substitutes(sub_space, queries, k)[0]),
         ranked(embedded, recommend_complements(comp_space, queries, k)[0]),
@@ -402,8 +365,6 @@ def reference_scores(graph, membership, config) -> dict:
     tally: Counter = Counter()
     exp_sub = var_sub = exp_comp = var_comp = 0.0
     themes: dict = {}
-    order = {kind: dict.fromkeys(["correct", "reversed", "mismatch", "evaluated"], 0)
-             for kind in ("substitute", "complement")}
     for q, (sub, comp, rand) in zip(queries, lists):
         t, g = membership[q]
         sub_truth = {c for c, tg in membership.items() if tg == (t, g) and c != q}
@@ -419,11 +380,6 @@ def reference_scores(graph, membership, config) -> dict:
         var_sub += e_sub * (1.0 - e_sub)
         exp_comp += e_comp
         var_comp += e_comp * (1.0 - e_comp)
-        for kind, recs, expert in (("substitute", sub, sorted(sub_truth)[:2]),
-                                   ("complement", comp, sorted(comp_truth)[:2])):
-            if len(recs) >= 2 and len(expert) == 2:
-                order[kind][pair_order_agreement(recs[:2], expert)] += 1
-                order[kind]["evaluated"] += 1
         counts = themes.setdefault(t, [0, 0, 0])
         counts[0] += hits_at_k(sub, sub_truth, k)
         counts[1] += hits_at_k(comp, comp_truth, k)
@@ -458,7 +414,6 @@ def reference_scores(graph, membership, config) -> dict:
             "complement_sigma": math.sqrt(var_comp) / nq,
             "complement_first_hit_rate": tally["rand_comp_first"] / nq,
         },
-        "order_agreement": order,
     }
 
 
@@ -501,12 +456,6 @@ class TestBenchmark:
         rb = report.random_baseline
         assert report.substitutes["hits_at_k"] > rb["substitute_hits_at_k"]
         assert report.complements["hits_at_k"] > rb["complement_hits_at_k"]
-
-    def test_order_agreement_counts_bounded(self, report):
-        for kind in ("substitute", "complement"):
-            oa = report.order_agreement[kind]
-            assert oa["correct"] + oa["reversed"] + oa["mismatch"] == oa["evaluated"]
-            assert oa["evaluated"] <= report.n_queries
 
     def test_deterministic(self, market, report):
         again = score_market(market, BenchmarkConfig(dimension=64, seed=0))
@@ -564,7 +513,7 @@ class TestBenchmark:
 
         monkeypatch.setattr(evaluation, "train", permuted_train)
         permuted = score_market(market, BenchmarkConfig(dimension=64, seed=0))
-        for section in ("substitutes", "complements", "order_agreement"):
+        for section in ("substitutes", "complements"):
             assert getattr(permuted, section) == getattr(report, section), section
 
     def test_report_key_order(self, report):
@@ -573,26 +522,17 @@ class TestBenchmark:
         payload = json.loads(report.to_json())
         assert list(payload) == [
             "config", "market", "n_embedded", "n_queries", "substitutes",
-            "complements", "random_baseline", "order_agreement",
+            "complements", "random_baseline",
         ]
         assert list(payload["config"]) == [
-            "dimension", "substitute_iterations", "complement_iterations",
-            "chunks", "seed", "k", "threads", "query_sample",
+            "dimension", "substitute_iterations", "chunks", "seed", "k", "threads",
         ]
-        assert payload["config"]["query_sample"] is None
 
     def test_text_table_renders_headline_rows(self, report):
         table = report.text_table()
         assert "hits@2" in table
         assert "weighted accuracy" in table
-        assert "pairs in exact order" in table
         assert "theme-0 (n=" in table
-
-    def test_query_sample(self, market):
-        report = score_market(
-            market, BenchmarkConfig(dimension=32, seed=0, query_sample=10)
-        )
-        assert report.n_queries == 10
 
     def test_each_space_answers_through_its_recommender(self, market, monkeypatch):
         from basketspace import evaluation
@@ -613,26 +553,20 @@ class TestBenchmark:
     def test_padding_is_never_a_hit(self):
         from basketspace.evaluation import _hits
 
-        # Row -1 would index product 3, which shares the query's group.
+        # Row -1 would index product 3, which shares product 0's group.
         group, theme = np.array([0, 0, 1, 0]), np.array([0, 0, 0, 0])
-        sub, comp = _hits(np.array([[1, 2, -1]]), group, theme, np.array([0]))
-        assert sub.tolist() == [[True, False, False]]
-        assert comp.tolist() == [[False, True, False]]
-
-    @pytest.mark.parametrize("sample", [0, -1])
-    def test_query_sample_below_one_rejected(self, market, sample):
-        with pytest.raises(InvalidParameterError, match=f"sample must be >= 1, got {sample}"):
-            score_market(market, BenchmarkConfig(dimension=4, query_sample=sample))
+        sub, comp = _hits(np.array([[1, 2, -1]] * 4), group, theme)
+        assert sub[0].tolist() == [True, False, False]
+        assert comp[0].tolist() == [False, True, False]
 
     @pytest.mark.parametrize(
         "config",
         [
             BenchmarkConfig(dimension=16),
             BenchmarkConfig(dimension=16, k=1, seed=5),
-            BenchmarkConfig(dimension=8, substitute_iterations=2, chunks=3, seed=3, k=9,
-                            query_sample=40),
+            BenchmarkConfig(dimension=8, substitute_iterations=2, chunks=3, seed=3, k=9),
         ],
-        ids=["defaults", "k1", "k9-sampled"],
+        ids=["defaults", "k1", "k9-chunked"],
     )
     def test_array_scoring_matches_per_item_definitions(self, market, config):
         membership = market.membership()
@@ -644,7 +578,6 @@ class TestBenchmark:
             warnings.simplefilter("ignore", ConfigurationMismatchWarning)
             report = benchmark_baskets(graph, membership, config)
             expected = reference_scores(graph, membership, config)
-        assert expected["order_agreement"]["substitute"]["evaluated"] > 0 or config.k == 1
         for section, values in expected.items():
             assert getattr(report, section) == values, section
 

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from basketspace import (
     Baskets,
+    CooccurrenceGraph,
     InvalidParameterError,
     MalformedInputError,
     expand_hyperedges,
@@ -250,18 +251,53 @@ class TestExpansion:
             g = graph_from_text(text)
             assert int(g.w.sum()) == k * (k - 1) // 2
 
+    @staticmethod
+    def assert_same_graph(g, reference):
+        assert g.codes == reference.codes
+        for name in ("a", "b", "w", "degrees"):
+            assert np.array_equal(getattr(g, name), getattr(reference, name)), name
+
     def test_line_permutation_invariance(self):
-        lines = ["a b c", "b d", "e a d", "c c f"]
+        # Products are numbered in code order, so every array is the same.
+        lines = ["a b c", "b d", "e a d", "c c f", "zeta é a10 a2 B"]
         rng = np.random.default_rng(7)
         reference = graph_from_text("\n".join(lines) + "\n")
         for _ in range(5):
             shuffled = [lines[i] for i in rng.permutation(len(lines))]
-            shuffled = [" ".join(np.array(line.split())[rng.permutation(len(line.split()))]) for line in shuffled]
-            g = graph_from_text("\n".join(shuffled) + "\n")
-            for (a, b), w in edge_weights(reference).items():
-                ca, cb = reference.codes[a], reference.codes[b]
-                assert edge_weight(g, g.codes.index(ca), g.codes.index(cb)) == w
-            assert int(g.w.sum()) == int(reference.w.sum())
+            shuffled = [" ".join(rng.permutation(line.split())) for line in shuffled]
+            self.assert_same_graph(graph_from_text("\n".join(shuffled) + "\n"), reference)
+
+    def test_codes_shuffled_within_lines_change_nothing(self):
+        lines = ["a b c", "b d", "e a d", "c c f", "zeta é a10 a2 B"]
+        rng = np.random.default_rng(3)
+        reference = graph_from_text("\n".join(lines) + "\n")
+        for _ in range(5):
+            shuffled = [" ".join(rng.permutation(line.split())) for line in lines]
+            self.assert_same_graph(graph_from_text("\n".join(shuffled) + "\n"), reference)
+
+    def test_graph_numbers_products_in_code_order(self):
+        # The parser numbers codes as they first appear; the graph renumbers
+        # them in code order and keeps each edge between the same codes.
+        baskets, codes = parse("zeta a10\nB é a2\na10 zeta B\n")
+        assert codes == ["zeta", "a10", "B", "é", "a2"]
+        g = expand_hyperedges(baskets, codes)
+        assert g.codes == sorted(codes) == ["B", "a10", "a2", "zeta", "é"]
+        pairs = {(g.codes[a], g.codes[b]): w for (a, b), w in edge_weights(g).items()}
+        assert pairs == {
+            ("a10", "zeta"): 2, ("B", "a10"): 1, ("B", "zeta"): 1,
+            ("B", "é"): 1, ("B", "a2"): 1, ("a2", "é"): 1,
+        }
+        assert g.degrees.tolist() == [4, 3, 2, 3, 2]
+
+    @pytest.mark.parametrize("codes", [["b", "a"], ["a", "b", "b"], ["a", "c", "b"]])
+    def test_graph_refuses_codes_out_of_code_order(self, codes):
+        empty = np.zeros(0, dtype=np.int64)
+        with pytest.raises(InvalidParameterError, match="codes must strictly increase"):
+            CooccurrenceGraph(codes, empty, empty, empty, np.zeros(len(codes), dtype=np.int64))
+
+    def test_repeated_code_in_the_code_list_rejected(self):
+        with pytest.raises(InvalidParameterError, match="'a' follows 'a'"):
+            expand_hyperedges(Baskets(np.array([0, 2]), np.array([0, 1])), ["a", "a"])
 
     @settings(max_examples=50, deadline=None)
     @given(
