@@ -118,14 +118,15 @@ def parse_baskets(
     return baskets, list(index)
 
 
-@dataclass
+@dataclass(frozen=True)
 class CooccurrenceGraph:
     """Weighted undirected co-occurrence graph over products numbered in
-    code order, whatever order the baskets came in.
+    code order, whatever order the baskets came in. Frozen, and ``codes``
+    is stored as a tuple, so a built graph keeps its code order.
 
     Attributes:
-        codes: the product codes, strictly increasing; indices address
-            ``codes`` and ``degrees``.
+        codes: tuple of the product codes, strictly increasing; indices
+            address ``codes`` and ``degrees``.
         a, b: int64 endpoint indices of each edge, ``a < b``, sorted by
             ``(a, b)``.
         w: int64 positive co-occurrence count of each edge, aligned with
@@ -137,13 +138,14 @@ class CooccurrenceGraph:
         InvalidParameterError: if ``codes`` do not strictly increase.
     """
 
-    codes: list
+    codes: tuple
     a: np.ndarray
     b: np.ndarray
     w: np.ndarray
     degrees: np.ndarray
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "codes", tuple(self.codes))
         for prev, code in zip(self.codes, self.codes[1:]):
             if prev >= code:
                 raise InvalidParameterError(
@@ -179,7 +181,7 @@ def expand_hyperedges(baskets: Baskets, codes: list) -> CooccurrenceGraph:
     """
     n = len(codes)
     order = sorted(range(n), key=codes.__getitem__)
-    codes = [codes[i] for i in order]
+    codes = tuple(map(codes.__getitem__, order))
     offsets, items = baskets
     items = np.argsort(order)[items]  # each index's position in code order
     sizes = np.diff(offsets)

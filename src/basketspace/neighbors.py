@@ -17,7 +17,6 @@ from .embedding import (
     COMPLEMENT_ITERATIONS,
     SUBSTITUTE_ITERATIONS,
     EmbeddingMatrix,
-    _check_rows,
     _row_norms,
     reseed_philox,
 )
@@ -102,13 +101,11 @@ def top_k_batch(
     Raises:
         UnknownProductError: if a query is not embedded.
         InvalidParameterError: if ``queries`` is a string, if k < 1, if
-            the space is not one 2-D row per code or holds a NaN or
-            infinite value, or if a query or a candidate it is ranked
-            against is a zero vector.
+            the space holds a NaN or infinite value, or if a query or a
+            candidate it is ranked against is a zero vector.
     """
     _reject_string(queries)
     at_least("k", k, 1)
-    _check_rows(embeddings)
     codes = embeddings.codes
     index = {code: i for i, code in enumerate(codes)}
     queries = list(queries)
@@ -170,8 +167,6 @@ def top_k_batch(
             picked_sims[positions, :most] = np.where(short, np.nan, values[targets - lo])
             continue
         for pos, row, size in zip(positions, targets.tolist(), sizes[positions].tolist()):
-            if size == 0:
-                continue
             line = sims[row - a]
             line[row] = -np.inf
             # Keep every entry tied with the k-th value, then order by

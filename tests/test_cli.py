@@ -339,6 +339,23 @@ class TestNeighbors:
         assert "internal error" not in err
         assert err.startswith("error: ")
 
+    @pytest.mark.parametrize(
+        "header, message",
+        [
+            ("a b", "embedding header must be two integers, got 'a b'"),
+            ("-1 3", "invalid embedding shape -1 x 3"),
+            ("2 0", "invalid embedding shape 2 x 0"),
+        ],
+    )
+    def test_header_that_is_no_shape_exits_2(self, tmp_path, capsys, header, message):
+        path = tmp_path / "bad.emb"
+        path.write_text(header + "\nq 1.0\n", encoding="utf-8")
+        code = main(["neighbors", "--input", str(path), "--all"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.splitlines() == [f"error: {message}"]
+
 
 def write_rows(path, codes, vectors):
     """An embedding file at full double precision, so last-bit differences

@@ -89,6 +89,28 @@ class TestPartition:
         a2 = partition_chunks(demo_graph, 4)
         assert np.array_equal(a1, a2)
 
+    @pytest.mark.parametrize(
+        "change",
+        [
+            lambda g, e: g.codes.reverse(),
+            lambda g, e: setattr(g, "codes", list(reversed(g.codes))),
+            lambda g, e: e.codes.append("c"),
+        ],
+        ids=["graph-codes-reversed", "graph-codes-replaced", "space-code-appended"],
+    )
+    def test_built_records_keep_their_codes(self, change):
+        # partition_chunks hashes each edge's codes as (codes[a], codes[b])
+        # with a < b, and train returns rows in graph order, so both need
+        # the codes to stay sorted: with them reversed the chunks read
+        # [3 0 1]. Graphs and spaces are frozen with tuple codes instead.
+        g = expand_hyperedges(*parse_baskets(["a b", "b c", "c d"]))
+        e = train(g, d=2, iterations=1, chunks=2)
+        with pytest.raises(AttributeError):
+            change(g, e)
+        assert partition_chunks(g, 4).tolist() == [2, 1, 1]
+        assert g.codes == train(g, d=2, iterations=1, chunks=2).codes == ("a", "b", "c", "d")
+        assert e.codes == g.codes
+
     def test_assignment_keyed_by_codes_not_insertion_order(self):
         # The same labeled graph parsed in two different line orders must
         # put each code pair in the same chunk.
@@ -757,7 +779,7 @@ class TestMerge:
             expected = np.array([sums[v] for v in sorted(sums)])
             expected /= np.linalg.norm(expected, axis=1)[:, None]
             emb = train(g, d=32, iterations=3, chunks=5, seed=4)
-            assert emb.codes == [g.codes[v] for v in sorted(sums)]
+            assert emb.codes == tuple(g.codes[v] for v in sorted(sums))
             assert np.array_equal(emb.vectors, expected)
             # Both kinds of chunk, over every product and over some, occur.
             mixed += whole == {True, False}
@@ -852,7 +874,7 @@ class TestTrain:
             train(expand_hyperedges(*parse_baskets(text)), d=16, chunks=chunks, seed=1)
             for text in (lines, shuffled)
         )
-        assert a.codes == b.codes == sorted(a.codes)
+        assert a.codes == b.codes == tuple(sorted(a.codes))
         assert np.array_equal(a.vectors, b.vectors)
 
     def test_iteration_counts_differ(self, demo_graph):
@@ -1199,24 +1221,34 @@ class TestEmbeddingMatrix:
         [
             lambda e: e.codes.append("c"),
             lambda e: e.codes.pop(),
+            lambda e: setattr(e, "codes", ["a", "b", "c"]),
             lambda e: setattr(e, "vectors", np.ones(2)),
             lambda e: setattr(e, "vectors", np.ones((3, 2))),
         ],
-        ids=["code-appended", "code-removed", "1-D-vectors", "extra-row"],
+        ids=["code-appended", "code-removed", "codes-replaced", "1-D-vectors", "extra-row"],
     )
     def test_space_changed_after_construction_is_refused(self, change):
-        # The writer and top-k check the space again: a code appended once
-        # it was built made the writer write a row its reader refuses and
-        # top-k raise a bare numpy error.
+        # The writer and top-k trust the check made when the space was
+        # built, so the edit itself must fail and leave the space as built.
         e = EmbeddingMatrix(["a", "b"], np.eye(2))
-        change(e)
-        message = "need one 2-D row per code"
+        with pytest.raises(AttributeError):
+            change(e)
+        assert e.codes == ("a", "b") and e.vectors.shape == (2, 2)
         out = io.StringIO()
-        with pytest.raises(InvalidParameterError, match=message):
-            write_embedding(e, out)
-        assert out.getvalue() == ""
-        with pytest.raises(InvalidParameterError, match=message):
-            top_k_batch(e, e.codes[-1:], 1)
+        write_embedding(e, out)
+        assert out.getvalue().splitlines()[0] == "2 2"
+        assert top_k_batch(e, ["b"], 1)[0].tolist() == [[0]]
+
+    @pytest.mark.parametrize(
+        "change", [{"codes": ["a", "b", "c"]}, {"vectors": np.ones(2)}, {"vectors": np.ones((3, 2))}]
+    )
+    def test_replaced_space_is_checked_again(self, change):
+        # dataclasses.replace builds a new space, which runs the same check.
+        e = EmbeddingMatrix(["a", "b"], np.eye(2))
+        with pytest.raises(InvalidParameterError, match="need one 2-D row per code"):
+            dataclasses.replace(e, **change)
+        moved = dataclasses.replace(e, codes=["c", "d"])
+        assert moved.codes == ("c", "d") and moved.vectors is e.vectors
 
 
 class TestEmbeddingFile:
@@ -1265,6 +1297,18 @@ class TestEmbeddingFile:
     def test_read_rejects_bad_header(self):
         with pytest.raises(MalformedInputError):
             read_embedding(io.StringIO("not a header\n"))
+
+    @pytest.mark.parametrize(
+        "header, message",
+        [
+            ("a b", "^embedding header must be two integers, got 'a b'$"),
+            ("-1 3", "^invalid embedding shape -1 x 3$"),
+            ("2 0", "^invalid embedding shape 2 x 0$"),
+        ],
+    )
+    def test_read_rejects_header_that_is_no_shape(self, header, message):
+        with pytest.raises(MalformedInputError, match=message):
+            read_embedding(io.StringIO(header + "\n"))
 
     def test_read_rejects_row_count_mismatch(self):
         with pytest.raises(MalformedInputError):
@@ -1328,7 +1372,7 @@ class TestEmbeddingFile:
 
     def test_read_accepts_tokens_the_c_parser_refuses(self):
         back = read_embedding(io.StringIO("2 2\na 1_000 \u0661\nb +.5 -0\n"))
-        assert back.codes == ["a", "b"]
+        assert back.codes == ("a", "b")
         assert back.vectors.tolist() == [[1000.0, 1.0], [0.5, -0.0]]
 
     def test_round_trip_at_d_1024_is_bit_identical_to_asarray(self):
@@ -1343,12 +1387,12 @@ class TestEmbeddingFile:
         back = read_embedding(io.StringIO(out.getvalue()))
         rows = out.getvalue().splitlines()[1:]
         expected = np.array([np.asarray(row.split()[1:], dtype=np.float64) for row in rows])
-        assert back.codes == [row.split()[0] for row in rows]
+        assert back.codes == tuple(row.split()[0] for row in rows)
         assert back.vectors.tobytes() == expected.tobytes()
 
     def test_read_skips_trailing_blank_and_comment_lines(self):
         back = read_embedding(io.StringIO("1 2\na 0.1 0.2\n\n# end\n"))
-        assert back.codes == ["a"]
+        assert back.codes == ("a",)
 
 
 def written(write, vectors, codes=None) -> list:

@@ -1,5 +1,6 @@
 """Synthetic market generation, scoring metrics, and the benchmark report."""
 
+import dataclasses
 import hashlib
 import io
 import math
@@ -506,10 +507,8 @@ class TestBenchmark:
         def permuted_train(graph, **kwargs):
             spaces = real_train(graph, **kwargs)
             order = np.random.default_rng(1).permutation(len(spaces[0].codes))
-            for space in spaces:
-                space.codes = [space.codes[i] for i in order.tolist()]
-                space.vectors = space.vectors[order]
-            return spaces
+            codes = [spaces[0].codes[i] for i in order.tolist()]
+            return [dataclasses.replace(s, codes=codes, vectors=s.vectors[order]) for s in spaces]
 
         monkeypatch.setattr(evaluation, "train", permuted_train)
         permuted = score_market(market, BenchmarkConfig(dimension=64, seed=0))
