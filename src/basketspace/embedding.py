@@ -24,6 +24,7 @@ purchase context (substitutes). One pass can yield both.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import importlib.machinery
 import importlib.util
@@ -89,11 +90,17 @@ class EmbeddingMatrix:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "codes", tuple(self.codes))
+        self.checked_vectors()
+
+    def checked_vectors(self) -> np.ndarray:
+        """``vectors``, checked again for one 2-D row per code: freezing the
+        record does not stop ``vectors.shape`` from being set in place."""
         if np.ndim(self.vectors) != 2 or len(self.codes) != len(self.vectors):
             raise InvalidParameterError(
                 f"{len(self.codes)} codes for vectors of shape {np.shape(self.vectors)}; "
                 "need one 2-D row per code"
             )
+        return self.vectors
 
     @property
     def dimension(self) -> int:
@@ -296,22 +303,17 @@ def _load_sparsetools():
     raise ImportError(f"no _sparsetools extension in {folder}")
 
 
-_csr_matvecs = None
-
-
+@functools.cache
 def _kernel():
     """scipy's ``csr_matvecs(n_row, n_col, n_vecs, indptr, indices, data, x, y)``,
     which adds the CSR matrix times the row-major dense x into y; loaded on
     first use, by file path or, if that fails, by the normal import."""
-    global _csr_matvecs
-    if _csr_matvecs is None:
-        try:
-            _csr_matvecs = _load_sparsetools().csr_matvecs
-        except Exception:
-            from scipy.sparse._sparsetools import csr_matvecs
+    try:
+        return _load_sparsetools().csr_matvecs
+    except Exception:
+        from scipy.sparse._sparsetools import csr_matvecs
 
-            _csr_matvecs = csr_matvecs
-    return _csr_matvecs
+        return csr_matvecs
 
 
 def _matmul_rows(
@@ -442,12 +444,12 @@ def train(
     one = len(qs) == 1
     top = counts.index(max(counts)) if one else None
     merged = [
-        None if j == top else _allocate(np.empty, len(codes), d, InvalidParameterError)
+        None if j == top else _allocate((len(codes), d), np.float64, InvalidParameterError)
         for j in range(len(counts))
     ]
-    make = np.empty if one else lambda shape: np.empty((2, *shape))
-    what = "embedding shape {} x {}" if one else "step pair 2 x {} x {}"
-    steps = _allocate(make, len(codes), d, InvalidParameterError, what)
+    shape = (len(codes), d) if one else (2, len(codes), d)
+    what = "embedding shape {} x {}" if one else "step pair {} x {} x {}"
+    steps = _allocate(shape, np.float64, InvalidParameterError, what)
     start = init_embedding(codes, d, seed)
     for q in qs:
         M = build_transition(graph, chunk_ids, q)
@@ -494,11 +496,17 @@ def train(
     return spaces[0] if single else spaces
 
 
-# write_embedding's lookup tables, built on its first call: (groups, marks)
-# as uint32 words of 4 ASCII bytes. groups[g] is the 4 digits of g < 10**4,
-# groups[10**4 + g] the same with trailing zeros as NUL bytes; marks holds
-# " 0.", " -0." and a word whose last byte is a newline.
-_DIGIT_TABLES = None
+@functools.cache
+def _digit_tables() -> tuple[np.ndarray, np.ndarray]:
+    """write_embedding's lookup tables, built on its first call and only read:
+    (groups, marks) as uint32 words of 4 ASCII bytes. groups[g] is the 4 digits
+    of g < 10**4, groups[10**4 + g] the same with trailing zeros as NUL bytes;
+    marks holds " 0.", " -0." and a word whose last byte is a newline."""
+    digits = np.arange(10_000)[:, None] // np.array([1000, 100, 10, 1]) % 10
+    text = (digits + ord("0")).astype(np.uint8)
+    bare = np.where(np.cumsum(digits[:, ::-1], axis=1)[:, ::-1] > 0, text, 0)
+    groups = np.concatenate([text, bare]).astype(np.uint8).view(np.uint32).ravel()
+    return groups, np.frombuffer(b" 0.\0 -0.\0\0\0\n", np.uint32)
 
 
 def write_embedding(emb: EmbeddingMatrix, stream: TextIO) -> None:
@@ -510,22 +518,17 @@ def write_embedding(emb: EmbeddingMatrix, stream: TextIO) -> None:
     resolve differently after a round-trip.
 
     Raises:
-        InvalidParameterError: if d < 1; the reader refuses it.
+        InvalidParameterError: if d < 1, which the reader refuses, or if
+            the space no longer holds one 2-D row per code.
     """
-    global _DIGIT_TABLES
-    n, d = emb.vectors.shape
+    vectors = emb.checked_vectors()
+    n, d = vectors.shape
     at_least("dimension", d, 1)
-    if _DIGIT_TABLES is None:
-        digits = np.arange(10_000)[:, None] // np.array([1000, 100, 10, 1]) % 10
-        text = (digits + ord("0")).astype(np.uint8)
-        bare = np.where(np.cumsum(digits[:, ::-1], axis=1)[:, ::-1] > 0, text, 0)
-        groups = np.concatenate([text, bare]).astype(np.uint8).view(np.uint32).ravel()
-        _DIGIT_TABLES = groups, np.frombuffer(b" 0.\0 -0.\0\0\0\n", np.uint32)
     stream.write(f"{n} {d}\n")
     step = max(1, _BLOCK_VALUES // d)
     for a in range(0, n, step):
-        block = np.asarray(emb.vectors[a : a + step], dtype=np.float64)
-        rows = _format_rows(block, *_DIGIT_TABLES)
+        block = np.asarray(vectors[a : a + step], dtype=np.float64)
+        rows = _format_rows(block, *_digit_tables())
         stream.write("".join(map("%s%s\n".__mod__, zip(emb.codes[a : a + step], rows))))
 
 
@@ -596,7 +599,7 @@ def read_embedding(stream: TextIO) -> EmbeddingMatrix:
         raise MalformedInputError(f"invalid embedding shape {n} x {d}")
     codes = []
     shape = "embedding shape {} x {} from the header"
-    vectors = _allocate(np.empty, n, d, MalformedInputError, shape)
+    vectors = _allocate((n, d), np.float64, MalformedInputError, shape)
     seen = set()
     batch = max(1, _READ_VALUES // d)
     for start in range(0, n, batch):
@@ -626,14 +629,14 @@ def read_embedding(stream: TextIO) -> EmbeddingMatrix:
     return EmbeddingMatrix(codes, vectors, iterations=None, seed=None)
 
 
-def _allocate(make, n: int, d: int, error: type, what: str = "embedding shape {} x {}"):
-    """``make((n, d))``, such as an (n, d) float64 ``np.empty``; a shape
-    that cannot be allocated raises ``error`` with a message naming it as
-    ``what``, a format string given n and d."""
+def _allocate(shape: tuple, dtype, error: type, what: str = "embedding shape {} x {}"):
+    """``np.empty(shape, dtype)``; a shape that cannot be allocated raises
+    ``error`` with a message naming it as ``what``, a format string given
+    the shape's sizes."""
     try:
-        return make((n, d))
+        return np.empty(shape, dtype)
     except (MemoryError, ValueError):
-        raise error(f"{what.format(n, d)} does not fit in memory") from None
+        raise error(f"{what.format(*shape)} does not fit in memory") from None
 
 
 def _read_rows(lines: Iterator[str], start: int, stop: int, vectors, codes, seen) -> None:

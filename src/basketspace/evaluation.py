@@ -26,7 +26,6 @@ import json
 import math
 from collections import Counter
 from dataclasses import asdict, dataclass
-from functools import partial
 from typing import Sequence, TextIO
 
 import numpy as np
@@ -126,11 +125,9 @@ def generate_synthetic_market(
     # Sizes whose arrays cannot be allocated are rejected before anything
     # is built: 64 bytes a product is about what a code costs in the list.
     products = themes * G * group_size
-    _allocate(np.empty, products, 8, InvalidParameterError, "a market of {} products")
-    picks = _allocate(
-        partial(np.empty, dtype=np.int64), baskets, G, InvalidParameterError,
-        "a market of {} baskets x {} groups",
-    )
+    _allocate((products, 8), np.float64, InvalidParameterError, "a market of {} products")
+    what = "a market of {} baskets x {} groups"
+    picks = _allocate((baskets, G), np.int64, InvalidParameterError, what)
     product_codes = [
         f"t{t}g{g}m{m}"
         for t in range(themes)

@@ -101,8 +101,9 @@ def top_k_batch(
     Raises:
         UnknownProductError: if a query is not embedded.
         InvalidParameterError: if ``queries`` is a string, if k < 1, if
-            the space holds a NaN or infinite value, or if a query or a
-            candidate it is ranked against is a zero vector.
+            the space no longer holds one 2-D row per code or holds a NaN
+            or infinite value, or if a query or a candidate it is ranked
+            against is a zero vector.
     """
     _reject_string(queries)
     at_least("k", k, 1)
@@ -116,7 +117,7 @@ def top_k_batch(
             raise UnknownProductError(query, nearest_codes(query, codes))
         rows.append(row)
     n = len(codes)
-    vectors = embeddings.vectors
+    vectors = embeddings.checked_vectors()
     norms = _row_norms(vectors)
     if not np.isfinite(norms).all():
         raise InvalidParameterError("embedding holds a NaN or infinite value")
@@ -127,18 +128,14 @@ def top_k_batch(
         pool[[index[c] for c in candidates if c in index]] = True
     zero = pool & (norms == 0.0)
     pool_size, zero_count = int(pool.sum()), int(zero.sum())
-    for row in rows:
-        if pool_size - int(pool[row]) and (
-            norms[row] == 0.0 or zero_count - int(zero[row])
-        ):
-            raise InvalidParameterError(
-                "cosine similarity of a zero vector is undefined"
-            )
+    others = pool_size - pool[rows]  # the candidates each query is ranked against
+    if ((others > 0) & ((norms[rows] == 0.0) | (zero_count - zero[rows] > 0))).any():
+        raise InvalidParameterError("cosine similarity of a zero vector is undefined")
     step = max(2, BLOCK_ENTRIES // max(n, 1))
     by_block: dict = {}
     for pos, row in enumerate(rows):
         by_block.setdefault(row // step, []).append(pos)
-    sizes = np.minimum(pool_size - pool[rows], min(k, n))
+    sizes = np.minimum(others, min(k, n))
     width = int(sizes.max(initial=0))
     picked = np.full((len(queries), width), -1, dtype=np.int64)
     picked_sims = np.full((len(queries), width), np.nan)
@@ -187,15 +184,7 @@ def recommend_substitutes(
     Warns (without failing) once per call if the space's recorded
     iteration count is below :data:`SUBSTITUTE_ITERATIONS`.
     """
-    done = substitute_space.iterations
-    if done is not None and done < SUBSTITUTE_ITERATIONS:
-        warnings.warn(
-            f"substitute queries expect an embedding trained with at least "
-            f"{SUBSTITUTE_ITERATIONS} iterations; this space records {done}",
-            ConfigurationMismatchWarning,
-            stacklevel=2,
-        )
-    return top_k_batch(substitute_space, queries, k)
+    return _recommend("substitute", substitute_space, queries, k, SUBSTITUTE_ITERATIONS)
 
 
 def recommend_complements(
@@ -207,15 +196,22 @@ def recommend_complements(
     Warns (without failing) once per call if the space's recorded
     iteration count does not equal :data:`COMPLEMENT_ITERATIONS`.
     """
-    done = complement_space.iterations
-    if done is not None and done != COMPLEMENT_ITERATIONS:
+    return _recommend("complement", complement_space, queries, k, COMPLEMENT_ITERATIONS, exact=True)
+
+
+def _recommend(kind: str, space: EmbeddingMatrix, queries, k: int, count: int, exact=False):
+    """:func:`top_k_batch` on ``space``, warning the public function's caller
+    once if the space records fewer iterations than ``count`` or, if
+    ``exact``, any other number."""
+    done = space.iterations
+    if done is not None and (done != count if exact else done < count):
+        want = f"exactly {count} iteration(s)" if exact else f"at least {count} iterations"
         warnings.warn(
-            f"complement queries expect an embedding trained with exactly "
-            f"{COMPLEMENT_ITERATIONS} iteration(s); this space records {done}",
+            f"{kind} queries expect an embedding trained with {want}; this space records {done}",
             ConfigurationMismatchWarning,
-            stacklevel=2,
+            stacklevel=3,
         )
-    return top_k_batch(complement_space, queries, k)
+    return top_k_batch(space, queries, k)
 
 
 def random_recommender(

@@ -332,19 +332,25 @@ class TestCsrKernel:
             loads.append(1)
             return load()
 
-        monkeypatch.setattr(embedding, "_csr_matvecs", None)
-        monkeypatch.setattr(embedding, "_load_sparsetools", counted)
-        direct = embedding._matmul_rows(M, x, 1)
-        assert loads == [1]
-
         def failing():
             raise OSError("cannot load the extension")
 
-        monkeypatch.setattr(embedding, "_csr_matvecs", None)
-        monkeypatch.setattr(embedding, "_load_sparsetools", failing)
-        fallback = embedding._matmul_rows(M, x, 1)
-        assert embedding._kernel() is _sparsetools.csr_matvecs
-        assert np.array_equal(fallback, direct)
+        # The cache is left cleared, so the next multiply loads by path again.
+        try:
+            embedding._kernel.cache_clear()
+            monkeypatch.setattr(embedding, "_load_sparsetools", counted)
+            direct = embedding._matmul_rows(M, x, 1)
+            assert np.array_equal(embedding._matmul_rows(M, x, 1), direct)
+            assert loads == [1]
+            assert embedding._kernel.cache_info()[:2] == (1, 1)  # (hits, misses)
+
+            embedding._kernel.cache_clear()
+            monkeypatch.setattr(embedding, "_load_sparsetools", failing)
+            fallback = embedding._matmul_rows(M, x, 1)
+            assert embedding._kernel() is _sparsetools.csr_matvecs
+            assert np.array_equal(fallback, direct)
+        finally:
+            embedding._kernel.cache_clear()
 
 
 class TestInit:
@@ -1239,8 +1245,22 @@ class TestEmbeddingMatrix:
         assert out.getvalue().splitlines()[0] == "2 2"
         assert top_k_batch(e, ["b"], 1)[0].tolist() == [[0]]
 
+    @pytest.mark.parametrize("shape", [(4,), (1, 4), (2, 2, 1)])
+    def test_vectors_reshaped_in_place_are_refused(self, shape):
+        # Freezing the record does not stop this, and a read-only array
+        # accepts a new shape too; unchecked, the writer raised a bare
+        # ValueError and top-k an IndexError.
+        e = EmbeddingMatrix(["a", "b"], np.eye(2))
+        e.vectors.shape = shape
+        out = io.StringIO()
+        with pytest.raises(InvalidParameterError, match="need one 2-D row per code"):
+            write_embedding(e, out)
+        assert out.getvalue() == ""
+        with pytest.raises(InvalidParameterError, match="need one 2-D row per code"):
+            top_k_batch(e, ["a"], 1)
+
     @pytest.mark.parametrize(
-        "change", [{"codes": ["a", "b", "c"]}, {"vectors": np.ones(2)}, {"vectors": np.ones((3, 2))}]
+        "change", [{"codes": ["a", "b", "c"]},{"vectors": np.ones(2)}, {"vectors": np.ones((3, 2))}]
     )
     def test_replaced_space_is_checked_again(self, change):
         # dataclasses.replace builds a new space, which runs the same check.

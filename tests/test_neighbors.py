@@ -422,9 +422,15 @@ class TestRecommenders:
         assert sims.tolist() == top_k_batch(emb, ["q"], 1)[1].tolist()
 
     def test_substitutes_warn_on_shallow_space(self):
+        # The text is pinned, and the warning names the caller's line.
         emb = embedding_from({"q": [1.0, 0.0], "a": [1.0, 0.1]}, iterations=1)
-        with pytest.warns(ConfigurationMismatchWarning):
+        with pytest.warns(ConfigurationMismatchWarning) as caught:
             recommend_substitutes(emb, ["q"], 1)
+        assert [str(w.message) for w in caught] == [
+            "substitute queries expect an embedding trained with at least 6 iterations; "
+            "this space records 1"
+        ]
+        assert caught[0].filename == __file__
 
     def test_substitutes_quiet_on_deep_space(self):
         emb = embedding_from({"q": [1.0, 0.0], "a": [1.0, 0.1]}, iterations=6)
@@ -434,8 +440,13 @@ class TestRecommenders:
 
     def test_complements_warn_on_deep_space(self):
         emb = embedding_from({"q": [1.0, 0.0], "a": [1.0, 0.1]}, iterations=6)
-        with pytest.warns(ConfigurationMismatchWarning):
+        with pytest.warns(ConfigurationMismatchWarning) as caught:
             recommend_complements(emb, ["q"], 1)
+        assert [str(w.message) for w in caught] == [
+            "complement queries expect an embedding trained with exactly 1 iteration(s); "
+            "this space records 6"
+        ]
+        assert caught[0].filename == __file__
 
     def test_complements_quiet_on_single_iteration_space(self):
         emb = embedding_from({"q": [1.0, 0.0], "a": [1.0, 0.1]}, iterations=1)

@@ -1,5 +1,6 @@
 """The package's public names, the functions the benchmark traces by name,
-where the comment rule is spelled, and the README's library example."""
+where the comment rule is spelled, that no module rebinds a global, and the
+README's library example."""
 
 import ast
 import importlib
@@ -97,6 +98,17 @@ def test_comment_rule_is_spelled_in_one_place():
         ("embedding", "read_embedding"),
         ("embedding", "_read_rows"),
     }
+
+
+def test_no_module_holds_a_global_statement():
+    # Lazily built state lives in a cached function, not in a module
+    # variable that a function rebinds.
+    found = []
+    for path in pathlib.Path(basketspace.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Global):
+                found.append((path.stem, node.lineno, node.names))
+    assert found == []
 
 
 def test_readme_python_blocks_run():
