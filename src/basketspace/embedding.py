@@ -104,7 +104,7 @@ class EmbeddingMatrix:
 
     @property
     def dimension(self) -> int:
-        return int(self.vectors.shape[1])
+        return int(self.checked_vectors().shape[1])
 
     def __len__(self) -> int:
         return len(self.codes)

@@ -1249,7 +1249,7 @@ class TestEmbeddingMatrix:
     def test_vectors_reshaped_in_place_are_refused(self, shape):
         # Freezing the record does not stop this, and a read-only array
         # accepts a new shape too; unchecked, the writer raised a bare
-        # ValueError and top-k an IndexError.
+        # ValueError, and top-k and the dimension an IndexError.
         e = EmbeddingMatrix(["a", "b"], np.eye(2))
         e.vectors.shape = shape
         out = io.StringIO()
@@ -1258,9 +1258,11 @@ class TestEmbeddingMatrix:
         assert out.getvalue() == ""
         with pytest.raises(InvalidParameterError, match="need one 2-D row per code"):
             top_k_batch(e, ["a"], 1)
+        with pytest.raises(InvalidParameterError, match="need one 2-D row per code"):
+            e.dimension
 
     @pytest.mark.parametrize(
-        "change", [{"codes": ["a", "b", "c"]},{"vectors": np.ones(2)}, {"vectors": np.ones((3, 2))}]
+        "change", [{"codes": ["a", "b", "c"]}, {"vectors": np.ones(2)}, {"vectors": np.ones((3, 2))}]
     )
     def test_replaced_space_is_checked_again(self, change):
         # dataclasses.replace builds a new space, which runs the same check.
